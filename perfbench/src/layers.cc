@@ -28,8 +28,7 @@ endOf(const TraceEvent &e)
 bool
 waitsOnPool(const std::string &span)
 {
-    return span == kJobSpan || span == "schedule.sweep"
-        || span == "plan.capacity_search"
+    return span == kJobSpan || span == "plan.capacity_search"
         || span == "multichip.plan_shards";
 }
 

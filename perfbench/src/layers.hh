@@ -13,11 +13,11 @@
  * instant of the job goes to the innermost open span of each thread
  * that has one, split equally between those threads.  A span that
  * only hands work to a pool and waits (the job root,
- * schedule.sweep, plan.capacity_search, multichip.plan_shards)
- * yields the instant to the other threads' spans whenever any is
- * open.  The benchmark opens its own span ("schedule.sweep") around
- * a public call whose callee records none, so that call's own time
- * is named too.
+ * plan.capacity_search, multichip.plan_shards) yields the instant
+ * to the other threads' spans whenever any is open.  Time only the
+ * job root covers is "other": the benchmark opens no span but the
+ * root, so the attributed share is what the program's own spans
+ * cover.
  */
 
 #ifndef PERFBENCH_LAYERS_HH

@@ -4,22 +4,22 @@
  *
  *   perfbench --workload NAME --seed N --seconds S --trace 0|1
  *
- * Sets the workload up several times (setup_s is the median), then
- * runs its jobs back to back, one at a time, for S seconds (and at
- * least kMinJobs jobs), checking every job's outputs against the
- * reference computed in set-up.  With --trace 0 the result carries
+ * Sets the workload up, then runs its jobs back to back, one at a
+ * time, for S seconds (and at least kMinJobs jobs), checking every
+ * job's outputs against the reference computed in set-up.  The
+ * set-up is redone at evenly spaced points of the run; setup_s is
+ * the median.  With --trace 0 the result carries
  * the end-to-end metrics; with --trace 1 every other job is traced,
  * a per-layer table is printed and the result carries the per-layer
  * metrics.  The last line of standard output is the result, one
  * JSON object.  README.md describes the workloads and metrics.
  */
 
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -39,8 +39,8 @@ namespace
 using namespace perfbench;
 namespace obs = transfusion::obs;
 
-/** Set-ups per run; setup_s is their median. */
-constexpr int kSetups = 5;
+/** Set-ups per run, spread over it; setup_s is their median. */
+constexpr std::size_t kSetups = 7;
 /** Fewest jobs per run, so job_p90_ms has ten jobs beyond it. */
 constexpr std::size_t kMinJobs = 100;
 /** Fewest jobs in a traced run (half of them traced). */
@@ -113,12 +113,21 @@ parseArgs(int argc, char **argv)
     return a;
 }
 
+/**
+ * Peak resident memory of this process image, from VmHWM.  (The
+ * getrusage maximum would carry over the peak of the process that
+ * exec'd this one, e.g. run.py.)
+ */
 double
 peakRssMb()
 {
-    rusage ru{};
-    getrusage(RUSAGE_SELF, &ru);
-    return static_cast<double>(ru.ru_maxrss) / 1024.0; // KiB on Linux
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+    throw std::runtime_error("no VmHWM in /proc/self/status");
 }
 
 /** Jobs attempted and failed, with the first few failures kept. */
@@ -214,24 +223,51 @@ printResult(const Outcome &o, const MetricList &metrics)
     std::cout << os.str() << std::endl;
 }
 
+/**
+ * Set `w` up, timed in CPU time (every set-up runs on one thread).
+ * Throws CheckFailure when the reference outputs differ from those
+ * of the run's first set-up.
+ */
+double
+timedSetup(Workload &w, std::uint64_t seed,
+           std::optional<std::uint64_t> &first_digest)
+{
+    const double t0 = cpuSeconds();
+    w.setup(seed);
+    const double dt = cpuSeconds() - t0;
+    if (!first_digest)
+        first_digest = w.digest();
+    else if (w.digest() != *first_digest)
+        throw CheckFailure("a repeated set-up computed other reference "
+                           "outputs than the first");
+    return dt;
+}
+
 /** Untraced run: the end-to-end metrics. */
 MetricList
 measure(Workload &w, const Args &args, Outcome &outcome)
 {
-    std::vector<double> setups;
-    for (int s = 0; s < kSetups; ++s) {
-        const double t0 = cpuSeconds();
-        w.setup(args.seed);
-        setups.push_back(cpuSeconds() - t0);
-    }
+    std::optional<std::uint64_t> digest;
+    std::vector<double> setups{ timedSetup(w, args.seed, digest) };
 
-    std::vector<double> jobs;
+    std::vector<double> jobs, walls;
     double busy = 0;
     const double start = wallSeconds();
-    for (std::size_t i = 0;
-         i < kMinJobs || wallSeconds() - start < args.seconds; ++i) {
-        jobs.push_back(runJob(w, i, false, outcome).cpu_s);
-        busy += jobs.back();
+    for (std::size_t i = 0; i < kMinJobs || setups.size() < kSetups
+         || wallSeconds() - start < args.seconds;
+         ++i) {
+        // Redo the set-up at evenly spaced points of the run, so that
+        // setup_s, like the job times, is a median over the whole run
+        // and not the host's speed of one moment.
+        if (setups.size() < kSetups
+            && wallSeconds() - start
+                >= args.seconds * static_cast<double>(setups.size())
+                    / static_cast<double>(kSetups))
+            setups.push_back(timedSetup(w, args.seed, digest));
+        const JobRun job = runJob(w, i, false, outcome);
+        jobs.push_back(job.cpu_s);
+        walls.push_back(job.wall_s);
+        busy += job.cpu_s;
     }
     const double elapsed = wallSeconds() - start;
 
@@ -239,13 +275,18 @@ measure(Workload &w, const Args &args, Outcome &outcome)
     for (const double s : setups)
         std::cout << " " << number(s);
     std::cout << "\njobs: " << jobs.size() << " in " << number(elapsed)
-              << " s wall, " << number(busy) << " s CPU; job_p90_ms has "
+              << " s wall, " << number(busy)
+              << " s CPU in jobs; job_p90_ms has "
               << jobs.size() - static_cast<std::size_t>(
                      0.9 * static_cast<double>(jobs.size()))
-              << " jobs above it\n";
+              << " jobs above it; median job wall time "
+              << number(percentile(walls, 50) * 1e3) << " ms\n"
+              // Printed, not reported: the host's speed phases make
+              // the median swing more than a bound allows (README.md).
+              << "job_p50_ms " << number(percentile(jobs, 50) * 1e3)
+              << " ms\n";
     return {
         { "setup_s", { percentile(setups, 50), "s" } },
-        { "job_p50_ms", { percentile(jobs, 50) * 1e3, "ms" } },
         { "job_p90_ms", { percentile(jobs, 90) * 1e3, "ms" } },
         { "items_per_s",
           { static_cast<double>(outcome.items) / busy, "1/s" } },
@@ -368,6 +409,7 @@ main(int argc, char **argv)
                              : measure(*workload, args, outcome);
         std::cout << "digest " << args.workload << " " << std::hex
                   << workload->digest() << std::dec << "\n";
+        workload->report(std::cout);
     } catch (const std::exception &e) {
         outcome.attempted += 1;
         outcome.fail(std::string("set-up: ") + e.what());

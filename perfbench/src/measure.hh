@@ -6,8 +6,11 @@
  * which excludes the time the hypervisor steals from a virtual
  * machine's vCPUs: on a shared host, steal comes and goes in phases
  * of minutes and moves wall time by up to half, while it leaves CPU
- * time alone.  Wall time bounds how long a run lasts and times the
- * program's own spans.
+ * time alone.  For a job that fans out onto several threads, CPU
+ * time is the work of all of them: it does not count a thread
+ * blocked on a lock, so it hides both a loss from contention and a
+ * gain from running in parallel (README.md, "Clock").  Wall time
+ * bounds how long a run lasts and times the program's own spans.
  */
 
 #ifndef PERFBENCH_MEASURE_HH

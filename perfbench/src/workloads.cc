@@ -258,20 +258,28 @@ class SweepWorkload final : public Workload
             reference_.push_back(digestOf(m));
     }
 
+    /**
+     * What Sweep::run does for one point.  Sweep::run itself would
+     * also start and join a thread pool per call, which the headline
+     * sweep does once for the whole grid.
+     */
     void
     run(std::size_t i) override
     {
-        // Names Sweep::run's own time (thread pool, Evaluator set-up,
-        // registry merges) in the per-layer table.
-        const obs::SpanGuard span("schedule.sweep");
-        last_ = sweep_.run({ points_[cell(i)] });
+        const schedule::SweepPoint &p = points_[cell(i)];
+        schedule::StrategyMetrics m;
+        m.point = p;
+        const schedule::Evaluator eval(p.arch, p.cfg, p.seq,
+                                       options_.evaluator);
+        for (const schedule::StrategyKind kind : options_.strategies)
+            m.results.emplace(kind, eval.evaluate(kind));
+        last_ = std::move(m);
     }
 
     std::int64_t
     check(std::size_t i) override
     {
-        if (last_.size() != 1
-            || digestOf(last_.front()) != reference_[cell(i)])
+        if (digestOf(last_) != reference_[cell(i)])
             throw CheckFailure("sweep cell " + points_[cell(i)].label()
                                + " differs from its reference");
         return 1;
@@ -360,7 +368,7 @@ class SweepWorkload final : public Workload
     std::vector<schedule::SweepPoint> points_;
     std::vector<std::size_t> order_;
     std::vector<std::uint64_t> reference_;
-    std::vector<schedule::StrategyMetrics> last_;
+    schedule::StrategyMetrics last_;
 };
 
 // ------------------------------------------------------------ plan_cold
@@ -368,11 +376,16 @@ class SweepWorkload final : public Workload
 /**
  * One job = one CapacityPlanner::plan over the ext_capacity_planner
  * search space with the cost-table cache cleared first, as at the
- * start of a planner process.
+ * start of a planner process.  The run's seed draws kPlans planning
+ * seeds (each a different request trace), cycled over the jobs.
  */
 class PlanColdWorkload final : public Workload
 {
   public:
+    /** Plans per run: how long a plan takes depends on its trace,
+     *  so a run covers several, and every run a similar mix. */
+    static constexpr std::size_t kPlans = 4;
+
     std::string
     threadSettings() const override
     {
@@ -385,23 +398,30 @@ class PlanColdWorkload final : public Workload
     setup(std::uint64_t seed) override
     {
         costmodel::CostTableCache::instance().clear();
-        seed_ = seed;
         planner_.emplace(model::t5Small(), workload(), slo(),
                          options(2, true));
-        reference_ = plan::CapacityPlanner(model::t5Small(), workload(),
-                                           slo(), options(1, true))
-                         .plan(space(), seed_);
-        const plan::PlanResult full =
-            plan::CapacityPlanner(model::t5Small(), workload(), slo(),
-                                  options(1, false))
-                .plan(space(), seed_);
-        if (full.frontier != reference_.frontier
-            || full.best != reference_.best)
-            throw CheckFailure("plan_cold: the pruned frontier or best "
-                               "plan differs from the exhaustive one");
-        if (!reference_.best)
-            throw CheckFailure("plan_cold: no feasible plan");
-        reference_digest_ = digestOf(reference_);
+        Rng rng(seed);
+        seeds_.clear();
+        reference_.clear();
+        for (std::size_t k = 0; k < kPlans; ++k) {
+            seeds_.push_back(rng.next());
+            const plan::PlanResult pruned =
+                plan::CapacityPlanner(model::t5Small(), workload(), slo(),
+                                      options(1, true))
+                    .plan(space(), seeds_[k]);
+            const plan::PlanResult full =
+                plan::CapacityPlanner(model::t5Small(), workload(), slo(),
+                                      options(1, false))
+                    .plan(space(), seeds_[k]);
+            if (full.frontier != pruned.frontier
+                || full.best != pruned.best)
+                throw CheckFailure("plan_cold: the pruned frontier or "
+                                   "best plan differs from the "
+                                   "exhaustive one");
+            if (!pruned.best)
+                throw CheckFailure("plan_cold: no feasible plan");
+            reference_.push_back(digestOf(pruned));
+        }
     }
 
     void
@@ -411,29 +431,40 @@ class PlanColdWorkload final : public Workload
     }
 
     void
-    run(std::size_t) override
+    run(std::size_t i) override
     {
         before_ = costmodel::CostTableCache::instance().stats();
-        last_ = planner_->plan(space(), seed_);
+        last_ = planner_->plan(space(), seeds_[i % kPlans]);
         after_ = costmodel::CostTableCache::instance().stats();
     }
 
     std::int64_t
-    check(std::size_t) override
+    check(std::size_t i) override
     {
-        if (digestOf(last_) != reference_digest_)
+        if (digestOf(last_) != reference_[i % kPlans])
             throw CheckFailure("plan_cold: the 2-thread plan differs "
                                "from the 1-thread reference");
         return last_.enumerated;
     }
 
-    std::uint64_t digest() const override { return reference_digest_; }
+    std::uint64_t
+    digest() const override
+    {
+        Digest d;
+        for (const std::uint64_t r : reference_)
+            d.word(r);
+        return d.value();
+    }
 
     void
     sampleJob(const TracedJob &job, Samples &out) override
     {
-        if (!job.traced)
+        if (!job.traced) {
+            // The latency a planner user waits for, which the CPU
+            // time of job_p90_ms leaves out (see README.md, "Clock").
+            out["plan.cold_wall_ms"].push_back(job.wall_s * 1e3);
             return;
+        }
         const double misses =
             static_cast<double>(after_.misses - before_.misses);
         const double hits =
@@ -457,10 +488,10 @@ class PlanColdWorkload final : public Workload
         for (int rep = 0; rep < 5; ++rep) {
             costmodel::CostTableCache::instance().clear();
             double t0 = cpuSeconds();
-            planner_->plan(space(), seed_);
+            planner_->plan(space(), seeds_[0]);
             cold.push_back(cpuSeconds() - t0);
             t0 = cpuSeconds();
-            planner_->plan(space(), seed_);
+            planner_->plan(space(), seeds_[0]);
             warm.push_back(cpuSeconds() - t0);
         }
         for (const double w : warm)
@@ -537,10 +568,9 @@ class PlanColdWorkload final : public Workload
         return s;
     }
 
-    std::uint64_t seed_ = 1;
     std::optional<plan::CapacityPlanner> planner_;
-    plan::PlanResult reference_;
-    std::uint64_t reference_digest_ = 0;
+    std::vector<std::uint64_t> seeds_;
+    std::vector<std::uint64_t> reference_;
     plan::PlanResult last_;
     costmodel::CostTableCache::Stats before_, after_;
 };
@@ -611,7 +641,7 @@ class FleetReplayWorkload final : public Workload
 {
   public:
     static constexpr int kReplicas = 8;
-    static constexpr int kTraces = 16;
+    static constexpr int kTraces = 64;
 
     std::string
     threadSettings() const override
@@ -698,7 +728,7 @@ class FleetReplayWorkload final : public Workload
     {
         serve::WorkloadOptions wl;
         wl.arrival_per_s = 160.0;
-        wl.requests = 1024;
+        wl.requests = 256;
         wl.prompt = { 128, 256 };
         wl.output = { 64, 128 };
         return wl;
@@ -722,7 +752,7 @@ class FaultReplayWorkload final : public Workload
   public:
     static constexpr int kReplicas = 4;
     static constexpr int kChips = 4;
-    static constexpr int kTraces = 16;
+    static constexpr int kTraces = 64;
 
     std::string
     threadSettings() const override
@@ -749,7 +779,7 @@ class FaultReplayWorkload final : public Workload
         fo.health.probe_updates = 2;
         fo.brownout.enabled = true;
         fo.brownout.alpha = 0.5;
-        fo.brownout.pressure_depth = 8.0;
+        fo.brownout.pressure_depth = 5.0;
         fo.brownout.release_depth = 2.0;
         fo.brownout.pressure_streak = 2;
         fo.brownout.relief_streak = 2;
@@ -761,6 +791,8 @@ class FaultReplayWorkload final : public Workload
         so.serve = replayServeOptions();
         so.plan_threads = 1;
         server_.emplace(cluster, model::t5Small(), workload(), so);
+
+        warmReplans();
 
         traces_ = makeTraces(workload(), seed, kTraces, true);
         Rng rng(seed ^ 0x5eedfa17ULL);
@@ -782,20 +814,24 @@ class FaultReplayWorkload final : public Workload
             run.policy = fleet::PolicyKind::PowerOfTwo;
             run.seed = seed;
             for (int r = 0; r < kReplicas; ++r)
-                run.faults.push_back(
-                    fault::generateFaultSchedule(fs, kChips, rng.next()));
+                run.faults.push_back(schedule(fs, rng.next()));
             fleet_faults_.push_back(run);
-            server_faults_.push_back(
-                fault::generateFaultSchedule(fs, kChips, rng.next()));
+            server_faults_.push_back(schedule(fs, rng.next()));
         }
-        // The warm-up replays fill the re-plan cache; their outputs
-        // are the reference every timed job must reproduce.
+        // The first replays are the reference every timed job must
+        // reproduce.  warmReplans() has left them nothing to build.
+        const auto misses = costmodel::CostTableCache::instance().stats();
         reference_.clear();
+        paths_ = {};
         for (std::size_t k = 0; k < traces_.size(); ++k) {
             run(k);
             reference_.push_back(outputDigest());
             check(k);
+            paths_.add(fleet_last_, server_last_);
         }
+        paths_.cache_misses =
+            costmodel::CostTableCache::instance().stats().misses
+            - misses.misses;
     }
 
     void
@@ -848,6 +884,25 @@ class FaultReplayWorkload final : public Workload
                                 + fleet_last_.failover_wasted_tokens)));
     }
 
+    /** How often the fault paths ran in the reference replays; every
+     *  job repeats one of them bit for bit. */
+    void
+    report(std::ostream &os) const override
+    {
+        const double n = static_cast<double>(traces_.size());
+        os << "fault paths, mean per trace over " << traces_.size()
+           << " traces: fleet replica_downs " << paths_.downs / n
+           << ", slowdown_transitions " << paths_.slowdowns / n
+           << ", breaker_opens " << paths_.breaker_opens / n
+           << ", brownout_activations " << paths_.brownouts / n
+           << ", brownout_sheds " << paths_.sheds / n
+           << ", failover_reroutes " << paths_.reroutes / n
+           << "; server replans " << paths_.replans / n
+           << ", retries " << paths_.retries / n
+           << "; cost tables built after the warm-up "
+           << paths_.cache_misses << "\n";
+    }
+
     void
     probe(Samples &out) override
     {
@@ -875,11 +930,83 @@ class FaultReplayWorkload final : public Workload
     {
         serve::WorkloadOptions wl;
         wl.arrival_per_s = 60.0;
-        wl.requests = 4096;
+        wl.requests = 1024;
         wl.prompt = { 128, 256 };
         wl.output = { 32, 96 };
         return wl;
     }
+
+    /** Link degradations all halve the fabric, so that a re-plan
+     *  meets one of a few configurations whatever the seed. */
+    static constexpr double kDegradedLink = 0.5;
+
+    static fault::FaultSchedule
+    schedule(const fault::FaultScheduleOptions &fs, std::uint64_t seed)
+    {
+        fault::FaultSchedule s =
+            fault::generateFaultSchedule(fs, kChips, seed);
+        for (fault::FaultEvent &e : s.events) {
+            if (e.kind == fault::FaultKind::LinkDegrade)
+                e.factor = kDegradedLink;
+        }
+        return s;
+    }
+
+    /**
+     * A fixed replay that re-plans the server on every (surviving
+     * chips, link) configuration the seeded schedules can reach, so
+     * that the set-up builds the same cost tables whatever the seed.
+     */
+    void
+    warmReplans()
+    {
+        serve::WorkloadOptions wl = workload();
+        wl.requests = 256;
+        const std::vector<serve::Request> trace =
+            serve::generateWorkload(wl, /*seed=*/0x3a11);
+        using K = fault::FaultKind;
+        const std::vector<std::pair<K, int>> steps{
+            { K::LinkDegrade, -1 }, { K::ChipLoss, 0 },
+            { K::ChipLoss, 1 },     { K::ChipLoss, 2 },
+            { K::LinkDegrade, -1 }, { K::ChipRecovery, 2 },
+            { K::ChipRecovery, 1 }, { K::ChipRecovery, 0 },
+        };
+        fault::FaultSchedule s;
+        const double gap = trace.back().arrival_s
+            / static_cast<double>(steps.size() + 1);
+        for (std::size_t k = 0; k < steps.size(); ++k) {
+            fault::FaultEvent e;
+            e.time_s = gap * static_cast<double>(k + 1);
+            e.kind = steps[k].first;
+            e.chip = steps[k].second;
+            e.factor = k == 0 ? kDegradedLink : 1.0;
+            s.events.push_back(e);
+        }
+        server_->run(trace, s);
+    }
+
+    /** Fault-path counts summed over the reference replays. */
+    struct Paths
+    {
+        std::int64_t downs = 0, slowdowns = 0, breaker_opens = 0;
+        std::int64_t brownouts = 0, sheds = 0, reroutes = 0;
+        std::int64_t replans = 0, retries = 0;
+        std::int64_t cache_misses = 0; ///< cost tables built
+
+        void
+        add(const fleet::FleetMetrics &f,
+            const fault::FaultServeMetrics &s)
+        {
+            downs += f.replica_downs;
+            slowdowns += f.slowdown_transitions;
+            breaker_opens += f.breaker_opens;
+            brownouts += f.brownout_activations;
+            sheds += f.brownout_sheds;
+            reroutes += f.failover_reroutes;
+            replans += s.replans;
+            retries += s.retries;
+        }
+    };
 
     std::uint64_t
     outputDigest() const
@@ -898,6 +1025,7 @@ class FaultReplayWorkload final : public Workload
     std::vector<std::uint64_t> reference_;
     fleet::FleetMetrics fleet_last_;
     fault::FaultServeMetrics server_last_;
+    Paths paths_;
 };
 
 } // namespace
@@ -944,6 +1072,7 @@ layerMetrics()
         { "costmodel.calibration_overlap", "ratio", "plan_cold",
           S::Median },
         { "serve.calibrate_ms", "ms", "plan_cold", S::Median },
+        { "plan.cold_wall_ms", "ms", "plan_cold", S::Median },
         { "plan.warm_ms", "ms", "plan_cold", S::Median },
         { "plan.calibration_share", "frac", "plan_cold", S::Median },
         { "plan.simulated", "count", "plan_cold", S::Mean },

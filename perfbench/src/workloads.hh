@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -81,6 +82,9 @@ class Workload
 
     /** Per-layer samples from direct calls, after the traced jobs. */
     virtual void probe(Samples & /*out*/) {}
+
+    /** Extra lines for the printed record, after the run. */
+    virtual void report(std::ostream & /*os*/) const {}
 };
 
 std::unique_ptr<Workload> makeWorkload(const std::string &name);

@@ -6,9 +6,13 @@ loop, and prints for every end-to-end metric of every workload the
 median, the first and third quartiles (statistics.quantiles, n=4)
 and the spread (q3 - q1) / median against the metric's bound in
 BENCHMARK.json.  With --out it also writes the runs and the summary
-as JSON.  Run it from the root of a checkout:
+as JSON; with --against it also prints how far each median moved
+from those of an earlier record, in absolute value.  It exits 1 when
+a spread is not below a third of its bound, or a median moved by
+more than its bound.  Run it from the root of a checkout:
 
-    python3 perfbench/steady.py --seeds 1-10 --out record.json
+    python3 perfbench/steady.py --seeds 1-10 --out first.json
+    python3 perfbench/steady.py --seeds 11-20 --against first.json
 """
 
 import argparse
@@ -56,7 +60,12 @@ def main():
                         default=",".join(w["name"] for w in bench["workloads"]))
     parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
     parser.add_argument("--out")
+    parser.add_argument("--against")
     args = parser.parse_args()
+    earlier = {}
+    if args.against:
+        with open(args.against) as f:
+            earlier = json.load(f)["summary"]
 
     workloads = args.workloads.split(",")
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
@@ -74,13 +83,22 @@ def main():
         for metric, bound in bounds.items():
             s = summarize([r[metric] for r in runs[w]])
             summary[w][metric] = s
-            ok = metric == "setup_s" or s["spread"] < bound / 3
-            steady = steady and ok
+            notes = []
+            if s["spread"] >= bound / 3:
+                notes.append("spread above a third of its bound")
+            moved = ""
+            if metric in earlier.get(w, {}):
+                before = earlier[w][metric]["median"]
+                change = abs(s["median"] - before) / before
+                moved = " moved %5.2f%%" % (100 * change)
+                if change > bound:
+                    notes.append("median moved by more than its bound")
+            steady = steady and not notes
             print("%-13s %-12s median %-12.6g q1 %-12.6g q3 %-12.6g "
-                  "spread %6.2f%% (bound %g%%)%s"
+                  "spread %6.2f%%%s (bound %g%%)%s"
                   % (w, metric, s["median"], s["q1"], s["q3"],
-                     100 * s["spread"], 100 * bound,
-                     "" if ok else "  <-- above a third of its bound"))
+                     100 * s["spread"], moved, 100 * bound,
+                     "".join("  <-- " + n for n in notes)))
     if args.out:
         with open(args.out, "w") as f:
             json.dump({"seconds": args.seconds, "runs": runs,
