@@ -145,6 +145,29 @@ parseCount(const char *prog, const std::string &flag,
 }
 
 /**
+ * Strictly parse an unsigned 64-bit seed: digits only (strtoull
+ * would accept a sign and wrap "-1" to 2^64-1) and in range, else
+ * usage + exit(2).
+ */
+std::uint64_t
+parseSeed(const char *prog, const std::string &value)
+{
+    errno = 0;
+    const unsigned long long parsed =
+        std::strtoull(value.c_str(), nullptr, 10);
+    if (value.empty()
+        || value.find_first_not_of("0123456789") != std::string::npos
+        || errno == ERANGE) {
+        std::cerr << prog
+                  << ": --seed needs an unsigned integer, got '"
+                  << value << "'\n";
+        printUsage(std::cerr, prog);
+        std::exit(2);
+    }
+    return parsed;
+}
+
+/**
  * Strictly parse a finite positive real: the whole string must be
  * a number, > 0 and finite, else usage + exit(2).  As unforgiving
  * as parseCount — an SLO of '2000x' or 'inf' is a typo, not a
@@ -184,9 +207,10 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg == "--csv") {
             args.csv = true;
         } else if (flagValue(argc, argv, i, "--threads", value)) {
-            args.threads = std::atoi(value.c_str());
+            args.threads = parseCount(argv[0], "--threads", value,
+                                      /*min_value=*/0);
         } else if (flagValue(argc, argv, i, "--seed", value)) {
-            args.seed = std::strtoull(value.c_str(), nullptr, 10);
+            args.seed = parseSeed(argv[0], value);
         } else if (flagValue(argc, argv, i, "--trace", value)) {
             args.trace_path = value;
         } else if (flagValue(argc, argv, i, "--report", value)) {

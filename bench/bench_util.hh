@@ -73,9 +73,11 @@ struct BenchArgs
  * Count flags are parsed strictly: a non-numeric value, trailing
  * garbage (`--chips 4x`), an out-of-range count or an
  * int64-overflowing literal (`--chips 99999999999999999999`)
- * exits(2); `--faults` and `--budget-chips` alone accept 0
- * (fault-free / unlimited).  `--policy` takes a
- * fleet::parsePolicy name; an unknown name exits(2).
+ * exits(2); `--threads`, `--faults` and `--budget-chips` alone
+ * accept 0 (all hardware / fault-free / unlimited).  `--seed` must
+ * be all digits and fit in 64 bits (`-1`, `1e3` and `2^64` all
+ * exit(2)).  `--policy` takes a fleet::parsePolicy name; an unknown
+ * name exits(2).
  * `--slo-p99-ms` is parsed just as strictly as a finite positive
  * real (trailing garbage, zero, negative, inf/nan all exit(2)).
  *

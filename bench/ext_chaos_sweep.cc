@@ -1,12 +1,13 @@
 /**
  * @file
  * Extension experiment: the chaos-invariant sweep as a standalone
- * driver.  Fans `--schedules` seeded fault schedules (chip losses,
- * link degrades, correlated gray-failure slowdowns) across routing
- * policies, health/brownout configurations and both sim cores, and
- * checks the same five invariants as tests/chaos on every run:
- * conservation, legacy-vs-event bitwise agreement, threads-1v4
- * bit-identity, termination, and exact post-recovery spec restore.
+ * driver.  Fans `--schedules` seeds of the shared harness
+ * (chaos_harness.hh: seeded chip-loss / link-degrade / slowdown
+ * schedules across routing policies, health/brownout
+ * configurations and both session cores) and checks the same five
+ * invariants as tests/chaos on every run: conservation,
+ * legacy-vs-event bitwise agreement, threads-1v4 bit-identity,
+ * termination, and exact post-recovery spec restore.
  *
  * The ctest harness pins a fixed seed count for CI; this binary is
  * the dial — crank `--schedules` into the thousands for a soak run,
@@ -21,284 +22,14 @@
 
 #include <cstdint>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "chaos_harness.hh"
 #include "common/thread_pool.hh"
-#include "fault/fault_server.hh"
-#include "fleet/fleet_sim.hh"
-#include "obs/obs.hh"
-#include "obs/report.hh"
-#include "serve/workload.hh"
-
-namespace
-{
 
 using namespace transfusion;
-
-constexpr int kReplicas = 3;
-constexpr int kChipsPerReplica = 2;
-
-/** Cheap calibration knobs; cost tables are cached process-wide. */
-serve::ServeOptions
-fastServe(serve::SimCoreKind core)
-{
-    serve::ServeOptions o;
-    o.strategy = schedule::StrategyKind::TransFusion;
-    o.max_batch = 4;
-    o.cost.cache_samples = 3;
-    o.cost.prefill_samples = 3;
-    o.cost.evaluator.mcts.iterations = 32;
-    o.core = core;
-    return o;
-}
-
-/** Health on even seeds, brownout on every third — same rotation
- *  as tests/chaos so the sweep exercises the detector paths. */
-fleet::FleetOptions
-fleetOptions(std::uint64_t seed, serve::SimCoreKind core,
-             int threads)
-{
-    fleet::FleetOptions o;
-    o.serve = fastServe(core);
-    o.core = core;
-    o.threads = threads;
-    o.plan_threads = 1;
-    if (seed % 2 == 0) {
-        o.health.enabled = true;
-        o.health.alpha = 0.5;
-        o.health.depth_breach =
-            3.0 + static_cast<double>(seed % 5);
-        o.health.breach_streak = 2;
-        o.health.cooldown_updates = 3;
-        o.health.probe_updates = 2;
-    }
-    if (seed % 3 == 0) {
-        o.brownout.enabled = true;
-        o.brownout.alpha = 0.5;
-        o.brownout.pressure_depth =
-            3.0 + static_cast<double>(seed % 4);
-        o.brownout.release_depth = 1.0;
-        o.brownout.pressure_streak = 2;
-        o.brownout.relief_streak = 2;
-        o.brownout.min_priority = 1;
-    }
-    return o;
-}
-
-/** Mixed-kind randomized schedule shape for one replica. */
-fault::FaultScheduleOptions
-scheduleOptions(std::uint64_t seed)
-{
-    fault::FaultScheduleOptions o;
-    o.incidents = static_cast<int>(seed % 5); // 0 = fault-free
-    o.horizon_s = 2.0 + static_cast<double>(seed % 4);
-    o.mean_outage_s = 0.2 + static_cast<double>(seed % 3) * 0.4;
-    o.link_degrade_prob = static_cast<double>(seed % 3) * 0.2;
-    o.slowdown_prob = static_cast<double>((seed / 3) % 3) * 0.25;
-    o.mean_slowdown_s = 0.5 + static_cast<double>(seed % 2);
-    o.max_multiplier = 2.0 + static_cast<double>(seed % 3);
-    o.slowdown_group = 1 + static_cast<int>(seed % 2);
-    return o;
-}
-
-std::vector<serve::Request>
-chaosTrace(std::uint64_t seed)
-{
-    serve::WorkloadOptions wl;
-    wl.arrival_per_s =
-        (seed % 3 == 0) ? 100.0 : (seed % 3 == 1 ? 20.0 : 5.0);
-    wl.requests = 10 + static_cast<std::int64_t>(seed % 8);
-    wl.prompt = { 128, 256 };
-    wl.output = { 16, 32 };
-    auto trace = serve::generateWorkload(wl, seed);
-    for (auto &r : trace)
-        r.priority = r.id % 2 == 0 ? 1 : 0;
-    return trace;
-}
-
-/** Bitwise comparison of two replays; empty string = equal. */
-std::string
-diffFleetMetrics(const fleet::FleetMetrics &a,
-                 const fleet::FleetMetrics &b)
-{
-    std::ostringstream os;
-#define TF_SWEEP_FIELD(f)                                            \
-    if (a.f != b.f)                                                  \
-        os << #f << " " << a.f << " vs " << b.f << "; ";
-    TF_SWEEP_FIELD(offered)
-    TF_SWEEP_FIELD(completed)
-    TF_SWEEP_FIELD(rejected)
-    TF_SWEEP_FIELD(generated_tokens)
-    TF_SWEEP_FIELD(routed)
-    TF_SWEEP_FIELD(held_rejected)
-    TF_SWEEP_FIELD(replica_downs)
-    TF_SWEEP_FIELD(replica_ups)
-    TF_SWEEP_FIELD(slowdown_transitions)
-    TF_SWEEP_FIELD(breaker_opens)
-    TF_SWEEP_FIELD(breaker_reopens)
-    TF_SWEEP_FIELD(breaker_closes)
-    TF_SWEEP_FIELD(breaker_open_s)
-    TF_SWEEP_FIELD(brownout_activations)
-    TF_SWEEP_FIELD(brownout_sheds)
-    TF_SWEEP_FIELD(brownout_s)
-    TF_SWEEP_FIELD(failover_drained)
-    TF_SWEEP_FIELD(failover_reroutes)
-    TF_SWEEP_FIELD(failover_exhausted)
-    TF_SWEEP_FIELD(failover_wasted_tokens)
-    TF_SWEEP_FIELD(makespan_s)
-    TF_SWEEP_FIELD(completed_per_second)
-    TF_SWEEP_FIELD(energy_j)
-    TF_SWEEP_FIELD(chip_seconds)
-#undef TF_SWEEP_FIELD
-    return os.str();
-}
-
-/** One replay inside its own registry, report string included. */
-struct Replay
-{
-    fleet::FleetMetrics metrics;
-    std::string report;
-};
-
-Replay
-replay(const fleet::FleetSimulator &sim,
-       const std::vector<serve::Request> &trace,
-       const fleet::FleetRunOptions &run)
-{
-    obs::Registry reg;
-    Replay r;
-    {
-        obs::ScopedRegistry scope(reg);
-        r.metrics = sim.run(trace, run);
-    }
-    r.report = obs::RunReport::capture(reg).toString();
-    return r;
-}
-
-/** Per-seed verdict plus the headline numbers for the table. */
-struct SeedResult
-{
-    std::uint64_t seed = 0;
-    fleet::PolicyKind policy = fleet::PolicyKind::RoundRobin;
-    std::int64_t fault_events = 0;
-    fleet::FleetMetrics metrics;
-    std::string failure;
-};
-
-SeedResult
-runSeed(std::uint64_t seed)
-{
-    SeedResult out;
-    out.seed = seed;
-
-    const auto cluster = multichip::edgeCluster(kChipsPerReplica);
-    const auto cfg = model::t5Small();
-    serve::WorkloadOptions wl;
-    wl.prompt = { 128, 256 };
-    wl.output = { 16, 32 };
-    const multichip::ShardSpec spec{ kChipsPerReplica, 1 };
-
-    const auto trace = chaosTrace(seed);
-    fleet::FleetRunOptions run;
-    const auto policies = fleet::allPolicies();
-    run.policy = policies[seed % policies.size()];
-    out.policy = run.policy;
-    run.seed = seed;
-    run.faults.resize(kReplicas);
-    for (int r = 0; r < kReplicas; ++r) {
-        run.faults[static_cast<std::size_t>(r)] =
-            fault::generateFaultSchedule(
-                scheduleOptions(seed
-                                + static_cast<std::uint64_t>(r)),
-                kChipsPerReplica,
-                seed * 31 + static_cast<std::uint64_t>(r));
-        out.fault_events += static_cast<std::int64_t>(
-            run.faults[static_cast<std::size_t>(r)].events.size());
-    }
-
-    const auto fleetFor = [&](serve::SimCoreKind core,
-                              int threads) {
-        return fleet::FleetSimulator::uniform(
-            kReplicas, cluster, spec, cfg, wl,
-            fleetOptions(seed, core, threads));
-    };
-    // Invariant 4 (termination) is every one of these returning.
-    const Replay legacy1 =
-        replay(fleetFor(serve::SimCoreKind::Legacy, 1), trace, run);
-    const Replay event1 = replay(
-        fleetFor(serve::SimCoreKind::EventHeap, 1), trace, run);
-    const Replay event4 = replay(
-        fleetFor(serve::SimCoreKind::EventHeap, 4), trace, run);
-    out.metrics = event1.metrics;
-
-    std::ostringstream err;
-    // Invariant 1: conservation, fleet-wide and per replica.
-    for (const Replay *r : { &legacy1, &event1, &event4 }) {
-        if (r->metrics.completed + r->metrics.rejected
-            != r->metrics.offered)
-            err << "conservation leak; ";
-        for (const auto &rep : r->metrics.replicas)
-            if (rep.completed + rep.rejected != rep.offered)
-                err << "replica conservation leak; ";
-    }
-    // Invariant 2: legacy vs event-heap, bitwise.
-    const std::string cores =
-        diffFleetMetrics(legacy1.metrics, event1.metrics);
-    if (!cores.empty())
-        err << "legacy-vs-event: " << cores;
-    if (legacy1.report != event1.report)
-        err << "legacy-vs-event report differs; ";
-    // Invariant 3: threads 1 vs 4, bitwise.
-    const std::string threads =
-        diffFleetMetrics(event1.metrics, event4.metrics);
-    if (!threads.empty())
-        err << "threads-1v4: " << threads;
-    if (event1.report != event4.report)
-        err << "threads-1v4 report differs; ";
-
-    // Invariant 5: a fault-tolerant replay of replica 0's schedule
-    // that applied every event ends on the exact initial spec
-    // (link degrades have no paired recovery, so the exact-spec
-    // restore only applies at full fabric bandwidth).
-    fault::FaultServeOptions fo;
-    fo.serve = fastServe(serve::SimCoreKind::EventHeap);
-    fo.initial_spec = spec;
-    fo.plan_threads = 1;
-    const fault::FaultTolerantServer server(cluster, cfg, wl, fo);
-    fault::FaultServeMetrics sm;
-    {
-        obs::Registry reg;
-        obs::ScopedRegistry scope(reg);
-        sm = server.run(trace, run.faults[0]);
-    }
-    if (sm.fault_events
-        == static_cast<std::int64_t>(run.faults[0].events.size())
-        && !sm.windows.empty()) {
-        double final_link = 1.0;
-        for (const auto &e : run.faults[0].events)
-            if (e.kind == fault::FaultKind::LinkDegrade)
-                final_link = e.factor;
-        const auto &last = sm.windows.back();
-        if (last.chips != kChipsPerReplica
-            || last.slowdown != 1.0
-            || last.link_scale != final_link)
-            err << "recovery left the final window degraded; ";
-        if (final_link == 1.0
-            && (last.spec.tp != spec.tp
-                || last.spec.pp != spec.pp))
-            err << "recovery did not restore the initial spec; ";
-    }
-    if (sm.serve.completed + sm.serve.rejected != sm.serve.offered)
-        err << "server conservation leak; ";
-
-    out.failure = err.str();
-    return out;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -311,35 +42,23 @@ main(int argc, char **argv)
         "thread counts, terminate, and recover to the exact "
         "initial spec");
 
-    // Warm the process-wide cost-table cache once so the parallel
-    // seed fan-out below doesn't race to calibrate.
-    (void)fleet::FleetSimulator::uniform(
-        1, multichip::edgeCluster(kChipsPerReplica),
-        multichip::ShardSpec{ kChipsPerReplica, 1 },
-        model::t5Small(),
-        []() {
-            serve::WorkloadOptions wl;
-            wl.prompt = { 128, 256 };
-            wl.output = { 16, 32 };
-            return wl;
-        }(),
-        fleetOptions(1, serve::SimCoreKind::EventHeap, 1));
+    chaos::warmCostTables();
 
     std::vector<std::uint64_t> seeds;
     for (int s = 0; s < args.schedules; ++s)
         seeds.push_back(args.seed
                         + static_cast<std::uint64_t>(s));
     ThreadPool pool(args.threads);
-    const std::vector<SeedResult> results =
+    const std::vector<chaos::SeedResult> results =
         parallelMap(pool, seeds, [](const std::uint64_t &seed) {
-            return runSeed(seed);
+            return chaos::runSeed(seed);
         });
 
     Table t({ "seed", "policy", "faults", "slowdn", "br.open",
               "sheds", "reroute", "done/offer", "makespan_s",
               "ok" });
     std::int64_t failures = 0;
-    for (const SeedResult &r : results) {
+    for (const chaos::SeedResult &r : results) {
         if (!r.failure.empty())
             failures += 1;
         t.addRow({ std::to_string(r.seed),
@@ -356,11 +75,12 @@ main(int argc, char **argv)
     }
     bench::printTable(t, args, std::cout);
 
-    std::cout << "\nSchedules swept: " << results.size() * kReplicas
-              << " (" << results.size() << " seeds x " << kReplicas
+    std::cout << "\nSchedules swept: "
+              << results.size() * chaos::kReplicas << " ("
+              << results.size() << " seeds x " << chaos::kReplicas
               << " replicas), invariant failures: " << failures
               << "\n";
-    for (const SeedResult &r : results)
+    for (const chaos::SeedResult &r : results)
         if (!r.failure.empty())
             std::cerr << "seed " << r.seed << ": " << r.failure
                       << "\n";

@@ -1,12 +1,14 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation cores: the
- * legacy linear-scan loops vs the event-heap cores, on the serve
- * layer alone and on the saturating 8-replica power-of-two fleet
- * scenario.  Each benchmark reports `rounds_per_s` — scheduler
- * rounds (prefill + decode) retired per wall-clock second — the
- * before/after figure the event-core rework is judged on (the
- * README's performance table comes from this binary).
+ * legacy linear-scan serve core (Arg 0) vs the event-heap serve
+ * core (Arg 1), on the serve layer alone and inside the fleet loop
+ * on the saturating 8-replica power-of-two scenario, fault-free
+ * and under gray failures.  The fleet loop itself has one
+ * implementation, so the fleet rows differ only in the replica
+ * sessions' core.  Each benchmark reports `rounds_per_s` —
+ * scheduler rounds (prefill + decode) retired per wall-clock
+ * second (the README's performance table comes from this binary).
  *
  * Replays only are timed: calibration happens once per core in
  * setup (and the CostTableCache collapses repeated setups).  Both
@@ -88,25 +90,27 @@ BENCHMARK(BM_ServeCoreReplay)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
+constexpr int kReplicas = 8;
+
 /**
- * The acceptance scenario: 8 single-chip replicas behind
- * power-of-two routing under a saturating burst.  The event core
- * must retire >= 2x the rounds per second of the legacy core here.
+ * One fleet replay per iteration: 8 single-chip replicas behind
+ * power-of-two routing under a saturating burst, with `run`'s
+ * fault schedules.  Replica sessions run the core under test; the
+ * fleet loop around them is the same for both.
  */
 void
-BM_FleetP2c8Replicas(benchmark::State &state)
+replayFleet(benchmark::State &state, fleet::FleetRunOptions run)
 {
     const auto core = coreOf(state);
     const auto wl = saturatingWorkload(256);
     fleet::FleetOptions opts;
     opts.serve = serveOptions(core);
-    opts.core = core;
     opts.threads = 1;
     opts.plan_threads = 1;
     const auto fleet = fleet::FleetSimulator::uniform(
-        8, multichip::edgeCluster(1), model::t5Small(), wl, opts);
+        kReplicas, multichip::edgeCluster(1), model::t5Small(), wl,
+        opts);
     const auto trace = serve::generateWorkload(wl, 1);
-    fleet::FleetRunOptions run;
     run.policy = fleet::PolicyKind::PowerOfTwo;
     run.seed = 1;
 
@@ -121,6 +125,13 @@ BM_FleetP2c8Replicas(benchmark::State &state)
         static_cast<double>(rounds), benchmark::Counter::kIsRate);
     state.SetLabel(serve::toString(core));
 }
+
+/** The fault-free fleet scenario. */
+void
+BM_FleetP2c8Replicas(benchmark::State &state)
+{
+    replayFleet(state, {});
+}
 BENCHMARK(BM_FleetP2c8Replicas)
     ->Arg(0)
     ->Arg(1)
@@ -130,28 +141,13 @@ BENCHMARK(BM_FleetP2c8Replicas)
  * The fleet scenario under active gray failures: every replica
  * carries a generated chip-slowdown schedule, so the replay pays
  * the fault-boundary machinery (timeline cursors, session
- * multiplier swaps, extra heap events) while it retires rounds.
- * Keeps the legacy-vs-event speedup claim honest — a win that
- * evaporates the moment faults fire would be a fair-weather win.
+ * multiplier swaps) while it retires rounds.  Keeps the
+ * legacy-vs-event comparison honest — a win that evaporates the
+ * moment faults fire would be a fair-weather win.
  */
 void
 BM_FleetSlowdownFaults(benchmark::State &state)
 {
-    const auto core = coreOf(state);
-    const auto wl = saturatingWorkload(256);
-    fleet::FleetOptions opts;
-    opts.serve = serveOptions(core);
-    opts.core = core;
-    opts.threads = 1;
-    opts.plan_threads = 1;
-    constexpr int kReplicas = 8;
-    const auto fleet = fleet::FleetSimulator::uniform(
-        kReplicas, multichip::edgeCluster(1), model::t5Small(), wl,
-        opts);
-    const auto trace = serve::generateWorkload(wl, 1);
-    fleet::FleetRunOptions run;
-    run.policy = fleet::PolicyKind::PowerOfTwo;
-    run.seed = 1;
     fault::FaultScheduleOptions fs;
     fs.incidents = 4;
     fs.horizon_s = 4.0;
@@ -159,22 +155,13 @@ BM_FleetSlowdownFaults(benchmark::State &state)
     fs.slowdown_prob = 1.0; // slowdown-only: nothing goes down
     fs.mean_slowdown_s = 1.0;
     fs.max_multiplier = 4.0;
+    fleet::FleetRunOptions run;
     run.faults.resize(kReplicas);
     for (int r = 0; r < kReplicas; ++r)
         run.faults[static_cast<std::size_t>(r)] =
             fault::generateFaultSchedule(
                 fs, 1, 7 + static_cast<std::uint64_t>(r));
-
-    std::int64_t rounds = 0;
-    for (auto _ : state) {
-        const auto m = fleet.run(trace, run);
-        for (const auto &r : m.replicas)
-            rounds += r.prefill_rounds + r.decode_rounds;
-        benchmark::DoNotOptimize(m.makespan_s);
-    }
-    state.counters["rounds_per_s"] = benchmark::Counter(
-        static_cast<double>(rounds), benchmark::Counter::kIsRate);
-    state.SetLabel(serve::toString(core));
+    replayFleet(state, run);
 }
 BENCHMARK(BM_FleetSlowdownFaults)
     ->Arg(0)

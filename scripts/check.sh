@@ -52,9 +52,9 @@ run_coverage() {
     cmake --build build-cov -j "$jobs"
     ctest --test-dir build-cov --output-on-failure -j "$jobs" \
         -L 'unit|integration|fuzz'
-    # The simulation hot layers the event-core rework touched; the
-    # differential replay harness plus the unit tiers must keep
-    # both cores' branches exercised.
+    # The simulation hot layers: the serve cores and the one fleet
+    # loop.  The differential replay harness plus the unit tiers
+    # must keep both serve cores' branches exercised.
     gcovr --root . \
         --filter 'src/serve/' --filter 'src/fleet/' \
         build-cov \

@@ -12,7 +12,6 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "fleet/event_queue.hh"
 #include "model/stack.hh"
 #include "multichip/sharded_serve.hh"
 #include "obs/obs.hh"
@@ -67,16 +66,7 @@ FleetSimulator::FleetSimulator(std::vector<ReplicaConfig> replicas,
 {
     if (replicas_.empty())
         tf_fatal("a fleet needs at least one replica");
-    cfg_.validate();
-    workload_.validate();
-    options_.retry.validate();
-    if (options_.autoscaler.enabled)
-        options_.autoscaler.validate(
-            static_cast<int>(replicas_.size()));
-    if (options_.health.enabled)
-        options_.health.validate();
-    if (options_.brownout.enabled)
-        options_.brownout.validate();
+    validate(static_cast<int>(replicas_.size()));
     for (ReplicaConfig &r : replicas_) {
         r.cluster.validate();
         multichip::ShardSpec spec = r.spec;
@@ -118,15 +108,7 @@ FleetSimulator::uniform(int replicas,
     fleet.cfg_ = std::move(cfg);
     fleet.workload_ = workload;
     fleet.options_ = std::move(options);
-    fleet.cfg_.validate();
-    fleet.workload_.validate();
-    fleet.options_.retry.validate();
-    if (fleet.options_.autoscaler.enabled)
-        fleet.options_.autoscaler.validate(replicas);
-    if (fleet.options_.health.enabled)
-        fleet.options_.health.validate();
-    if (fleet.options_.brownout.enabled)
-        fleet.options_.brownout.validate();
+    fleet.validate(replicas);
     cluster.validate();
     if (spec.tp <= 0 || spec.pp <= 0)
         spec = fleet.planSpec(cluster);
@@ -143,6 +125,20 @@ FleetSimulator::uniform(int replicas,
         fleet.sims_.push_back(sim);
     }
     return fleet;
+}
+
+void
+FleetSimulator::validate(int replicas) const
+{
+    cfg_.validate();
+    workload_.validate();
+    options_.retry.validate();
+    if (options_.autoscaler.enabled)
+        options_.autoscaler.validate(replicas);
+    if (options_.health.enabled)
+        options_.health.validate();
+    if (options_.brownout.enabled)
+        options_.brownout.validate();
 }
 
 multichip::ShardSpec
@@ -258,9 +254,6 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
                                : kInf;
 
     ThreadPool advance_pool(options_.threads);
-    std::vector<int> indices;
-    for (int i = 0; i < pool; ++i)
-        indices.push_back(i);
 
     const auto at = [&](int i) -> ReplicaState & {
         return states[static_cast<std::size_t>(i)];
@@ -289,125 +282,36 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         return false;
     };
 
-    // Event-core bookkeeping: the queue holds one entry per source
-    // front — the trace front, the re-offer front, and each
-    // replica's next fault boundary — re-pushed whenever its source
-    // changes and validated lazily against the live state at peek
-    // (see fleet/event_queue.hh).  The autoscaler tick is NOT in
-    // the queue: its eligibility is a live predicate over fleet
-    // state (work left, arrivals left, held + activatable), not a
-    // timestamped fact, so it merges as a separate gated candidate
-    // below.  All of this is inert under the legacy core.
-    const bool event_core =
-        options_.core == serve::SimCoreKind::EventHeap;
-    FleetEventQueue queue;
-    const auto pushTraceFront = [&]() {
-        if (event_core && next_trace < requests.size())
-            queue.push({ requests[next_trace].arrival_s,
-                         FleetEventKind::Arrival, -1,
-                         requests[next_trace].id });
-    };
-    const auto pushReofferFront = [&]() {
-        if (event_core && !reoffers.empty())
-            queue.push({ reoffers.front().arrival_s,
-                         FleetEventKind::Arrival, -1,
-                         reoffers.front().id });
-    };
-    const auto pushFaultBoundary = [&](int i) {
-        if (!event_core)
-            return;
-        const ReplicaState &st = at(i);
-        const auto &sp = spans[static_cast<std::size_t>(i)];
-        if (st.span_ix < sp.size())
-            queue.push({ st.in_span ? sp[st.span_ix].end_s
-                                    : sp[st.span_ix].start_s,
-                         FleetEventKind::Fault, i, -1 });
-    };
-    // Slowdown transitions ride the Fault event kind with
-    // request_id = -2 marking them apart from down-span
-    // boundaries: same replica, same instant, independent cursors.
-    const auto pushSlowdownBoundary = [&](int i) {
-        if (!event_core)
-            return;
-        const ReplicaState &st = at(i);
-        const auto &tl = timelines[static_cast<std::size_t>(i)];
-        if (st.slow_ix < tl.size())
-            queue.push({ tl[st.slow_ix].time_s,
-                         FleetEventKind::Fault, i, -2 });
-    };
-    const auto eventValid = [&](const FleetEvent &e) {
-        if (e.kind == FleetEventKind::Fault) {
-            const ReplicaState &st = at(e.replica);
-            if (e.request_id == -2) {
-                const auto &tl =
-                    timelines[static_cast<std::size_t>(e.replica)];
-                // Step times strictly increase within a replica,
-                // so a time match identifies the current step.
-                return st.slow_ix < tl.size()
-                    && e.time == tl[st.slow_ix].time_s;
-            }
-            const auto &sp =
-                spans[static_cast<std::size_t>(e.replica)];
-            if (st.span_ix >= sp.size())
-                return false;
-            // Boundaries strictly increase within a replica, so a
-            // time match identifies the current boundary exactly.
-            return e.time
-                == (st.in_span ? sp[st.span_ix].end_s
-                               : sp[st.span_ix].start_s);
-        }
-        if (next_trace < requests.size()
-            && e.time == requests[next_trace].arrival_s
-            && e.request_id == requests[next_trace].id)
-            return true;
-        return !reoffers.empty()
-            && e.time == reoffers.front().arrival_s
-            && e.request_id == reoffers.front().id;
-    };
-
     /**
-     * Advance every live session to the shared horizon, in
-     * parallel: sessions are independent, advance() emits no
-     * observability, and the shared cost tables are immutable, so
-     * the result is bit-identical for any thread count.  Sheds
-     * that happened inside the step are final (healthy-replica
-     * overload); the audit log is cleared to bound memory.
+     * Advance every live session to the shared horizon: sessions
+     * are independent, advance() emits no observability, and the
+     * shared cost tables are immutable, so the result is
+     * bit-identical for any thread count.  advance() is a strict
+     * no-op for a session with no work left or a clock already at
+     * the horizon, so only those *needy* sessions are dispatched.
+     * Sheds that happened inside the step are final
+     * (healthy-replica overload); the audit log is cleared to
+     * bound memory.
      */
     const auto advanceAll = [&](double horizon) {
-        if (event_core) {
-            // advance() is a strict no-op for a session with no
-            // work left or a clock already at the horizon, so only
-            // the needy sessions are dispatched — and a lone needy
-            // session skips the pool fan-out entirely.
-            std::vector<int> needy;
-            for (int i = 0; i < pool; ++i) {
-                const ReplicaState &st = at(i);
-                if (st.session && st.session->workLeft()
-                    && st.session->now < horizon)
-                    needy.push_back(i);
-            }
-            if (needy.size() == 1 || options_.threads == 1) {
-                // One session — or a one-worker pool, where the
-                // fan-out would serialize anyway and only add two
-                // futex round-trips per session: advance inline.
-                for (const int i : needy)
-                    sims_[static_cast<std::size_t>(i)]->advance(
-                        *at(i).session, horizon);
-            } else if (!needy.empty()) {
-                parallelMap(advance_pool, needy,
-                            [&](const int &i) {
-                                sims_[static_cast<std::size_t>(i)]
-                                    ->advance(*at(i).session,
-                                              horizon);
-                                return 0;
-                            });
-            }
-        } else {
-            parallelMap(advance_pool, indices, [&](const int &i) {
-                ReplicaState &st = at(i);
-                if (st.session)
-                    sims_[static_cast<std::size_t>(i)]->advance(
-                        *st.session, horizon);
+        std::vector<int> needy;
+        for (int i = 0; i < pool; ++i) {
+            const ReplicaState &st = at(i);
+            if (st.session && st.session->workLeft()
+                && st.session->now < horizon)
+                needy.push_back(i);
+        }
+        if (needy.size() == 1 || options_.threads == 1) {
+            // One session — or a one-worker pool, where the fan-out
+            // would serialize anyway and only add two futex
+            // round-trips per session: advance inline.
+            for (const int i : needy)
+                sims_[static_cast<std::size_t>(i)]->advance(
+                    *at(i).session, horizon);
+        } else if (!needy.empty()) {
+            parallelMap(advance_pool, needy, [&](const int &i) {
+                sims_[static_cast<std::size_t>(i)]->advance(
+                    *at(i).session, horizon);
                 return 0;
             });
         }
@@ -427,10 +331,14 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
             }
     };
 
-    /** Earliest unconsumed fault boundary (down-span edge or
-     *  slowdown step) over all replicas. */
-    const auto nextFaultBoundary = [&]() {
-        double t = kInf;
+    /** Earliest timed source: the trace front, the re-offer front,
+     *  or any replica's next down-span edge or slowdown step. */
+    const auto nextBoundary = [&]() {
+        double t = next_trace < requests.size()
+            ? requests[next_trace].arrival_s
+            : kInf;
+        if (!reoffers.empty())
+            t = std::min(t, reoffers.front().arrival_s);
         for (int i = 0; i < pool; ++i) {
             const ReplicaState &st = at(i);
             const auto &sp = spans[static_cast<std::size_t>(i)];
@@ -486,7 +394,6 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
             fm.failover_reroutes += 1;
         }
         std::sort(reoffers.begin(), reoffers.end(), arrivesBefore);
-        pushReofferFront();
     };
 
     /** Apply every boundary up to `t`, replica-index order. */
@@ -494,8 +401,6 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         for (int i = 0; i < pool; ++i) {
             ReplicaState &st = at(i);
             const auto &sp = spans[static_cast<std::size_t>(i)];
-            const std::size_t span_ix0 = st.span_ix;
-            const bool in_span0 = st.in_span;
             while (st.span_ix < sp.size()) {
                 if (!st.in_span && sp[st.span_ix].start_s <= t) {
                     st.in_span = true;
@@ -512,27 +417,21 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
                     break;
                 }
             }
-            if (st.span_ix != span_ix0 || st.in_span != in_span0)
-                pushFaultBoundary(i);
             // Gray-failure steps: adopt the newest multiplier due
             // by `t`.  The replica keeps serving (no drain, no
             // routing change here) — only its session clock slows.
             const auto &tl = timelines[static_cast<std::size_t>(i)];
-            const std::size_t slow_ix0 = st.slow_ix;
             while (st.slow_ix < tl.size()
                    && tl[st.slow_ix].time_s <= t) {
                 st.mult = tl[st.slow_ix].multiplier;
                 st.slow_ix += 1;
                 fm.slowdown_transitions += 1;
             }
-            if (st.slow_ix != slow_ix0) {
-                pushSlowdownBoundary(i);
-                // A down or draining replica keeps its session;
-                // apply the pace to whatever session exists so it
-                // resumes (or finishes draining) at schedule speed.
-                if (st.session)
-                    st.session->slowdown = st.mult;
-            }
+            // A down or draining replica keeps its session; apply
+            // the pace to whatever session exists so it resumes (or
+            // finishes draining) at schedule speed.
+            if (st.session)
+                st.session->slowdown = st.mult;
         }
     };
 
@@ -559,7 +458,6 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
     const auto routeArrivals = [&](double t) {
         std::vector<serve::Request> batch;
         batch.swap(held);
-        const std::size_t trace0 = next_trace;
         while (next_trace < requests.size()
                && requests[next_trace].arrival_s <= t)
             batch.push_back(requests[next_trace++]);
@@ -573,10 +471,6 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         reoffers.erase(reoffers.begin(),
                        reoffers.begin()
                            + static_cast<std::ptrdiff_t>(due));
-        if (next_trace != trace0)
-            pushTraceFront();
-        if (due > 0)
-            pushReofferFront();
         std::sort(batch.begin(), batch.end(), arrivesBefore);
         for (const serve::Request &r : batch) {
             if (brownout.shouldShed(r)) {
@@ -739,14 +633,6 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         return t;
     };
 
-    if (event_core) {
-        pushTraceFront();
-        pushReofferFront();
-        for (int i = 0; i < pool; ++i) {
-            pushFaultBoundary(i);
-            pushSlowdownBoundary(i);
-        }
-    }
     fm.peak_serving = servingCount();
     double last_t = 0; ///< latest finite event time processed
     // Terminal breaker pump budget: once no timed event remains,
@@ -761,22 +647,11 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         const bool swork = sessionWork();
         if (!arrivals_left && !swork && held.empty())
             break;
-        // Earliest arrival-or-fault boundary.  The event core reads
-        // it off the heap (sources re-arm on every front change);
-        // legacy rescans both sources.  Both compute the same
-        // minimum — see fleet/event_queue.hh for the argument.
-        const double tAF = [&]() {
-            if (event_core) {
-                const auto top = queue.peek(eventValid);
-                return top ? top->time : kInf;
-            }
-            double t = kInf;
-            if (next_trace < requests.size())
-                t = requests[next_trace].arrival_s;
-            if (!reoffers.empty())
-                t = std::min(t, reoffers.front().arrival_s);
-            return std::min(t, nextFaultBoundary());
-        }();
+        // Next boundary: the earliest timed source, or the autoscaler
+        // tick while it can still change anything.  Sources due at
+        // one shared instant apply in the body's fixed order:
+        // faults, then arrivals, then the tick.
+        const double tAF = nextBoundary();
         const double tT = scaling
                 && (swork || arrivals_left
                     || (!held.empty() && canActivate()))

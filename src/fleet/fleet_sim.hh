@@ -7,11 +7,11 @@
  *
  * The fleet drives every replica's resumable session
  * (startSession / advance / finishSession) against one shared
- * virtual clock.  Each step advances all sessions in parallel to
- * the next fleet event — an arrival, a replica fault boundary, or
- * an autoscaler tick — then applies the events in a fixed order:
- * fault transitions in replica-index order, arrivals in
- * (arrival, id) order, the autoscaler tick last.
+ * virtual clock.  Each step advances the sessions with work left
+ * (in parallel) to the next fleet event — an arrival, a replica
+ * fault boundary, or an autoscaler tick — then applies the events
+ * in a fixed order: fault transitions in replica-index order,
+ * arrivals in (arrival, id) order, the autoscaler tick last.
  *
  * Failover: a replica with *any* chip down (FaultSchedule::
  * downSpans) is unroutable; at the down boundary its in-flight and
@@ -79,7 +79,9 @@ struct ReplicaConfig
 /** Construction-time fleet configuration. */
 struct FleetOptions
 {
-    /** Simulator knobs shared by every replica. */
+    /** Simulator knobs shared by every replica.  `serve.core`
+     *  picks the replica sessions' event core; the fleet loop
+     *  itself has one implementation. */
     serve::ServeOptions serve;
     /** Backoff budget for failed-over requests. */
     fault::RetryPolicy retry;
@@ -102,16 +104,6 @@ struct FleetOptions
     int threads = 1;
     /** Worker threads for shard planning; <= 0 = all hardware. */
     int plan_threads = 0;
-    /**
-     * Which implementation drives the shared-clock loop; replica
-     * sessions follow `serve.core` independently.  Legacy rescans
-     * every source per iteration (fault boundaries, session work);
-     * EventHeap keeps boundaries in a deterministic min-heap (see
-     * fleet/event_queue.hh) and only advances sessions that have
-     * work behind the horizon.  Bit-identical by contract — the
-     * differential replay harness pins it.
-     */
-    serve::SimCoreKind core = serve::SimCoreKind::EventHeap;
 };
 
 /** Per-run (not per-fleet) knobs: cheap to sweep. */
@@ -203,6 +195,9 @@ class FleetSimulator
 
   private:
     FleetSimulator() = default; // uniform() assembles by hand
+
+    /** Validate the model, workload and enabled options. */
+    void validate(int replicas) const;
 
     /** planShards mirror of the fault layer's construction. */
     multichip::ShardSpec

@@ -174,7 +174,6 @@ CapacityPlanner::evaluate(const DeploymentSpec &spec,
     fo.autoscaler.enabled = spec.autoscaler;
     fo.threads = 1;
     fo.plan_threads = 1;
-    fo.core = options_.serve.core;
     const fleet::FleetSimulator fleet =
         fleet::FleetSimulator::uniform(spec.replicas, cluster,
                                        spec.shard, cfg_, workload_,

@@ -40,9 +40,10 @@ namespace transfusion::serve
 {
 
 /**
- * Which implementation of the (identical) simulation semantics the
- * event loop runs.  Both cores are bit-identical by contract — the
- * differential replay harness (tests/integration/replay_diff_test)
+ * Which implementation of the (identical) simulation semantics a
+ * serve session runs; fleet replicas follow their ServeOptions (the
+ * fleet loop itself has one implementation).  Both cores are
+ * bit-identical by contract — tests/integration/replay_diff_test
  * holds them to it — so the choice is purely about speed:
  *
  *   Legacy    — the original per-round linear scans: every decode

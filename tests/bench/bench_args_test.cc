@@ -131,6 +131,64 @@ TEST(BenchArgsDeathTest, UnknownFlagsStillExit)
                 testing::ExitedWithCode(2), "unknown argument");
 }
 
+TEST(BenchArgs, ThreadsAndSeedParseBothForms)
+{
+    const auto defaults = parse({ "bench" });
+    EXPECT_EQ(defaults.threads, 0);
+    EXPECT_EQ(defaults.seed, 1u);
+
+    const auto detached =
+        parse({ "bench", "--threads", "4", "--seed", "42" });
+    EXPECT_EQ(detached.threads, 4);
+    EXPECT_EQ(detached.seed, 42u);
+
+    // --threads 0 is "all hardware"; the seed spans all of uint64.
+    const auto attached = parse(
+        { "bench", "--threads=0", "--seed=18446744073709551615" });
+    EXPECT_EQ(attached.threads, 0);
+    EXPECT_EQ(attached.seed, 18446744073709551615u);
+}
+
+TEST(BenchArgsDeathTest, ThreadsRejectsGarbageAndNegatives)
+{
+    // "4x" must not atoi-truncate to 4, nor "foo" to 0 (= all
+    // hardware).
+    EXPECT_EXIT(parse({ "bench", "--threads", "4x" }),
+                testing::ExitedWithCode(2),
+                "--threads needs a non-negative integer, got '4x'");
+    EXPECT_EXIT(parse({ "bench", "--threads=foo" }),
+                testing::ExitedWithCode(2),
+                "--threads needs a non-negative integer, got 'foo'");
+    EXPECT_EXIT(parse({ "bench", "--threads", "-2" }),
+                testing::ExitedWithCode(2),
+                "--threads needs a non-negative integer");
+    EXPECT_EXIT(parse({ "bench", "--threads" }),
+                testing::ExitedWithCode(2),
+                "--threads needs a value");
+}
+
+TEST(BenchArgsDeathTest, SeedRejectsSignsGarbageAndOverflow)
+{
+    // strtoull would wrap "-1" to 2^64-1 and read "1e3" as 1.
+    EXPECT_EXIT(parse({ "bench", "--seed", "-1" }),
+                testing::ExitedWithCode(2),
+                "--seed needs an unsigned integer, got '-1'");
+    EXPECT_EXIT(parse({ "bench", "--seed=1e3" }),
+                testing::ExitedWithCode(2),
+                "--seed needs an unsigned integer, got '1e3'");
+    EXPECT_EXIT(parse({ "bench", "--seed", "+7" }),
+                testing::ExitedWithCode(2),
+                "--seed needs an unsigned integer");
+    EXPECT_EXIT(parse({ "bench", "--seed=" }),
+                testing::ExitedWithCode(2),
+                "--seed needs an unsigned integer");
+    // 2^64 is one past the largest seed.
+    EXPECT_EXIT(parse({ "bench", "--seed", "18446744073709551616" }),
+                testing::ExitedWithCode(2),
+                "--seed needs an unsigned integer, got "
+                "'18446744073709551616'");
+}
+
 TEST(BenchArgs, FleetFlagsDefaultToASingleReplicaRoundRobin)
 {
     const auto args = parse({ "bench" });

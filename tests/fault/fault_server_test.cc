@@ -15,11 +15,14 @@
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "serve/workload.hh"
+#include "support/replay_equality.hh"
 
 namespace transfusion::fault
 {
 namespace
 {
+
+using test::expectSameServeMetrics;
 
 serve::WorkloadOptions
 smallWorkload()
@@ -36,38 +39,10 @@ FaultServeOptions
 fastOptions()
 {
     FaultServeOptions o;
-    o.serve.strategy = schedule::StrategyKind::TransFusion;
-    o.serve.max_batch = 4;
-    o.serve.cost.cache_samples = 3;
-    o.serve.cost.prefill_samples = 3;
-    o.serve.cost.evaluator.mcts.iterations = 32;
+    o.serve = test::fastServe();
     o.initial_spec = { 2, 1 };
     o.plan_threads = 1;
     return o;
-}
-
-/** Field-wise bitwise equality of two serve ledgers. */
-void
-expectSameServeMetrics(const serve::ServeMetrics &a,
-                       const serve::ServeMetrics &b)
-{
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-    EXPECT_EQ(a.prefill_rounds, b.prefill_rounds);
-    EXPECT_EQ(a.decode_rounds, b.decode_rounds);
-    EXPECT_EQ(a.peak_running, b.peak_running);
-    EXPECT_EQ(a.peak_queue, b.peak_queue);
-    EXPECT_EQ(a.peak_reserved_words, b.peak_reserved_words);
-    EXPECT_EQ(a.kv_capacity_words, b.kv_capacity_words);
-    EXPECT_EQ(a.makespan_s, b.makespan_s); // bitwise
-    EXPECT_EQ(a.tokens_per_second, b.tokens_per_second);
-    EXPECT_EQ(a.ttft_s.count(), b.ttft_s.count());
-    EXPECT_EQ(a.latency_s.count(), b.latency_s.count());
-    if (!a.latency_s.empty() && !b.latency_s.empty()) {
-        EXPECT_EQ(a.latency_s.max(), b.latency_s.max());
-    }
 }
 
 TEST(FaultServer, EmptyScheduleIsBitIdenticalToShardedServing)

@@ -17,11 +17,17 @@
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "serve/workload.hh"
+#include "support/replay_equality.hh"
 
 namespace transfusion::fleet
 {
 namespace
 {
+
+using test::expectSameFleetMetrics;
+using test::expectSameServeMetrics;
+using test::fastFleet;
+using test::fastServe;
 
 serve::WorkloadOptions
 smallWorkload()
@@ -32,82 +38,6 @@ smallWorkload()
     wl.prompt = { 128, 256 };
     wl.output = { 16, 32 };
     return wl;
-}
-
-/** Cheap calibration knobs shared with the fault-server tests. */
-serve::ServeOptions
-fastServe()
-{
-    serve::ServeOptions o;
-    o.strategy = schedule::StrategyKind::TransFusion;
-    o.max_batch = 4;
-    o.cost.cache_samples = 3;
-    o.cost.prefill_samples = 3;
-    o.cost.evaluator.mcts.iterations = 32;
-    return o;
-}
-
-FleetOptions
-fastFleet()
-{
-    FleetOptions o;
-    o.serve = fastServe();
-    o.threads = 1;
-    o.plan_threads = 1;
-    return o;
-}
-
-/** Field-wise bitwise equality of two serve ledgers. */
-void
-expectSameServeMetrics(const serve::ServeMetrics &a,
-                       const serve::ServeMetrics &b)
-{
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-    EXPECT_EQ(a.prefill_rounds, b.prefill_rounds);
-    EXPECT_EQ(a.decode_rounds, b.decode_rounds);
-    EXPECT_EQ(a.peak_running, b.peak_running);
-    EXPECT_EQ(a.peak_queue, b.peak_queue);
-    EXPECT_EQ(a.peak_reserved_words, b.peak_reserved_words);
-    EXPECT_EQ(a.kv_capacity_words, b.kv_capacity_words);
-    EXPECT_EQ(a.makespan_s, b.makespan_s); // bitwise
-    EXPECT_EQ(a.tokens_per_second, b.tokens_per_second);
-    EXPECT_EQ(a.ttft_s.count(), b.ttft_s.count());
-    EXPECT_EQ(a.latency_s.count(), b.latency_s.count());
-    if (!a.latency_s.empty() && !b.latency_s.empty()) {
-        EXPECT_EQ(a.latency_s.max(), b.latency_s.max());
-    }
-}
-
-/** Field-wise equality of two fleet replays (bitwise doubles). */
-void
-expectSameFleetMetrics(const FleetMetrics &a, const FleetMetrics &b)
-{
-    ASSERT_EQ(a.replicas.size(), b.replicas.size());
-    for (std::size_t i = 0; i < a.replicas.size(); ++i)
-        expectSameServeMetrics(a.replicas[i], b.replicas[i]);
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-    EXPECT_EQ(a.routed, b.routed);
-    EXPECT_EQ(a.held_rejected, b.held_rejected);
-    EXPECT_EQ(a.replica_downs, b.replica_downs);
-    EXPECT_EQ(a.replica_ups, b.replica_ups);
-    EXPECT_EQ(a.failover_drained, b.failover_drained);
-    EXPECT_EQ(a.failover_reroutes, b.failover_reroutes);
-    EXPECT_EQ(a.failover_exhausted, b.failover_exhausted);
-    EXPECT_EQ(a.failover_wasted_tokens, b.failover_wasted_tokens);
-    EXPECT_EQ(a.autoscaler_ticks, b.autoscaler_ticks);
-    EXPECT_EQ(a.scale_ups, b.scale_ups);
-    EXPECT_EQ(a.scale_downs, b.scale_downs);
-    EXPECT_EQ(a.peak_serving, b.peak_serving);
-    EXPECT_EQ(a.makespan_s, b.makespan_s); // bitwise
-    EXPECT_EQ(a.completed_per_second, b.completed_per_second);
-    EXPECT_EQ(a.latency_s.count(), b.latency_s.count());
-    EXPECT_EQ(a.queue_wait_s.count(), b.queue_wait_s.count());
 }
 
 TEST(FleetSim, PassThroughFleetIsBitIdenticalToFaultServer)
@@ -544,6 +474,37 @@ TEST(FleetSim, SimultaneousMultiReplicaLossFailsOverToSurvivors)
     EXPECT_GT(survivors, healthy.replicas[2].completed
                              + healthy.replicas[3].completed);
     expectSameFleetMetrics(m, fleet.run(trace, run));
+}
+
+TEST(FleetSim, FaultAppliesBeforeAnArrivalAtTheSameInstant)
+{
+    const auto cluster = multichip::edgeCluster(1);
+    const auto cfg = model::t5Small();
+    const auto wl = smallWorkload();
+    const auto trace = serve::generateWorkload(wl, 7);
+
+    const auto fleet =
+        FleetSimulator::uniform(2, cluster, cfg, wl, fastFleet());
+
+    // Replica 0 — pass-through's first choice — loses its only chip
+    // at exactly the first arrival and never recovers.  Faults
+    // apply before arrivals at one instant, so that request (and
+    // every later one) goes straight to replica 1: replica 0 is
+    // never offered work, and nothing is ever drained.
+    fault::FaultSchedule outage;
+    outage.events.push_back({ trace.front().arrival_s,
+                              fault::FaultKind::ChipLoss, 0 });
+    FleetRunOptions run;
+    run.policy = PolicyKind::PassThrough;
+    run.faults = { outage };
+    const auto m = fleet.run(trace, run);
+
+    EXPECT_EQ(m.replica_downs, 1);
+    EXPECT_EQ(m.failover_drained, 0);
+    ASSERT_EQ(m.replicas.size(), 2u);
+    EXPECT_EQ(m.replicas[0].offered, 0);
+    EXPECT_EQ(m.replicas[1].offered, m.offered);
+    EXPECT_EQ(m.completed + m.rejected, m.offered);
 }
 
 TEST(FleetSim, MalformedRunsAreFatal)

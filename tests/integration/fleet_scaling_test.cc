@@ -14,11 +14,14 @@
 
 #include "fleet/fleet_sim.hh"
 #include "serve/workload.hh"
+#include "support/replay_equality.hh"
 
 namespace transfusion::fleet
 {
 namespace
 {
+
+using test::fastFleet;
 
 /** The bench's saturating trace, shrunk for test budget: the
  *  burst arrives in ~0.1 s, far faster than one replica serves. */
@@ -31,20 +34,6 @@ saturatingWorkload()
     wl.prompt = { 128, 256 };
     wl.output = { 16, 32 };
     return wl;
-}
-
-FleetOptions
-fastFleet()
-{
-    FleetOptions o;
-    o.serve.strategy = schedule::StrategyKind::TransFusion;
-    o.serve.max_batch = 4;
-    o.serve.cost.cache_samples = 3;
-    o.serve.cost.prefill_samples = 3;
-    o.serve.cost.evaluator.mcts.iterations = 32;
-    o.threads = 1;
-    o.plan_threads = 1;
-    return o;
 }
 
 TEST(FleetScaling, ThroughputGrowsMonotonicallyWithReplicaCount)

@@ -1,12 +1,13 @@
 /**
  * @file
- * Differential replay harness: the legacy linear-scan simulation
- * cores and the event-heap cores (serve::SimCoreKind) must be
+ * Differential replay harness: the legacy linear-scan serve core
+ * and the event-heap serve core (serve::SimCoreKind) must be
  * observably indistinguishable — not approximately, bitwise.  Every
  * cell of a seed x routing-policy x fault-schedule grid replays the
- * same trace through both cores and compares the FleetMetrics field
- * by field, the latency histograms sample-set by sample-set, and
- * the captured RunReports string by string.
+ * same trace through the fleet loop with its replica sessions on
+ * each core, and compares the FleetMetrics field by field, the
+ * latency histograms sample-set by sample-set, and the captured
+ * RunReports string by string.
  *
  * The same harness pins the CostTableCache's transparency: a fleet
  * calibrated with memoization disabled must produce the same
@@ -28,11 +29,15 @@
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "serve/workload.hh"
+#include "support/replay_equality.hh"
 
 namespace transfusion
 {
 namespace
 {
+
+using test::expectSameFleetMetrics;
+using test::expectSameServeMetrics;
 
 /** Saturating burst: arrivals far outpace one replica, so queues,
  *  sheds, and multi-round batches all occur. */
@@ -50,16 +55,8 @@ diffWorkload()
 fleet::FleetOptions
 fleetOptions(serve::SimCoreKind core)
 {
-    fleet::FleetOptions o;
-    o.serve.strategy = schedule::StrategyKind::TransFusion;
-    o.serve.max_batch = 4;
+    fleet::FleetOptions o = test::fastFleet();
     o.serve.core = core;
-    o.serve.cost.cache_samples = 3;
-    o.serve.cost.prefill_samples = 3;
-    o.serve.cost.evaluator.mcts.iterations = 32;
-    o.core = core;
-    o.threads = 1;
-    o.plan_threads = 1;
     return o;
 }
 
@@ -94,87 +91,28 @@ faultCases()
     degrade.events.push_back(slow);
     degrade.events.push_back(restore);
 
+    // A gray failure: replica 0 runs 3x slower mid-burst, then
+    // recovers.  No down span opens, so the replica keeps serving
+    // and both cores must price every slowed round identically.
+    fault::FaultSchedule slowdown;
+    fault::FaultEvent onset;
+    onset.time_s = 0.05;
+    onset.kind = fault::FaultKind::ChipSlowdown;
+    onset.chip = 0;
+    onset.factor = 3.0;
+    fault::FaultEvent recovery;
+    recovery.time_s = 0.30;
+    recovery.kind = fault::FaultKind::SlowdownRecovery;
+    recovery.chip = 0;
+    slowdown.events.push_back(onset);
+    slowdown.events.push_back(recovery);
+
     std::vector<FaultCase> cases;
     cases.push_back({ "empty", {} });
     cases.push_back({ "chip-loss", { {}, loss } });
     cases.push_back({ "link-degrade", { degrade } });
+    cases.push_back({ "slowdown", { slowdown } });
     return cases;
-}
-
-/** Histograms carry the raw samples; equal counts, bitwise-equal
- *  sums, and bitwise-equal order statistics pin the sample sets. */
-void
-expectSameHistogram(const Histogram &a, const Histogram &b,
-                    const std::string &what)
-{
-    SCOPED_TRACE(what);
-    ASSERT_EQ(a.count(), b.count());
-    EXPECT_EQ(a.sum(), b.sum());
-    for (const double p : { 0.0, 25.0, 50.0, 75.0, 99.0, 100.0 })
-        EXPECT_EQ(a.percentileOr(p, -1.0), b.percentileOr(p, -1.0))
-            << "p" << p;
-}
-
-void
-expectSameServeMetrics(const serve::ServeMetrics &a,
-                       const serve::ServeMetrics &b)
-{
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-    EXPECT_EQ(a.prefill_rounds, b.prefill_rounds);
-    EXPECT_EQ(a.decode_rounds, b.decode_rounds);
-    EXPECT_EQ(a.peak_running, b.peak_running);
-    EXPECT_EQ(a.peak_queue, b.peak_queue);
-    EXPECT_EQ(a.peak_reserved_words, b.peak_reserved_words);
-    EXPECT_EQ(a.kv_capacity_words, b.kv_capacity_words);
-    EXPECT_EQ(a.makespan_s, b.makespan_s);
-    EXPECT_EQ(a.tokens_per_second, b.tokens_per_second);
-    EXPECT_EQ(a.prefill_energy_j, b.prefill_energy_j);
-    EXPECT_EQ(a.decode_energy_j, b.decode_energy_j);
-    EXPECT_EQ(a.chip_seconds, b.chip_seconds);
-    expectSameHistogram(a.ttft_s, b.ttft_s, "ttft");
-    expectSameHistogram(a.tpot_s, b.tpot_s, "tpot");
-    expectSameHistogram(a.latency_s, b.latency_s, "latency");
-    expectSameHistogram(a.queue_wait_s, b.queue_wait_s,
-                        "queue_wait");
-}
-
-void
-expectSameFleetMetrics(const fleet::FleetMetrics &a,
-                       const fleet::FleetMetrics &b)
-{
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-    EXPECT_EQ(a.routed, b.routed);
-    EXPECT_EQ(a.held_rejected, b.held_rejected);
-    EXPECT_EQ(a.replica_downs, b.replica_downs);
-    EXPECT_EQ(a.replica_ups, b.replica_ups);
-    EXPECT_EQ(a.failover_drained, b.failover_drained);
-    EXPECT_EQ(a.failover_reroutes, b.failover_reroutes);
-    EXPECT_EQ(a.failover_exhausted, b.failover_exhausted);
-    EXPECT_EQ(a.failover_wasted_tokens, b.failover_wasted_tokens);
-    EXPECT_EQ(a.autoscaler_ticks, b.autoscaler_ticks);
-    EXPECT_EQ(a.scale_ups, b.scale_ups);
-    EXPECT_EQ(a.scale_downs, b.scale_downs);
-    EXPECT_EQ(a.peak_serving, b.peak_serving);
-    EXPECT_EQ(a.makespan_s, b.makespan_s);
-    EXPECT_EQ(a.completed_per_second, b.completed_per_second);
-    EXPECT_EQ(a.energy_j, b.energy_j);
-    EXPECT_EQ(a.chip_seconds, b.chip_seconds);
-    expectSameHistogram(a.ttft_s, b.ttft_s, "fleet ttft");
-    expectSameHistogram(a.tpot_s, b.tpot_s, "fleet tpot");
-    expectSameHistogram(a.latency_s, b.latency_s, "fleet latency");
-    expectSameHistogram(a.queue_wait_s, b.queue_wait_s,
-                        "fleet queue_wait");
-    ASSERT_EQ(a.replicas.size(), b.replicas.size());
-    for (std::size_t i = 0; i < a.replicas.size(); ++i) {
-        SCOPED_TRACE("replica " + std::to_string(i));
-        expectSameServeMetrics(a.replicas[i], b.replicas[i]);
-    }
 }
 
 /** Replay under a scoped registry; return (metrics, report). */
@@ -195,7 +133,8 @@ replay(const fleet::FleetSimulator &fleet,
 
 /**
  * The full grid: >= 3 seeds x all 5 policies x {empty, chip-loss,
- * link-degrade}, legacy vs event cores side by side.  Only the
+ * link-degrade, slowdown}, legacy vs event serve cores side by side
+ * in the one fleet loop.  Only the
  * replay is per-cell; both fleets are calibrated once (cores share
  * cost tables by construction, which is itself part of the claim).
  */

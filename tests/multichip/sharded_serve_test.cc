@@ -12,11 +12,14 @@
 #include "multichip/sharded_serve.hh"
 #include "serve/kv_cache.hh"
 #include "serve/workload.hh"
+#include "support/replay_equality.hh"
 
 namespace transfusion::multichip
 {
 namespace
 {
+
+using test::fastServe;
 
 serve::WorkloadOptions
 smallWorkload()
@@ -27,18 +30,6 @@ smallWorkload()
     wl.prompt = { 128, 256 };
     wl.output = { 16, 32 };
     return wl;
-}
-
-serve::ServeOptions
-fastServe()
-{
-    serve::ServeOptions o;
-    o.strategy = schedule::StrategyKind::TransFusion;
-    o.max_batch = 4;
-    o.cost.cache_samples = 3;
-    o.cost.prefill_samples = 3;
-    o.cost.evaluator.mcts.iterations = 32;
-    return o;
 }
 
 TEST(ShardedServe, OneChipSimulatorIsBitIdenticalToPlainServing)

@@ -11,6 +11,7 @@
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "serve/simulator.hh"
+#include "support/replay_equality.hh"
 
 namespace transfusion::serve
 {
@@ -41,31 +42,6 @@ makeSim()
                           baseWorkload(), o);
 }
 
-/** Field-for-field bit equality of two replay results. */
-void
-expectIdentical(const ServeMetrics &a, const ServeMetrics &b)
-{
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.generated_tokens, b.generated_tokens);
-    EXPECT_EQ(a.prefill_rounds, b.prefill_rounds);
-    EXPECT_EQ(a.decode_rounds, b.decode_rounds);
-    EXPECT_EQ(a.peak_running, b.peak_running);
-    EXPECT_EQ(a.peak_queue, b.peak_queue);
-    EXPECT_EQ(a.peak_reserved_words, b.peak_reserved_words);
-    EXPECT_EQ(a.makespan_s, b.makespan_s);
-    EXPECT_EQ(a.tokens_per_second, b.tokens_per_second);
-    ASSERT_EQ(a.latency_s.count(), b.latency_s.count());
-    for (double p : { 0.0, 50.0, 95.0, 99.0, 100.0 }) {
-        EXPECT_EQ(a.ttft_s.percentile(p), b.ttft_s.percentile(p));
-        EXPECT_EQ(a.latency_s.percentile(p),
-                  b.latency_s.percentile(p));
-    }
-    EXPECT_EQ(a.ttft_s.sum(), b.ttft_s.sum());
-    EXPECT_EQ(a.queue_wait_s.sum(), b.queue_wait_s.sum());
-}
-
 TEST(ServeReplay, BitIdenticalAcrossThreadCounts)
 {
     const auto sim = makeSim();
@@ -84,7 +60,7 @@ TEST(ServeReplay, BitIdenticalAcrossThreadCounts)
     ASSERT_EQ(serial.size(), scenarios.size());
     ASSERT_EQ(parallel.size(), scenarios.size());
     for (std::size_t i = 0; i < scenarios.size(); ++i)
-        expectIdentical(serial[i], parallel[i]);
+        test::expectSameServeMetrics(serial[i], parallel[i]);
 }
 
 TEST(ServeReplay, ThreadedReplayMatchesDirectRun)
@@ -99,7 +75,7 @@ TEST(ServeReplay, ThreadedReplayMatchesDirectRun)
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
         const auto direct = sim.run(generateWorkload(
             scenarios[i].workload, scenarios[i].seed));
-        expectIdentical(fanned[i], direct);
+        test::expectSameServeMetrics(fanned[i], direct);
     }
 }
 
