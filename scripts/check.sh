@@ -10,6 +10,7 @@
 #   plan                                capacity-planner subsystem
 #   chaos                               seeded chaos-invariant sweep
 #   perf-smoke                          ~1 s sim-core bench canary
+#   serve / fault / fleet               UBSan surface
 #
 # Usage: scripts/check.sh
 #        [--tier1-only | --tsan-only | --obs-off-only |
@@ -52,9 +53,10 @@ run_coverage() {
     cmake --build build-cov -j "$jobs"
     ctest --test-dir build-cov --output-on-failure -j "$jobs" \
         -L 'unit|integration|fuzz'
-    # The simulation hot layers: the serve cores and the one fleet
-    # loop.  The differential replay harness plus the unit tiers
-    # must keep both serve cores' branches exercised.
+    # The simulation hot layers: the serve round loop with its two
+    # batch types, and the one fleet loop.  The differential replay
+    # and session tests plus the unit tiers must keep both batch
+    # types exercised.
     gcovr --root . \
         --filter 'src/serve/' --filter 'src/fleet/' \
         build-cov \
@@ -110,17 +112,21 @@ run_tsan() {
 }
 
 run_ubsan() {
-    echo "== UBSan: fault/fleet arithmetic =="
-    # The gray-failure layers are arithmetic-heavy (slowdown
+    echo "== UBSan: serve/fault/fleet arithmetic =="
+    # The serve round loop and the gray-failure layers are
+    # arithmetic-heavy (the int64 batch context sum, slowdown
     # multipliers, capped exponential backoff, EWMA health
     # trackers); -fno-sanitize-recover turns any UB into a test
-    # failure instead of a silently-wrong number.
+    # failure instead of a silently-wrong number.  Only built
+    # targets have discovered tests, so every suite the label
+    # filter selects must be in the target list.
     cmake -B build-ubsan -S . -DTRANSFUSION_SANITIZE=undefined
     cmake --build build-ubsan -j "$jobs" \
-        --target tf_fault_test tf_fleet_test tf_fault_fuzz_test \
-        ext_chaos_sweep
+        --target tf_serve_test tf_fault_test tf_fleet_test \
+        tf_fault_fuzz_test tf_replay_diff_test \
+        tf_fleet_scaling_test ext_chaos_sweep
     ctest --test-dir build-ubsan --output-on-failure -j "$jobs" \
-        -L 'fault|fleet' -E Chaos
+        -L 'serve|fault|fleet' -E Chaos
     # A reduced chaos sweep under UBSan: the randomized schedules
     # push the slowdown/backoff/EWMA arithmetic into corners the
     # unit tests don't reach.  Exit status is the verdict.

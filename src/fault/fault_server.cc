@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -75,6 +74,26 @@ RetryPolicy::validate() const
     if (max_attempts < 0)
         tf_fatal("retry max_attempts must be non-negative, got ",
                  max_attempts);
+}
+
+std::optional<serve::Request>
+RetryLedger::reoffer(const serve::Request &req, double t)
+{
+    int &k = attempts_[req.id];
+    if (k >= policy_.max_attempts)
+        return std::nullopt;
+    ++k;
+    serve::Request r = req;
+    r.arrival_s = t + policy_.delaySeconds(k);
+    return r;
+}
+
+bool
+RetryLedger::exhausted(std::int64_t id) const
+{
+    const auto it = attempts_.find(id);
+    return it != attempts_.end()
+        && it->second >= policy_.max_attempts;
 }
 
 std::string
@@ -154,7 +173,7 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
     serve::ServeSession session = sim_->startSession(requests);
 
     // Retry bookkeeping, keyed by the stable request id.
-    std::map<std::int64_t, int> attempts;
+    RetryLedger ledger(options_.retry);
     std::set<std::int64_t> retried_ids;
     std::set<std::int64_t> final_rejected;
 
@@ -201,17 +220,14 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
     const auto scheduleRetry =
         [&](const serve::Request &req, double not_before,
             std::vector<serve::Request> &inject) {
-            int &k = attempts[req.id];
-            if (k >= options_.retry.max_attempts)
-                return false;
-            ++k;
-            serve::Request r = req;
             // The re-offer's clock restarts here: queue-wait and
             // latency of the retry measure the retry, and the
             // backoff delay shows up as degraded-window idle time.
-            r.arrival_s =
-                not_before + options_.retry.delaySeconds(k);
-            inject.push_back(r);
+            const std::optional<serve::Request> r =
+                ledger.reoffer(req, not_before);
+            if (!r)
+                return false;
+            inject.push_back(*r);
             retried_ids.insert(req.id);
             fm.retries += 1;
             return true;
@@ -222,12 +238,7 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
             if (inject.empty())
                 return false;
             std::sort(inject.begin(), inject.end(),
-                      [](const serve::Request &a,
-                         const serve::Request &b) {
-                          return a.arrival_s != b.arrival_s
-                              ? a.arrival_s < b.arrival_s
-                              : a.id < b.id;
-                      });
+                      serve::arrivesBefore);
             sim->injectRequests(session, std::move(inject));
             return true;
         };
@@ -253,9 +264,7 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
                 session.metrics.rejected -= 1;
             } else {
                 final_rejected.insert(rec.req.id);
-                if (attempts.count(rec.req.id) != 0
-                    && attempts[rec.req.id]
-                        >= options_.retry.max_attempts)
+                if (ledger.exhausted(rec.req.id))
                     fm.retry_exhausted += 1;
             }
         }

@@ -44,6 +44,7 @@
 #ifndef TRANSFUSION_FAULT_FAULT_SERVER_HH
 #define TRANSFUSION_FAULT_FAULT_SERVER_HH
 
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -78,6 +79,36 @@ struct RetryPolicy
 
     /** Fatal unless delays/counts are positive, finite and sane. */
     void validate() const;
+};
+
+/**
+ * Per-request retry budgets under one RetryPolicy, keyed by the
+ * stable request id: the k-th re-offer of a request arrives
+ * delaySeconds(k) after it left, until max_attempts re-offers are
+ * spent.  The fault server and the fleet both decide retries here.
+ */
+class RetryLedger
+{
+  public:
+    explicit RetryLedger(const RetryPolicy &policy) : policy_(policy)
+    {}
+
+    /**
+     * The re-offer of `req` for its next attempt — `req` with its
+     * clock restarted at `t` plus that attempt's backoff — or
+     * nullopt once its budget is spent.
+     */
+    std::optional<serve::Request> reoffer(const serve::Request &req,
+                                          double t);
+
+    /** Whether `id` has been through reoffer() and has no
+     *  re-offers left. */
+    bool exhausted(std::int64_t id) const;
+
+  private:
+    RetryPolicy policy_;
+    /** Re-offers granted so far, per request id. */
+    std::map<std::int64_t, int> attempts_;
 };
 
 /** Configuration of one fault-tolerant serving replica. */
@@ -182,12 +213,6 @@ class FaultTolerantServer
 
     /** The healthy-cluster sharding in force at t = 0. */
     multichip::ShardSpec initialSpec() const { return spec_; }
-
-    /** The healthy-cluster simulator (empty-schedule baseline). */
-    const serve::ServeSimulator &healthySimulator() const
-    {
-        return *sim_;
-    }
 
   private:
     multichip::ClusterConfig cluster_;

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <optional>
 
 #include "common/logging.hh"
@@ -24,12 +23,21 @@ namespace
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** (arrival, id) — the one routing order used everywhere. */
-bool
-arrivesBefore(const serve::Request &a, const serve::Request &b)
+/** Fold one replica's finished ledger into the fleet totals. */
+void
+addReplica(FleetMetrics &fm, serve::ServeMetrics m)
 {
-    return a.arrival_s != b.arrival_s ? a.arrival_s < b.arrival_s
-                                      : a.id < b.id;
+    fm.completed += m.completed;
+    fm.rejected += m.rejected;
+    fm.generated_tokens += m.generated_tokens;
+    fm.energy_j += m.energyJoules();
+    fm.chip_seconds += m.chip_seconds;
+    fm.makespan_s = std::max(fm.makespan_s, m.makespan_s);
+    fm.ttft_s.merge(m.ttft_s);
+    fm.tpot_s.merge(m.tpot_s);
+    fm.latency_s.merge(m.latency_s);
+    fm.queue_wait_s.merge(m.queue_wait_s);
+    fm.replicas.push_back(std::move(m));
 }
 
 /** Mutable per-replica run state (the session plus flags). */
@@ -159,13 +167,7 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
                     const FleetRunOptions &run) const
 {
     const int pool = replicaCount();
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const serve::Request &r = requests[i];
-        if (r.prompt_len <= 0 || r.output_len <= 0)
-            tf_fatal("bad request: ", r.toString());
-        if (i > 0 && r.arrival_s < requests[i - 1].arrival_s)
-            tf_fatal("requests must be sorted by arrival time");
-    }
+    serve::validateTrace(requests, "request");
     if (run.faults.size() > static_cast<std::size_t>(pool))
         tf_fatal("got ", run.faults.size(),
                  " fault schedules for ", pool, " replicas");
@@ -194,25 +196,14 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         // instrumentation) as the single sharded replica, so the
         // trivial fleet is bit-identical — metrics and RunReport —
         // to the fault-tolerant server on an empty schedule.
-        serve::ServeMetrics m = sims_[0]->run(requests);
         FleetMetrics fm;
-        fm.offered = m.offered;
-        fm.completed = m.completed;
-        fm.rejected = m.rejected;
-        fm.generated_tokens = m.generated_tokens;
-        fm.routed = m.offered;
-        fm.makespan_s = m.makespan_s;
+        fm.offered = static_cast<std::int64_t>(requests.size());
+        fm.routed = fm.offered;
+        fm.peak_serving = 1;
+        addReplica(fm, sims_[0]->run(requests));
         if (fm.makespan_s > 0)
             fm.completed_per_second =
                 static_cast<double>(fm.completed) / fm.makespan_s;
-        fm.peak_serving = 1;
-        fm.energy_j = m.energyJoules();
-        fm.chip_seconds = m.chip_seconds;
-        fm.ttft_s.merge(m.ttft_s);
-        fm.tpot_s.merge(m.tpot_s);
-        fm.latency_s.merge(m.latency_s);
-        fm.queue_wait_s.merge(m.queue_wait_s);
-        fm.replicas.push_back(std::move(m));
         return fm;
     }
 
@@ -249,7 +240,7 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
     std::size_t next_trace = 0;
     std::vector<serve::Request> reoffers; ///< (arrival, id) sorted
     std::vector<serve::Request> held;     ///< no eligible replica
-    std::map<std::int64_t, int> attempts;
+    fault::RetryLedger ledger(options_.retry);
     double next_tick = scaling ? options_.autoscaler.interval_s
                                : kInf;
 
@@ -379,21 +370,20 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
             // re-counted wherever it terminates.
             st.session->metrics.offered -= 1;
             fm.failover_drained += 1;
-            int &k = attempts[req.id];
-            if (k >= options_.retry.max_attempts) {
-                fm.failover_exhausted += 1;
-                continue;
-            }
-            k += 1;
-            serve::Request r = req;
             // The re-offer's clock restarts here, exactly as a
             // fault-layer retry: the backoff shows up as idle
             // time, not as queue wait.
-            r.arrival_s = t + options_.retry.delaySeconds(k);
-            reoffers.push_back(r);
+            const std::optional<serve::Request> r =
+                ledger.reoffer(req, t);
+            if (!r) {
+                fm.failover_exhausted += 1;
+                continue;
+            }
+            reoffers.push_back(*r);
             fm.failover_reroutes += 1;
         }
-        std::sort(reoffers.begin(), reoffers.end(), arrivesBefore);
+        std::sort(reoffers.begin(), reoffers.end(),
+                  serve::arrivesBefore);
     };
 
     /** Apply every boundary up to `t`, replica-index order. */
@@ -471,7 +461,7 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
         reoffers.erase(reoffers.begin(),
                        reoffers.begin()
                            + static_cast<std::ptrdiff_t>(due));
-        std::sort(batch.begin(), batch.end(), arrivesBefore);
+        std::sort(batch.begin(), batch.end(), serve::arrivesBefore);
         for (const serve::Request &r : batch) {
             if (brownout.shouldShed(r)) {
                 // Active brownout: shed the classes the options
@@ -729,17 +719,7 @@ FleetSimulator::run(const std::vector<serve::Request> &requests,
                   "replica ", i, " ledger leak: completed ",
                   m.completed, " + rejected ", m.rejected,
                   " != offered ", m.offered);
-        fm.completed += m.completed;
-        fm.rejected += m.rejected;
-        fm.generated_tokens += m.generated_tokens;
-        fm.energy_j += m.energyJoules();
-        fm.chip_seconds += m.chip_seconds;
-        fm.makespan_s = std::max(fm.makespan_s, m.makespan_s);
-        fm.ttft_s.merge(m.ttft_s);
-        fm.tpot_s.merge(m.tpot_s);
-        fm.latency_s.merge(m.latency_s);
-        fm.queue_wait_s.merge(m.queue_wait_s);
-        fm.replicas.push_back(std::move(m));
+        addReplica(fm, std::move(m));
     }
     // Close dangling health/brownout windows at the last clock any
     // part of the run reached, then fold the detector ledgers in.

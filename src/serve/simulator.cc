@@ -6,6 +6,7 @@
 #include "simulator.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <queue>
 #include <sstream>
@@ -58,6 +59,307 @@ calibratedCostModel(const arch::ArchConfig &arch,
                     workload.prompt.hi, options.cost);
             });
     return *table;
+}
+
+/**
+ * The reference running batch (SimCoreKind::Legacy): the session's
+ * `running` vector itself, scanned in full every decode round and
+ * priced off the full calibration grid.
+ */
+class ScanBatch
+{
+  public:
+    explicit ScanBatch(ServeSession &s) : s_(s) {}
+
+    std::int64_t size() const { return std::ssize(s_.running); }
+
+    void admit(const InFlightRequest &r) { s_.running.push_back(r); }
+
+    /** Sum of (prompt_len + generated) over the batch. */
+    double contextSum() const
+    {
+        double ctx = 0;
+        for (const InFlightRequest &r : s_.running)
+            ctx += static_cast<double>(r.req.prompt_len
+                                       + r.generated);
+        return ctx;
+    }
+
+    static constexpr auto kStepSeconds =
+        &ServeCostModel::decodeStepSecondsFullScan;
+
+    /** Give every running request one token; finishers leave in
+     *  admission order. */
+    template <class Finish>
+    void emitToken(const Finish &finish)
+    {
+        std::vector<InFlightRequest> still;
+        still.reserve(s_.running.size());
+        for (InFlightRequest &r : s_.running) {
+            r.generated += 1;
+            if (r.generated >= r.req.output_len)
+                finish(r.req, r.first_token_s);
+            else
+                still.push_back(r);
+        }
+        s_.running = std::move(still);
+    }
+
+    /** `running` is the batch: nothing to write back. */
+    void writeBack() {}
+
+  private:
+    ServeSession &s_;
+};
+
+/**
+ * The event-driven running batch (SimCoreKind::EventHeap).  Every
+ * decode round hands exactly one token to every running request
+ * and prefill rounds never touch them, so a request admitted with
+ * `g` tokens generated while `decode_rounds` rounds have run
+ * finishes in round decode_rounds + (output_len - g).  Slots are in
+ * admission order, so one round's finishers pop off the
+ * (finish_round, slot) heap in exactly the order the scan compacts
+ * them.  The context sum is an int64: integer sums below 2^53 are
+ * exact in a double regardless of association, so the mean is
+ * bit-identical to the scan's double accumulation.
+ *
+ * Built from `running` on entry to advance() and written back on
+ * exit, so the session stays plain data between epochs; the
+ * rebuild also re-keys the heap across slowdown changes.
+ */
+class HeapBatch
+{
+  public:
+    explicit HeapBatch(ServeSession &s) : s_(s)
+    {
+        slots_.reserve(s.running.size());
+        for (const InFlightRequest &r : s.running)
+            admit(r);
+        s.running.clear();
+    }
+
+    std::int64_t size() const { return std::ssize(finishers_); }
+
+    void admit(const InFlightRequest &r)
+    {
+        const std::int64_t finish_round = s_.metrics.decode_rounds
+            + (r.req.output_len - r.generated);
+        ctx_ += r.req.prompt_len + r.generated;
+        finishers_.emplace(finish_round, slots_.size());
+        slots_.push_back({ r, finish_round });
+    }
+
+    double contextSum() const { return static_cast<double>(ctx_); }
+
+    static constexpr auto kStepSeconds =
+        &ServeCostModel::decodeStepSeconds;
+
+    /** Every running request gained one token; the requests whose
+     *  finish round this is leave with their full context. */
+    template <class Finish>
+    void emitToken(const Finish &finish)
+    {
+        ctx_ += size();
+        const std::int64_t round = s_.metrics.decode_rounds;
+        while (!finishers_.empty()
+               && finishers_.top().first == round) {
+            Slot &slot = slots_[finishers_.top().second];
+            finishers_.pop();
+            finish(slot.r.req, slot.r.first_token_s);
+            ctx_ -= slot.r.req.peakContext();
+        }
+    }
+
+    /** Rebuild `running`: the slots still to finish, in admission
+     *  order, each with `generated` recovered from the rounds it
+     *  has to go. */
+    void writeBack()
+    {
+        const std::int64_t round = s_.metrics.decode_rounds;
+        for (Slot &slot : slots_) {
+            if (slot.finish_round <= round)
+                continue;
+            slot.r.generated = slot.r.req.output_len
+                - (slot.finish_round - round);
+            s_.running.push_back(slot.r);
+        }
+    }
+
+  private:
+    struct Slot
+    {
+        InFlightRequest r;
+        /** Live while decode_rounds is below it; the heap holds
+         *  exactly the live slots. */
+        std::int64_t finish_round = 0;
+    };
+    using HeapEntry = std::pair<std::int64_t, std::size_t>;
+
+    ServeSession &s_;
+    std::vector<Slot> slots_;
+    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                        std::greater<HeapEntry>>
+        finishers_;
+    std::int64_t ctx_ = 0;
+};
+
+/**
+ * The serve round loop, written once for both cores: `Batch` is
+ * the running-batch type (ScanBatch or HeapBatch), and the cores
+ * differ in nothing else.
+ */
+template <class Batch>
+void
+runRounds(const ServeSimulator &sim, ServeSession &s,
+          double horizon_s)
+{
+    const ServeCostModel &cost = sim.costModel();
+    const ServeOptions &options = sim.options();
+    ServeMetrics &m = s.metrics;
+
+    const auto reservation = [&](const Request &r) {
+        return sim.kvWordsPerTokenUsed()
+            * static_cast<double>(r.peakContext());
+    };
+    const auto finish = [&](const Request &req,
+                            double first_token_s) {
+        m.completed += 1;
+        m.latency_s.add(s.now - req.arrival_s);
+        if (req.output_len > 1)
+            m.tpot_s.add((s.now - first_token_s)
+                         / static_cast<double>(req.output_len
+                                               - 1));
+        s.cache.release(reservation(req));
+    };
+
+    Batch batch(s);
+    bool wedged = false;
+    while (s.next < s.pending.size() || !s.queue.empty()
+           || batch.size() > 0) {
+        // Horizon check at the round boundary only: the caller's
+        // world change (a fault, a replan) lands between rounds,
+        // never mid-round.  With horizon_s = +inf this never fires
+        // and the loop is the original run() loop.
+        if (s.now >= horizon_s)
+            break;
+
+        // Pull every arrival up to the current clock into the
+        // bounded queue; overflow is shed immediately.
+        while (s.next < s.pending.size()
+               && s.pending[s.next].arrival_s <= s.now) {
+            if (static_cast<std::int64_t>(s.queue.size())
+                >= options.max_queue) {
+                m.rejected += 1;
+                s.shed_log.push_back(
+                    { s.pending[s.next], s.now });
+            } else {
+                s.queue.push_back(s.pending[s.next]);
+                m.peak_queue = std::max(
+                    m.peak_queue,
+                    static_cast<std::int64_t>(s.queue.size()));
+            }
+            ++s.next;
+        }
+
+        // FIFO admission: the head joins as soon as a decode lane
+        // and its peak-context KV reservation are free.  A head
+        // that could never fit even on an idle system is rejected;
+        // a head that merely does not fit *now* blocks the queue
+        // (no overtaking, so admission order is deterministic and
+        // starvation-free).
+        std::vector<InFlightRequest> admitted;
+        while (!s.queue.empty()
+               && batch.size()
+                       + static_cast<std::int64_t>(admitted.size())
+                   < options.max_batch) {
+            const Request &head = s.queue.front();
+            const double words = reservation(head);
+            if (!s.cache.fitsAlone(words)) {
+                m.rejected += 1;
+                s.shed_log.push_back({ head, s.now });
+                s.queue.pop_front();
+                continue;
+            }
+            if (!s.cache.tryReserve(words))
+                break;
+            m.queue_wait_s.add(s.now - head.arrival_s);
+            admitted.push_back({ head });
+            s.queue.pop_front();
+        }
+
+        if (!admitted.empty()) {
+            // Prefill round: newly admitted prompts run back to
+            // back (prefill is compute-bound at batch 1, so serial
+            // pricing is the conservative model); each produces its
+            // request's first token.
+            double dt = 0;
+            for (const InFlightRequest &r : admitted) {
+                dt += cost.prefillSeconds(r.req.prompt_len);
+                m.prefill_energy_j +=
+                    cost.prefillJoules(r.req.prompt_len);
+            }
+            s.now += dt * s.slowdown;
+            m.prefill_rounds += 1;
+            for (InFlightRequest &r : admitted) {
+                r.first_token_s = s.now;
+                r.generated = 1;
+                m.generated_tokens += 1;
+                m.ttft_s.add(s.now - r.req.arrival_s);
+                if (r.generated >= r.req.output_len)
+                    finish(r.req, r.first_token_s);
+                else
+                    batch.admit(r);
+            }
+            m.peak_running = std::max(m.peak_running, batch.size());
+            continue;
+        }
+
+        if (batch.size() > 0) {
+            // Decode round: every running request emits one token;
+            // the step's time and energy are priced at the batch's
+            // mean cache length (exact for the affine-in-cache-
+            // length cost model).
+            const std::int64_t n = batch.size();
+            const double mean =
+                batch.contextSum() / static_cast<double>(n);
+            s.now += (cost.*Batch::kStepSeconds)(n, mean) * s.slowdown;
+            m.decode_energy_j += cost.decodeStepJoules(n, mean);
+            m.decode_rounds += 1;
+            m.generated_tokens += n;
+            batch.emitToken(finish);
+            continue;
+        }
+
+        // Idle: jump the clock to the next arrival (capped at the
+        // horizon so a fault epoch never swallows arrivals that
+        // belong to the next one).
+        if (s.next < s.pending.size()) {
+            const double arrival = s.pending[s.next].arrival_s;
+            if (arrival >= horizon_s) {
+                s.now = std::max(s.now, horizon_s);
+                break;
+            }
+            s.now = std::max(s.now, arrival);
+            continue;
+        }
+        // Nothing admitted, running, or arriving.  If the whole
+        // round's progress was rejections the queue is empty and
+        // the loop condition ends the replay; a still-populated
+        // queue would spin forever, so fail loud (defensive:
+        // admission always makes progress when nothing is running).
+        if (s.queue.empty())
+            continue;
+        wedged = true;
+        break;
+    }
+    // Every exit leaves `running` current for the caller.
+    batch.writeBack();
+    if (wedged)
+        tf_fatal("serve loop wedged with ", s.queue.size(),
+                 " queued requests (completed ", m.completed,
+                 ", rejected ", m.rejected, " of ", m.offered,
+                 ")");
 }
 
 } // namespace
@@ -141,13 +443,7 @@ ServeSimulator::ServeSimulator(ServeCostModel cost,
 ServeSession
 ServeSimulator::startSession(std::vector<Request> requests) const
 {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const Request &r = requests[i];
-        if (r.prompt_len <= 0 || r.output_len <= 0)
-            tf_fatal("bad request: ", r.toString());
-        if (i > 0 && r.arrival_s < requests[i - 1].arrival_s)
-            tf_fatal("requests must be sorted by arrival time");
-    }
+    validateTrace(requests, "request");
     ServeSession s(capacity_words_);
     s.pending = std::move(requests);
     s.metrics.offered =
@@ -162,402 +458,12 @@ ServeSimulator::advance(ServeSession &s, double horizon_s) const
     if (!(s.slowdown >= 1.0))
         tf_fatal("session slowdown must be >= 1, got ",
                  s.slowdown);
+    // The core picks the batch type once per call; the loop itself
+    // carries no per-round dispatch.
     if (options_.core == SimCoreKind::Legacy)
-        advanceLegacy(s, horizon_s);
+        runRounds<ScanBatch>(*this, s, horizon_s);
     else
-        advanceEvent(s, horizon_s);
-}
-
-void
-ServeSimulator::advanceLegacy(ServeSession &s,
-                              double horizon_s) const
-{
-    ServeMetrics &m = s.metrics;
-
-    const auto reservation = [&](const Request &r) {
-        return words_per_token_
-            * static_cast<double>(r.peakContext());
-    };
-    const auto finish = [&](const InFlightRequest &r, double now) {
-        m.completed += 1;
-        m.latency_s.add(now - r.req.arrival_s);
-        if (r.req.output_len > 1)
-            m.tpot_s.add((now - r.first_token_s)
-                         / static_cast<double>(r.req.output_len
-                                               - 1));
-        s.cache.release(reservation(r.req));
-    };
-
-    while (s.workLeft()) {
-        // Horizon check at the round boundary only: the caller's
-        // world change (a fault, a replan) lands between rounds,
-        // never mid-round.  With horizon_s = +inf this never fires
-        // and the loop is the original run() loop.
-        if (s.now >= horizon_s)
-            return;
-
-        // Pull every arrival up to the current clock into the
-        // bounded queue; overflow is shed immediately.
-        while (s.next < s.pending.size()
-               && s.pending[s.next].arrival_s <= s.now) {
-            if (static_cast<std::int64_t>(s.queue.size())
-                >= options_.max_queue) {
-                m.rejected += 1;
-                s.shed_log.push_back(
-                    { s.pending[s.next], s.now });
-            } else {
-                s.queue.push_back(s.pending[s.next]);
-                m.peak_queue = std::max(
-                    m.peak_queue,
-                    static_cast<std::int64_t>(s.queue.size()));
-            }
-            ++s.next;
-        }
-
-        // FIFO admission: the head joins as soon as a decode lane
-        // and its peak-context KV reservation are free.  A head
-        // that could never fit even on an idle system is rejected;
-        // a head that merely does not fit *now* blocks the queue
-        // (no overtaking, so admission order is deterministic and
-        // starvation-free).
-        std::vector<InFlightRequest> admitted;
-        while (!s.queue.empty()
-               && static_cast<std::int64_t>(s.running.size()
-                                            + admitted.size())
-                   < options_.max_batch) {
-            const Request &head = s.queue.front();
-            const double words = reservation(head);
-            if (!s.cache.fitsAlone(words)) {
-                m.rejected += 1;
-                s.shed_log.push_back({ head, s.now });
-                s.queue.pop_front();
-                continue;
-            }
-            if (!s.cache.tryReserve(words))
-                break;
-            m.queue_wait_s.add(s.now - head.arrival_s);
-            InFlightRequest r;
-            r.req = head;
-            admitted.push_back(r);
-            s.queue.pop_front();
-        }
-
-        if (!admitted.empty()) {
-            // Prefill round: newly admitted prompts run back to
-            // back (prefill is compute-bound at batch 1, so serial
-            // pricing is the conservative model); each produces its
-            // request's first token.
-            double dt = 0;
-            for (const InFlightRequest &r : admitted) {
-                dt += cost_.prefillSeconds(r.req.prompt_len);
-                m.prefill_energy_j +=
-                    cost_.prefillJoules(r.req.prompt_len);
-            }
-            s.now += dt * s.slowdown;
-            m.prefill_rounds += 1;
-            for (InFlightRequest &r : admitted) {
-                r.first_token_s = s.now;
-                r.generated = 1;
-                m.generated_tokens += 1;
-                m.ttft_s.add(s.now - r.req.arrival_s);
-                if (r.generated >= r.req.output_len)
-                    finish(r, s.now);
-                else
-                    s.running.push_back(r);
-            }
-            m.peak_running = std::max(
-                m.peak_running,
-                static_cast<std::int64_t>(s.running.size()));
-            continue;
-        }
-
-        if (!s.running.empty()) {
-            // Decode round: every running request emits one token;
-            // the step is priced at the batch's mean cache length
-            // (exact for the affine-in-cache-length cost model).
-            double ctx = 0;
-            for (const InFlightRequest &r : s.running)
-                ctx += static_cast<double>(r.req.prompt_len
-                                           + r.generated);
-            const auto batch =
-                static_cast<std::int64_t>(s.running.size());
-            s.now += cost_.decodeStepSecondsFullScan(
-                           batch, ctx / static_cast<double>(batch))
-                * s.slowdown;
-            // Same (batch, mean) arguments price the step's energy
-            // off the joules table — decodeStepJoules is the one
-            // lookup both cores share, so metered energy is
-            // core-invariant.
-            m.decode_energy_j += cost_.decodeStepJoules(
-                batch, ctx / static_cast<double>(batch));
-            m.decode_rounds += 1;
-            std::vector<InFlightRequest> still;
-            still.reserve(s.running.size());
-            for (InFlightRequest &r : s.running) {
-                r.generated += 1;
-                m.generated_tokens += 1;
-                if (r.generated >= r.req.output_len)
-                    finish(r, s.now);
-                else
-                    still.push_back(r);
-            }
-            s.running = std::move(still);
-            continue;
-        }
-
-        // Idle: jump the clock to the next arrival (capped at the
-        // horizon so a fault epoch never swallows arrivals that
-        // belong to the next one).
-        if (s.next < s.pending.size()) {
-            const double arrival = s.pending[s.next].arrival_s;
-            if (arrival >= horizon_s) {
-                s.now = std::max(s.now, horizon_s);
-                return;
-            }
-            s.now = std::max(s.now, arrival);
-            continue;
-        }
-        // Nothing admitted, running, or arriving.  If the whole
-        // round's progress was rejections the queue is empty and
-        // the loop condition ends the replay; a still-populated
-        // queue would spin forever, so fail loud (defensive:
-        // admission always makes progress when nothing is running).
-        if (s.queue.empty())
-            continue;
-        tf_fatal("serve loop wedged with ", s.queue.size(),
-                 " queued requests (completed ", m.completed,
-                 ", rejected ", m.rejected, " of ", m.offered,
-                 ")");
-    }
-}
-
-void
-ServeSimulator::advanceEvent(ServeSession &s,
-                             double horizon_s) const
-{
-    ServeMetrics &m = s.metrics;
-
-    // Transient event-state, rebuilt from the session's canonical
-    // `running` vector on entry and materialized back on every
-    // exit.  The session struct itself stays plain round-boundary
-    // data, so drains/injections between epochs need no knowledge
-    // of the core that ran the last epoch.  This rebuild is also
-    // what re-keys the finish heap across slowdown transitions: a
-    // caller changing `session.slowdown` does so between advance()
-    // calls, the heap is reconstructed from `running` on the next
-    // entry, and finish *rounds* (the heap key) are invariant to
-    // per-round duration anyway — only the clock increments scale.
-    //
-    // Slot order is admission order (legacy `running` order).  A
-    // request admitted with `g` tokens already generated while
-    // `m.decode_rounds` rounds have run finishes in the round that
-    // brings decode_rounds to m.decode_rounds + (output_len - g):
-    // every decode round hands exactly one token to every running
-    // request and prefill rounds never touch them.
-    struct Slot
-    {
-        Request req;
-        double first_token_s = 0;
-        std::int64_t finish_round = 0;
-        bool alive = true;
-    };
-    std::vector<Slot> slots;
-    slots.reserve(s.running.size());
-    // Min-heap of (finish_round, slot index): pops finishers of one
-    // round in admission order — exactly the order the legacy
-    // compaction walks them.
-    using HeapEntry = std::pair<std::int64_t, std::size_t>;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>>
-        finishers;
-    // Sum of (prompt_len + generated) over live slots.  Integer
-    // sums below 2^53 are exact in doubles regardless of
-    // association, so tracking the sum incrementally as int64 is
-    // bit-identical to the legacy per-round double accumulation.
-    std::int64_t ctx_active = 0;
-    std::int64_t alive = 0;
-
-    for (const InFlightRequest &r : s.running) {
-        Slot slot;
-        slot.req = r.req;
-        slot.first_token_s = r.first_token_s;
-        slot.finish_round =
-            m.decode_rounds + (r.req.output_len - r.generated);
-        ctx_active += r.req.prompt_len + r.generated;
-        finishers.emplace(slot.finish_round, slots.size());
-        slots.push_back(std::move(slot));
-        alive += 1;
-    }
-    s.running.clear();
-
-    const auto reservation = [&](const Request &r) {
-        return words_per_token_
-            * static_cast<double>(r.peakContext());
-    };
-    const auto finish = [&](const Request &req,
-                            double first_token_s, double now) {
-        m.completed += 1;
-        m.latency_s.add(now - req.arrival_s);
-        if (req.output_len > 1)
-            m.tpot_s.add((now - first_token_s)
-                         / static_cast<double>(req.output_len
-                                               - 1));
-        s.cache.release(reservation(req));
-    };
-    // Rebuild `running` for the caller: live slots in admission
-    // order, each with `generated` recovered from its remaining
-    // rounds (finish_round - decode_rounds more tokens to go).
-    const auto materialize = [&]() {
-        for (const Slot &slot : slots) {
-            if (!slot.alive)
-                continue;
-            InFlightRequest r;
-            r.req = slot.req;
-            r.first_token_s = slot.first_token_s;
-            r.generated = slot.req.output_len
-                - (slot.finish_round - m.decode_rounds);
-            s.running.push_back(r);
-        }
-    };
-
-    while (s.next < s.pending.size() || !s.queue.empty()
-           || alive > 0) {
-        if (s.now >= horizon_s) {
-            materialize();
-            return;
-        }
-
-        // Arrival pull: verbatim legacy.
-        while (s.next < s.pending.size()
-               && s.pending[s.next].arrival_s <= s.now) {
-            if (static_cast<std::int64_t>(s.queue.size())
-                >= options_.max_queue) {
-                m.rejected += 1;
-                s.shed_log.push_back(
-                    { s.pending[s.next], s.now });
-            } else {
-                s.queue.push_back(s.pending[s.next]);
-                m.peak_queue = std::max(
-                    m.peak_queue,
-                    static_cast<std::int64_t>(s.queue.size()));
-            }
-            ++s.next;
-        }
-
-        // FIFO admission: verbatim legacy, with `alive` standing in
-        // for running.size().
-        std::vector<InFlightRequest> admitted;
-        while (!s.queue.empty()
-               && alive + static_cast<std::int64_t>(
-                      admitted.size())
-                   < options_.max_batch) {
-            const Request &head = s.queue.front();
-            const double words = reservation(head);
-            if (!s.cache.fitsAlone(words)) {
-                m.rejected += 1;
-                s.shed_log.push_back({ head, s.now });
-                s.queue.pop_front();
-                continue;
-            }
-            if (!s.cache.tryReserve(words))
-                break;
-            m.queue_wait_s.add(s.now - head.arrival_s);
-            InFlightRequest r;
-            r.req = head;
-            admitted.push_back(r);
-            s.queue.pop_front();
-        }
-
-        if (!admitted.empty()) {
-            // Prefill round: pricing and per-request metric order
-            // verbatim legacy; survivors enter the finish heap
-            // instead of the scan vector.
-            double dt = 0;
-            for (const InFlightRequest &r : admitted) {
-                dt += cost_.prefillSeconds(r.req.prompt_len);
-                m.prefill_energy_j +=
-                    cost_.prefillJoules(r.req.prompt_len);
-            }
-            s.now += dt * s.slowdown;
-            m.prefill_rounds += 1;
-            for (InFlightRequest &r : admitted) {
-                r.first_token_s = s.now;
-                r.generated = 1;
-                m.generated_tokens += 1;
-                m.ttft_s.add(s.now - r.req.arrival_s);
-                if (r.generated >= r.req.output_len) {
-                    finish(r.req, r.first_token_s, s.now);
-                } else {
-                    Slot slot;
-                    slot.req = r.req;
-                    slot.first_token_s = r.first_token_s;
-                    slot.finish_round = m.decode_rounds
-                        + (r.req.output_len - r.generated);
-                    ctx_active +=
-                        slot.req.prompt_len + r.generated;
-                    finishers.emplace(slot.finish_round,
-                                      slots.size());
-                    slots.push_back(std::move(slot));
-                    alive += 1;
-                }
-            }
-            m.peak_running = std::max(m.peak_running, alive);
-            continue;
-        }
-
-        if (alive > 0) {
-            // Decode round, event form: the batch context sum and
-            // the finisher set are already known, so the round is
-            // O(1) plus O(log n) per finisher.
-            const std::int64_t batch = alive;
-            s.now += cost_.decodeStepSeconds(
-                           batch,
-                           static_cast<double>(ctx_active)
-                               / static_cast<double>(batch))
-                * s.slowdown;
-            m.decode_energy_j += cost_.decodeStepJoules(
-                batch,
-                static_cast<double>(ctx_active)
-                    / static_cast<double>(batch));
-            m.decode_rounds += 1;
-            m.generated_tokens += batch;
-            // Every running request gained one token; finishers
-            // then leave with their full context.
-            ctx_active += batch;
-            while (!finishers.empty()
-                   && finishers.top().first == m.decode_rounds) {
-                const std::size_t ix = finishers.top().second;
-                finishers.pop();
-                Slot &slot = slots[ix];
-                finish(slot.req, slot.first_token_s, s.now);
-                ctx_active -=
-                    slot.req.prompt_len + slot.req.output_len;
-                slot.alive = false;
-                alive -= 1;
-            }
-            continue;
-        }
-
-        // Idle: verbatim legacy.
-        if (s.next < s.pending.size()) {
-            const double arrival = s.pending[s.next].arrival_s;
-            if (arrival >= horizon_s) {
-                s.now = std::max(s.now, horizon_s);
-                materialize();
-                return;
-            }
-            s.now = std::max(s.now, arrival);
-            continue;
-        }
-        if (s.queue.empty())
-            continue;
-        materialize();
-        tf_fatal("serve loop wedged with ", s.queue.size(),
-                 " queued requests (completed ", m.completed,
-                 ", rejected ", m.rejected, " of ", m.offered,
-                 ")");
-    }
-    materialize();
+        runRounds<HeapBatch>(*this, s, horizon_s);
 }
 
 std::vector<InFlightRequest>
@@ -593,14 +499,7 @@ ServeSimulator::injectRequests(ServeSession &s,
 {
     if (arrivals.empty())
         return;
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-        const Request &r = arrivals[i];
-        if (r.prompt_len <= 0 || r.output_len <= 0)
-            tf_fatal("bad injected request: ", r.toString());
-        if (i > 0 && r.arrival_s < arrivals[i - 1].arrival_s)
-            tf_fatal("injected requests must be sorted by "
-                     "arrival time");
-    }
+    validateTrace(arrivals, "injected request");
     const auto mid = static_cast<std::ptrdiff_t>(s.pending.size());
     s.pending.insert(s.pending.end(), arrivals.begin(),
                      arrivals.end());

@@ -40,25 +40,30 @@ namespace transfusion::serve
 {
 
 /**
- * Which implementation of the (identical) simulation semantics a
- * serve session runs; fleet replicas follow their ServeOptions (the
- * fleet loop itself has one implementation).  Both cores are
- * bit-identical by contract — tests/integration/replay_diff_test
- * holds them to it — so the choice is purely about speed:
+ * Which running-batch type a serve session's round loop uses; fleet
+ * replicas follow their ServeOptions.  There is one round loop
+ * (arrival pull, admission, prefill, decode, idle jump), written
+ * once and parameterised by the batch type, so the two cores differ
+ * only in how a decode round finds its context sum and finishers
+ * and which decode pricing it calls.  Both are bit-identical by
+ * contract — tests/integration/replay_diff_test and
+ * tests/serve/session_diff_test hold them to it — so the choice is
+ * purely about speed:
  *
- *   Legacy    — the original per-round linear scans: every decode
- *               round walks the whole running batch (context sum,
- *               token bump, compaction) and prices the step off the
- *               full interpolation grid.  Kept as the reference
- *               implementation and bench baseline.
- *   EventHeap — event-driven core: finish times are precomputed
- *               (every running request emits exactly one token per
- *               decode round, so its finish round is known at
- *               admission) and kept in a min-heap keyed
- *               (finish_round, admission_seq); the batch context
- *               sum is maintained incrementally as exact integer
- *               arithmetic.  Decode rounds cost O(1) + O(log n) per
- *               finisher instead of O(batch).
+ *   Legacy    — the scan batch: every decode round walks the whole
+ *               running batch (context sum, token bump, compaction)
+ *               and prices the step off the full interpolation grid
+ *               (decodeStepSecondsFullScan).  Kept as the reference
+ *               the differential tests compare against.
+ *   EventHeap — the finish-heap batch: finish rounds are known at
+ *               admission (every running request emits exactly one
+ *               token per decode round) and kept in a min-heap
+ *               keyed (finish_round, admission slot); the batch
+ *               context sum is maintained incrementally as exact
+ *               integer arithmetic, and the step is priced from the
+ *               two bracketing grid rows (decodeStepSeconds).  A
+ *               decode round costs O(1) + O(log n) per finisher
+ *               instead of O(batch).
  */
 enum class SimCoreKind
 {
@@ -73,7 +78,8 @@ struct ServeOptions
 {
     schedule::StrategyKind strategy =
         schedule::StrategyKind::TransFusion;
-    /** Event-loop implementation (semantics are core-invariant). */
+    /** Running-batch type of the round loop (semantics are
+     *  core-invariant). */
     SimCoreKind core = SimCoreKind::EventHeap;
     /** Decode lanes: most requests co-scheduled per step. */
     std::int64_t max_batch = 32;
@@ -278,11 +284,14 @@ class ServeSimulator
     startSession(std::vector<Request> requests) const;
 
     /**
-     * Run the event loop until no work is left or the clock
+     * Run the round loop until no work is left or the clock
      * reaches `horizon_s` (checked at round boundaries: a round in
      * flight when the horizon passes completes first, so a fault
      * at time T takes effect at the first boundary >= T).  With
      * `horizon_s` = +infinity this is exactly the run() loop.
+     * `options().core` picks the running-batch type once per call;
+     * on every return `session.running` holds the in-flight
+     * requests in admission order, whichever core ran.
      */
     void advance(ServeSession &session, double horizon_s) const;
 
@@ -333,13 +342,6 @@ class ServeSimulator
     double kvCapacityWordsUsed() const { return capacity_words_; }
 
   private:
-    /** The original per-round scanning loop (reference core). */
-    void advanceLegacy(ServeSession &session,
-                       double horizon_s) const;
-    /** The finish-heap core; bit-identical to advanceLegacy. */
-    void advanceEvent(ServeSession &session,
-                      double horizon_s) const;
-
     ServeOptions options_;
     ServeCostModel cost_;
     double words_per_token_ = 0;

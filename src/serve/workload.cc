@@ -53,6 +53,19 @@ Request::toString() const
 }
 
 void
+validateTrace(const std::vector<Request> &requests,
+              const char *what)
+{
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const Request &r = requests[i];
+        if (r.prompt_len <= 0 || r.output_len <= 0)
+            tf_fatal("bad ", what, ": ", r.toString());
+        if (i > 0 && r.arrival_s < requests[i - 1].arrival_s)
+            tf_fatal(what, "s must be sorted by arrival time");
+    }
+}
+
+void
 WorkloadOptions::validate() const
 {
     if (arrival_per_s <= 0)

@@ -47,6 +47,27 @@ struct Request
     std::string toString() const;
 };
 
+/**
+ * The one (arrival, id) order of requests: ties on the arrival
+ * clock break by the stable request id, so every re-offer and
+ * routing batch sorts the same way on any machine.
+ */
+inline bool
+arrivesBefore(const Request &a, const Request &b)
+{
+    return a.arrival_s != b.arrival_s ? a.arrival_s < b.arrival_s
+                                      : a.id < b.id;
+}
+
+/**
+ * Fatal unless every request has positive prompt and output
+ * lengths and the trace is sorted by arrival time.  `what` names
+ * the requests in the message ("bad <what>: ...", "<what>s must be
+ * sorted by arrival time").
+ */
+void validateTrace(const std::vector<Request> &requests,
+                   const char *what);
+
 /** Inclusive log-uniform range for a token-length draw. */
 struct LengthRange
 {

@@ -175,6 +175,27 @@ TEST(ServeSimulator, RejectsMalformedTraces)
     trace = generateWorkload(wl, 6);
     trace[2].output_len = 0;
     EXPECT_THROW(sim.run(trace), FatalError);
+
+    // Re-offers merged into a live session pass the same check,
+    // under their own message.
+    const auto rejects = [&](std::vector<Request> arrivals,
+                             const std::string &what) {
+        ServeSession s = sim.startSession(generateWorkload(wl, 6));
+        try {
+            sim.injectRequests(s, std::move(arrivals));
+            ADD_FAILURE() << "accepted: " << what;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(what),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    trace = generateWorkload(wl, 7);
+    trace[1].prompt_len = 0;
+    rejects(trace, "bad injected request: req#1");
+    trace = generateWorkload(wl, 7);
+    std::swap(trace.front().arrival_s, trace.back().arrival_s);
+    rejects(trace, "injected requests must be sorted");
 }
 
 } // namespace
