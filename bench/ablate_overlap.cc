@@ -11,9 +11,10 @@
 #include "common/table.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    const auto args = bench::parseBenchArgs(argc, argv);
     bench::printBanner(
         "Ablation: DRAM overlap",
         "Latency inflation when DRAM streaming cannot overlap "
@@ -43,6 +44,6 @@ main()
                        Table::cell(b / a, 3) + "x" });
         }
     }
-    t.print(std::cout);
+    bench::printTable(t, args, std::cout);
     return 0;
 }

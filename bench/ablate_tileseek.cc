@@ -67,9 +67,10 @@ medianRandomTraffic(const transfusion::arch::ArchConfig &arch,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    const auto args = bench::parseBenchArgs(argc, argv);
     bench::printBanner(
         "Ablation: TileSeek",
         "TransFusion with TileSeek vs naive largest-fitting outer "
@@ -125,6 +126,6 @@ main()
             });
         }
     }
-    t.print(std::cout);
+    bench::printTable(t, args, std::cout);
     return 0;
 }

@@ -283,14 +283,6 @@ printTable(const Table &t, const BenchArgs &args, std::ostream &os)
         t.print(os);
 }
 
-PointResults
-evaluatePoint(const arch::ArchConfig &arch,
-              const model::TransformerConfig &cfg, std::int64_t seq)
-{
-    return sim::evaluateAll(arch, cfg, seq,
-                            sweepOptions().evaluator);
-}
-
 schedule::SweepOptions
 sweepOptions()
 {

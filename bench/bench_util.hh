@@ -1,15 +1,16 @@
 /**
  * @file
- * Shared plumbing for the figure-regeneration binaries: cached
- * evaluation points, speedup/energy series, and consistent table
- * headers matching the paper's legends.
+ * Shared plumbing for every bench binary: the one command line
+ * (parseBenchArgs, whose --report/--trace artifacts are written at
+ * exit), --csv-aware table printing, the sweep configuration and
+ * strategy order of the paper figures, and their axis labels.  The
+ * figure binaries evaluate through the driver in figure.hh.
  */
 
 #ifndef TRANSFUSION_BENCH_BENCH_UTIL_HH
 #define TRANSFUSION_BENCH_BENCH_UTIL_HH
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -91,19 +92,9 @@ BenchArgs parseBenchArgs(int argc, char **argv);
 void printTable(const Table &t, const BenchArgs &args,
                 std::ostream &os);
 
-/** All-strategy evaluation at one point. */
-using PointResults =
-    std::map<schedule::StrategyKind, schedule::EvalResult>;
-
-/** Evaluate one (arch, model, seq) point with bench defaults. */
-PointResults evaluatePoint(const arch::ArchConfig &arch,
-                           const model::TransformerConfig &cfg,
-                           std::int64_t seq);
-
 /**
- * Sweep configuration with the same evaluator defaults as
- * evaluatePoint, so parallel figure sweeps reproduce the serial
- * numbers bit-for-bit.
+ * Sweep configuration every figure evaluates with (the bench MCTS
+ * budget); its thread count is left for the caller to set.
  */
 schedule::SweepOptions sweepOptions();
 

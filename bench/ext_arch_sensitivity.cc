@@ -35,9 +35,10 @@ gainAt(const transfusion::arch::ArchConfig &arch,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    const auto args = bench::parseBenchArgs(argc, argv);
     bench::printBanner(
         "Extension: architecture sensitivity",
         "TransFusion-over-FuseMax speedup vs DRAM bandwidth and "
@@ -60,7 +61,7 @@ main()
                         Table::cell(gainAt(a, cfg, seq), 2)
                             + "x" });
         }
-        bw.print(std::cout);
+        bench::printTable(bw, args, std::cout);
         std::cout << "\n";
 
         Table buf({ "buffer scale", "buffer (MB)",
@@ -76,7 +77,7 @@ main()
                          Table::cell(gainAt(a, cfg, seq), 2)
                              + "x" });
         }
-        buf.print(std::cout);
+        bench::printTable(buf, args, std::cout);
         std::cout << "\n";
     }
     return 0;

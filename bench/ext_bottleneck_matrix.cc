@@ -20,7 +20,8 @@ namespace
 
 void
 matrixFor(const char *arch_name,
-          transfusion::schedule::StrategyKind kind)
+          transfusion::schedule::StrategyKind kind,
+          const transfusion::bench::BenchArgs &args)
 {
     using namespace transfusion;
     const auto arch = arch::archByName(arch_name);
@@ -46,16 +47,17 @@ matrixFor(const char *arch_name,
                    cell(model::LayerKind::Ffn),
                    sim::toString(report.overall) });
     }
-    t.print(std::cout);
+    bench::printTable(t, args, std::cout);
     std::cout << "\n";
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    const auto args = bench::parseBenchArgs(argc, argv);
     bench::printBanner(
         "Extension: bottleneck matrix",
         "Memory/compute-bound classification per sub-layer "
@@ -63,7 +65,7 @@ main()
     for (auto kind : { schedule::StrategyKind::Unfused,
                        schedule::StrategyKind::TransFusion }) {
         for (const auto *arch_name : { "cloud", "edge" })
-            matrixFor(arch_name, kind);
+            matrixFor(arch_name, kind, args);
     }
     return 0;
 }

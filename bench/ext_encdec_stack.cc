@@ -14,9 +14,10 @@
 #include "schedule/stack_evaluator.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    const auto args = bench::parseBenchArgs(argc, argv);
     bench::printBanner(
         "Extension: encoder-decoder",
         "T5-style seq2seq stack (causal self-attention + "
@@ -62,7 +63,7 @@ main()
                 });
             }
         }
-        t.print(std::cout);
+        bench::printTable(t, args, std::cout);
         std::cout << "\n";
     }
     return 0;

@@ -17,9 +17,10 @@
 #include "schedule/tiling.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    const auto args = bench::parseBenchArgs(argc, argv);
     bench::printBanner(
         "Extension: TileSeek reward objective",
         "Latency-reward vs energy-reward tiling at 64K");
@@ -66,7 +67,7 @@ main()
             }
         }
     }
-    t.print(std::cout);
+    bench::printTable(t, args, std::cout);
     std::cout << "\nBoth objectives minimize off-chip movement "
                  "once compute-bound, so the chosen tiles should "
                  "coincide or tie in traffic.\n";

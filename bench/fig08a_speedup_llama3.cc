@@ -5,44 +5,19 @@
  * systems.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
-#include "common/table.hh"
+#include "figure.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
-    bench::printBanner(
-        "Figure 8a",
-        "Llama3 end-to-end speedup over Unfused vs sequence "
-        "length, cloud and edge");
-
-    const auto cfg = model::llama3_8b();
-    for (const auto *arch_name : { "cloud", "edge" }) {
-        const auto arch = arch::archByName(arch_name);
-        std::cout << "[" << arch.toString() << "]\n";
-
-        std::vector<std::string> headers{ "seq" };
-        for (auto kind : bench::figureStrategies())
-            headers.push_back(schedule::toString(kind));
-        Table t(headers);
-
-        for (std::int64_t seq : sim::paperSequenceSweep()) {
-            const auto all = bench::evaluatePoint(arch, cfg, seq);
-            const auto &base =
-                all.at(schedule::StrategyKind::Unfused);
-            std::vector<std::string> row{ bench::seqLabel(seq) };
-            for (auto kind : bench::figureStrategies()) {
-                row.push_back(
-                    Table::cell(sim::speedup(base, all.at(kind)), 2)
-                    + "x");
-            }
-            t.addRow(row);
-        }
-        t.print(std::cout);
-        std::cout << "\n";
-    }
+    const auto args = bench::parseBenchArgs(argc, argv);
+    bench::printBanner("Figure 8a",
+                       "Llama3 end-to-end speedup over Unfused vs "
+                       "sequence length, cloud and edge");
+    bench::runFigure({ { "cloud", "edge" }, { model::llama3_8b() },
+                       sim::paperSequenceSweep() },
+                     bench::strategyColumns(),
+                     bench::vsUnfused(sim::speedup, 2, "x"), args);
     return 0;
 }

@@ -4,44 +4,19 @@
  * and 64x64 edge variants.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
-#include "common/table.hh"
+#include "figure.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
-    bench::printBanner(
-        "Figure 9b",
-        "Model-wise speedup over Unfused at 64K on edge 32x32 / "
-        "64x64 variants");
-
-    const std::int64_t seq = 64 << 10;
-    for (const auto *arch_name : { "edge32", "edge64" }) {
-        const auto arch = arch::archByName(arch_name);
-        std::cout << "[" << arch.toString() << "]\n";
-
-        std::vector<std::string> headers{ "model" };
-        for (auto kind : bench::figureStrategies())
-            headers.push_back(schedule::toString(kind));
-        Table t(headers);
-
-        for (const auto &cfg : model::allModels()) {
-            const auto all = bench::evaluatePoint(arch, cfg, seq);
-            const auto &base =
-                all.at(schedule::StrategyKind::Unfused);
-            std::vector<std::string> row{ cfg.name };
-            for (auto kind : bench::figureStrategies()) {
-                row.push_back(
-                    Table::cell(sim::speedup(base, all.at(kind)), 2)
-                    + "x");
-            }
-            t.addRow(row);
-        }
-        t.print(std::cout);
-        std::cout << "\n";
-    }
+    const auto args = bench::parseBenchArgs(argc, argv);
+    bench::printBanner("Figure 9b",
+                       "Model-wise speedup over Unfused at 64K on edge "
+                       "32x32 / 64x64 variants");
+    bench::runFigure({ { "edge32", "edge64" }, model::allModels(),
+                       { 64 << 10 } },
+                     bench::strategyColumns(),
+                     bench::vsUnfused(sim::speedup, 2, "x"), args);
     return 0;
 }

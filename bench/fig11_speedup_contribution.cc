@@ -5,40 +5,27 @@
  * cloud and edge.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
-#include "common/table.hh"
-#include "model/cascades.hh"
+#include "figure.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
-    bench::printBanner(
-        "Figure 11",
-        "Speedup contribution (Eq. 47-48) per sub-layer, "
-        "TransFusion over FuseMax, Llama3");
-
-    const auto cfg = model::llama3_8b();
-    for (const auto *arch_name : { "cloud", "edge" }) {
-        const auto arch = arch::archByName(arch_name);
-        std::cout << "[" << arch.toString() << "]\n";
-
-        Table t({ "seq", "QKV", "MHA", "LayerNorm", "FFN" });
-        for (std::int64_t seq : sim::paperSequenceSweep()) {
-            const auto all = bench::evaluatePoint(arch, cfg, seq);
-            const auto c = sim::speedupContribution(
-                all.at(schedule::StrategyKind::FuseMax),
-                all.at(schedule::StrategyKind::TransFusion));
-            t.addRow({ bench::seqLabel(seq),
-                       Table::cell(100 * c[0], 1) + "%",
-                       Table::cell(100 * c[1], 1) + "%",
-                       Table::cell(100 * c[2], 1) + "%",
-                       Table::cell(100 * c[3], 1) + "%" });
-        }
-        t.print(std::cout);
-        std::cout << "\n";
-    }
+    const auto args = bench::parseBenchArgs(argc, argv);
+    bench::printBanner("Figure 11",
+                       "Speedup contribution (Eq. 47-48) per "
+                       "sub-layer, TransFusion over FuseMax, Llama3");
+    const auto cells = [](const schedule::StrategyMetrics &m) {
+        std::vector<std::string> row;
+        for (const double c : sim::speedupContribution(
+                 m.at(schedule::StrategyKind::FuseMax),
+                 m.at(schedule::StrategyKind::TransFusion)))
+            row.push_back(Table::cell(100 * c, 1) + "%");
+        return row;
+    };
+    bench::runFigure({ { "cloud", "edge" }, { model::llama3_8b() },
+                       sim::paperSequenceSweep() },
+                     { "QKV", "MHA", "LayerNorm", "FFN" }, cells,
+                     args);
     return 0;
 }

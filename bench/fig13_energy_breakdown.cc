@@ -5,55 +5,37 @@
  * FuseMax (b) on Llama3, cloud and edge, across sequence lengths.
  */
 
-#include <iostream>
-
-#include "bench_util.hh"
-#include "common/table.hh"
-
-namespace
-{
-
-void
-breakdownTable(const char *arch_name,
-               transfusion::schedule::StrategyKind kind)
-{
-    using namespace transfusion;
-    const auto arch = arch::archByName(arch_name);
-    const auto cfg = model::llama3_8b();
-    std::cout << "[" << schedule::toString(kind) << " on "
-              << arch.toString() << "]\n";
-
-    Table t({ "seq", "DRAM", "GlobalBuffer", "RegisterFile",
-              "PE" });
-    for (std::int64_t seq : sim::paperSequenceSweep()) {
-        const auto all = bench::evaluatePoint(arch, cfg, seq);
-        const auto &e = all.at(kind).total.energy;
-        const double total = e.total();
-        t.addRow({ bench::seqLabel(seq),
-                   Table::cell(100 * e.dram_j / total, 1) + "%",
-                   Table::cell(100 * e.buffer_j / total, 1) + "%",
-                   Table::cell(100 * e.rf_j / total, 1) + "%",
-                   Table::cell(100 * e.pe_j / total, 1) + "%" });
-    }
-    t.print(std::cout);
-    std::cout << "\n";
-}
-
-} // namespace
+#include "figure.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
-    bench::printBanner(
-        "Figure 13",
-        "Energy breakdown across the memory hierarchy for "
-        "TransFusion (a) and FuseMax (b), Llama3");
+    const auto args = bench::parseBenchArgs(argc, argv);
+    bench::printBanner("Figure 13",
+                       "Energy breakdown across the memory hierarchy "
+                       "for TransFusion (a) and FuseMax (b), Llama3");
 
+    // Both panels read the same points: sweep them once.
+    const bench::FigureGrid grid{ { "cloud", "edge" },
+                                  { model::llama3_8b() },
+                                  sim::paperSequenceSweep() };
+    const auto metrics = bench::sweepFigure(grid, args);
     for (auto kind : { schedule::StrategyKind::TransFusion,
                        schedule::StrategyKind::FuseMax }) {
-        for (const auto *arch_name : { "cloud", "edge" })
-            breakdownTable(arch_name, kind);
+        const auto cells = [kind](const schedule::StrategyMetrics &m) {
+            const auto &e = m.at(kind).total.energy;
+            std::vector<std::string> row;
+            for (const double j : { e.dram_j, e.buffer_j, e.rf_j,
+                                    e.pe_j })
+                row.push_back(Table::cell(100 * j / e.total(), 1)
+                              + "%");
+            return row;
+        };
+        bench::printFigure(
+            grid, metrics, schedule::toString(kind) + " on ",
+            { "DRAM", "GlobalBuffer", "RegisterFile", "PE" }, cells,
+            args);
     }
     return 0;
 }

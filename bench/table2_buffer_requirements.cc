@@ -14,9 +14,10 @@
 #include "tileseek/buffer_model.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    const auto args = bench::parseBenchArgs(argc, argv);
     bench::printBanner(
         "Table 2",
         "Buffer requirement per tile for each intra-layer module "
@@ -51,7 +52,7 @@ main()
             });
         }
     }
-    t.print(std::cout);
+    bench::printTable(t, args, std::cout);
     std::cout << "\nFormulas (Table 2 of the paper):\n"
               << "  QKV       BD(4P + 3*M1*M0) + 3DHE + 2BHP\n"
               << "  MHA       BHE(P + 2*M1*M0) + BHP(2+2F) "

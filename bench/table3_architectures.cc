@@ -12,9 +12,10 @@
 #include "common/table.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace transfusion;
+    const auto args = bench::parseBenchArgs(argc, argv);
     bench::printBanner("Table 3",
                        "Architecture specifications in evaluation");
 
@@ -33,6 +34,6 @@ main()
             Table::cell(a.clock_hz / 1e6, 0) + "MHz",
         });
     }
-    t.print(std::cout);
+    bench::printTable(t, args, std::cout);
     return 0;
 }

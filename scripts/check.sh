@@ -74,13 +74,15 @@ run_tsan() {
         tf_serve_test tf_obs_test tf_multichip_test tf_fault_test \
         tf_fleet_test tf_chaos_test tf_plan_test \
         ext_multichip_scaling ext_fault_degradation \
-        ext_fleet_scaling ext_capacity_planner
+        ext_fleet_scaling ext_capacity_planner \
+        fig08b_speedup_models_64k
     # The threaded surfaces: pool unit tests, parallel sweeps, the
     # root-parallel MCTS determinism suite, the serve-replay
     # scenario fan-out, the obs registry/trace concurrency tests,
     # the multichip shard-plan search, the fault-server replans
-    # that re-run that search mid-trace, and the fleet event loop
-    # that advances replica sessions across the pool.
+    # that re-run that search mid-trace, the fleet event loop
+    # that advances replica sessions across the pool, and the
+    # paper-figure driver's one-Sweep fan-out.
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
         -L threaded
     # The multichip sweep fans (tp, pp) candidates across the pool
@@ -109,6 +111,12 @@ run_tsan() {
     echo "== TSan: capacity planner bench =="
     ./build-tsan/bench/ext_capacity_planner \
         --threads "$jobs" > /dev/null
+    # Every paper figure evaluates its grid in one Sweep::run and
+    # merges the per-point registries into the report; drive one
+    # figure with --report so the fan-out and the merge are raced.
+    echo "== TSan: paper-figure sweep =="
+    ./build-tsan/bench/fig08b_speedup_models_64k \
+        --threads "$jobs" --report /dev/null > /dev/null
 }
 
 run_ubsan() {

@@ -24,15 +24,6 @@ namespace
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-multichip::ShardPlanOptions
-planOptions(const FaultServeOptions &options)
-{
-    multichip::ShardPlanOptions plan;
-    plan.evaluator = options.serve.cost.evaluator;
-    plan.threads = options.plan_threads;
-    return plan;
-}
-
 } // namespace
 
 double
@@ -122,13 +113,10 @@ FaultTolerantServer::FaultTolerantServer(
     workload_.validate();
     options_.retry.validate();
     spec_ = options_.initial_spec;
-    if (spec_.tp <= 0 || spec_.pp <= 0) {
-        const multichip::ShardPlan plan = multichip::planShards(
-            cluster_, model::decoderOnly(cfg_), /*src_len=*/0,
-            workload_.maxContext(), options_.serve.strategy,
-            planOptions(options_));
-        spec_ = plan.bestEntry().spec;
-    }
+    if (spec_.tp <= 0 || spec_.pp <= 0)
+        spec_ = multichip::planServingSpec(cluster_, cfg_, workload_,
+                                           options_.serve,
+                                           options_.plan_threads);
     sim_.emplace(multichip::shardedSimulator(
         cluster_, cfg_, spec_, workload_, options_.serve));
 }
@@ -308,11 +296,9 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
             return;
         }
         outage = false;
-        const multichip::ShardPlan plan = multichip::planShards(
-            surviving, stack, /*src_len=*/0,
-            workload_.maxContext(), options_.serve.strategy,
-            planOptions(options_));
-        spec = plan.bestEntry().spec;
+        spec = multichip::planServingSpec(surviving, cfg_, workload_,
+                                          options_.serve,
+                                          options_.plan_threads);
         degraded.emplace(multichip::shardedSimulator(
             surviving, cfg_, spec, workload_, options_.serve));
         sim = &*degraded;

@@ -11,7 +11,6 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "model/stack.hh"
 #include "multichip/sharded_serve.hh"
 #include "obs/obs.hh"
 
@@ -79,7 +78,10 @@ FleetSimulator::FleetSimulator(std::vector<ReplicaConfig> replicas,
         r.cluster.validate();
         multichip::ShardSpec spec = r.spec;
         if (spec.tp <= 0 || spec.pp <= 0)
-            spec = planSpec(r.cluster);
+            spec = multichip::planServingSpec(r.cluster, cfg_,
+                                              workload_,
+                                              options_.serve,
+                                              options_.plan_threads);
         specs_.push_back(spec);
         sims_.push_back(
             std::make_shared<const serve::ServeSimulator>(
@@ -119,7 +121,9 @@ FleetSimulator::uniform(int replicas,
     fleet.validate(replicas);
     cluster.validate();
     if (spec.tp <= 0 || spec.pp <= 0)
-        spec = fleet.planSpec(cluster);
+        spec = multichip::planServingSpec(
+            cluster, fleet.cfg_, fleet.workload_,
+            fleet.options_.serve, fleet.options_.plan_threads);
     // Calibrate once, share everywhere: sessions never touch the
     // simulator's (immutable) tables, so identical replicas can
     // alias one instance.
@@ -147,19 +151,6 @@ FleetSimulator::validate(int replicas) const
         options_.health.validate();
     if (options_.brownout.enabled)
         options_.brownout.validate();
-}
-
-multichip::ShardSpec
-FleetSimulator::planSpec(
-    const multichip::ClusterConfig &cluster) const
-{
-    multichip::ShardPlanOptions plan;
-    plan.evaluator = options_.serve.cost.evaluator;
-    plan.threads = options_.plan_threads;
-    const multichip::ShardPlan best = multichip::planShards(
-        cluster, model::decoderOnly(cfg_), /*src_len=*/0,
-        workload_.maxContext(), options_.serve.strategy, plan);
-    return best.bestEntry().spec;
 }
 
 FleetMetrics

@@ -199,10 +199,6 @@ class FleetSimulator
     /** Validate the model, workload and enabled options. */
     void validate(int replicas) const;
 
-    /** planShards mirror of the fault layer's construction. */
-    multichip::ShardSpec
-    planSpec(const multichip::ClusterConfig &cluster) const;
-
     std::vector<ReplicaConfig> replicas_;
     model::TransformerConfig cfg_;
     serve::WorkloadOptions workload_;

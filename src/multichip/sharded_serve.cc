@@ -8,6 +8,7 @@
 #include "common/logging.hh"
 #include "costmodel/cost_table_cache.hh"
 #include "model/stack.hh"
+#include "multichip/shard_plan.hh"
 #include "obs/obs.hh"
 #include "serve/kv_cache.hh"
 
@@ -201,6 +202,21 @@ shardedSimulator(const ClusterConfig &cluster,
         shardedKvCapacityWords(cluster, cfg, spec,
                                options.dram_capacity_bytes),
         workload, options);
+}
+
+ShardSpec
+planServingSpec(const ClusterConfig &cluster,
+                const model::TransformerConfig &cfg,
+                const serve::WorkloadOptions &workload,
+                const serve::ServeOptions &options, int plan_threads)
+{
+    ShardPlanOptions plan;
+    plan.evaluator = options.cost.evaluator;
+    plan.threads = plan_threads;
+    return planShards(cluster, model::decoderOnly(cfg), /*src_len=*/0,
+                      workload.maxContext(), options.strategy, plan)
+        .bestEntry()
+        .spec;
 }
 
 } // namespace transfusion::multichip

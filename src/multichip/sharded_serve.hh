@@ -67,6 +67,18 @@ serve::ServeSimulator shardedSimulator(
     const serve::WorkloadOptions &workload,
     serve::ServeOptions options = {});
 
+/**
+ * The spec a serving layer deploys when none is given: the best
+ * planShards entry for decoder-only `cfg` on `cluster` at the
+ * workload's longest context, under `options.strategy` and its
+ * cost-model evaluator, searched on `plan_threads` workers.
+ */
+ShardSpec planServingSpec(const ClusterConfig &cluster,
+                          const model::TransformerConfig &cfg,
+                          const serve::WorkloadOptions &workload,
+                          const serve::ServeOptions &options,
+                          int plan_threads);
+
 } // namespace transfusion::multichip
 
 #endif // TRANSFUSION_MULTICHIP_SHARDED_SERVE_HH

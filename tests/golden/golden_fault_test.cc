@@ -12,9 +12,6 @@
  * the fault model, the serve simulator, or the cluster presets.
  */
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -23,34 +20,12 @@
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "serve/workload.hh"
+#include "support/golden.hh"
 
 namespace transfusion
 {
 namespace
 {
-
-std::string
-goldenPath(const std::string &name)
-{
-    return std::string(TRANSFUSION_GOLDEN_DIR) + "/" + name
-        + ".txt";
-}
-
-bool
-updateRequested()
-{
-    const char *env = std::getenv("TRANSFUSION_UPDATE_GOLDEN");
-    return env != nullptr && std::string(env) == "1";
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
 
 /** Degraded llama3-8B serving run with every metric captured. */
 std::string
@@ -100,25 +75,7 @@ TEST(GoldenFault, CloudLlama3OneChipLossDegradedServe)
     // and the per-window attribution gauges.
     EXPECT_NE(actual.find("fault"), std::string::npos);
 
-    const std::string path =
-        goldenPath("cloud_llama3_fault_chiploss");
-    if (updateRequested()) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out) << "cannot write golden " << path;
-        out << actual;
-        std::cout << "updated golden " << path << "\n";
-        return;
-    }
-
-    const std::string expected = readFile(path);
-    ASSERT_FALSE(expected.empty())
-        << "missing golden file " << path
-        << "; run scripts/update_golden.sh to create it";
-    EXPECT_EQ(expected, actual)
-        << "report drifted from " << path << ":\n"
-        << obs::RunReport::diff(expected, actual)
-        << "If the change is intentional, regenerate with "
-           "scripts/update_golden.sh and review the diff.";
+    test::expectMatchesGolden("cloud_llama3_fault_chiploss", actual);
 }
 
 TEST(GoldenFault, DegradedReportIsReproducibleWithinProcess)

@@ -13,9 +13,6 @@
  * cluster presets.
  */
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -24,34 +21,12 @@
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "serve/workload.hh"
+#include "support/golden.hh"
 
 namespace transfusion
 {
 namespace
 {
-
-std::string
-goldenPath(const std::string &name)
-{
-    return std::string(TRANSFUSION_GOLDEN_DIR) + "/" + name
-        + ".txt";
-}
-
-bool
-updateRequested()
-{
-    const char *env = std::getenv("TRANSFUSION_UPDATE_GOLDEN");
-    return env != nullptr && std::string(env) == "1";
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
 
 /** 4-replica power-of-two fleet with a mid-trace replica outage. */
 std::string
@@ -111,24 +86,7 @@ TEST(GoldenFleet, CloudLlama3FourReplicaP2cWithOutage)
     EXPECT_NE(actual.find("fleet/replica.0."), std::string::npos);
     EXPECT_NE(actual.find("fleet/replica.3."), std::string::npos);
 
-    const std::string path = goldenPath("cloud_llama3_fleet4_p2c");
-    if (updateRequested()) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out) << "cannot write golden " << path;
-        out << actual;
-        std::cout << "updated golden " << path << "\n";
-        return;
-    }
-
-    const std::string expected = readFile(path);
-    ASSERT_FALSE(expected.empty())
-        << "missing golden file " << path
-        << "; run scripts/update_golden.sh to create it";
-    EXPECT_EQ(expected, actual)
-        << "report drifted from " << path << ":\n"
-        << obs::RunReport::diff(expected, actual)
-        << "If the change is intentional, regenerate with "
-           "scripts/update_golden.sh and review the diff.";
+    test::expectMatchesGolden("cloud_llama3_fleet4_p2c", actual);
 }
 
 /**
@@ -206,25 +164,7 @@ TEST(GoldenFleet, CloudLlama3SlowdownBreaker)
     EXPECT_NE(actual.find("fleet/breaker.opens"),
               std::string::npos);
 
-    const std::string path =
-        goldenPath("cloud_llama3_slowdown_breaker");
-    if (updateRequested()) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out) << "cannot write golden " << path;
-        out << actual;
-        std::cout << "updated golden " << path << "\n";
-        return;
-    }
-
-    const std::string expected = readFile(path);
-    ASSERT_FALSE(expected.empty())
-        << "missing golden file " << path
-        << "; run scripts/update_golden.sh to create it";
-    EXPECT_EQ(expected, actual)
-        << "report drifted from " << path << ":\n"
-        << obs::RunReport::diff(expected, actual)
-        << "If the change is intentional, regenerate with "
-           "scripts/update_golden.sh and review the diff.";
+    test::expectMatchesGolden("cloud_llama3_slowdown_breaker", actual);
 }
 
 TEST(GoldenFleet, FleetReportIsReproducibleWithinProcess)

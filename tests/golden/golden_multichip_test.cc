@@ -11,9 +11,6 @@
  * the cost model or the cluster presets.
  */
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -22,6 +19,7 @@
 #include "multichip/sharded_evaluator.hh"
 #include "obs/obs.hh"
 #include "obs/report.hh"
+#include "support/golden.hh"
 
 namespace transfusion
 {
@@ -30,29 +28,6 @@ namespace
 
 constexpr std::int64_t kSeq = 4096;
 constexpr int kMctsIterations = 128;
-
-std::string
-goldenPath(const std::string &name)
-{
-    return std::string(TRANSFUSION_GOLDEN_DIR) + "/" + name
-        + ".txt";
-}
-
-bool
-updateRequested()
-{
-    const char *env = std::getenv("TRANSFUSION_UPDATE_GOLDEN");
-    return env != nullptr && std::string(env) == "1";
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
 
 /** Sharded llama3-8B evaluation with every metric captured. */
 std::string
@@ -85,24 +60,7 @@ TEST(GoldenMultichip, CloudLlama3Tp2Pp2TransFusion)
     // counters and the sharded-evaluation gauges.
     EXPECT_NE(actual.find("multichip"), std::string::npos);
 
-    const std::string path = goldenPath("cloud_llama3_tp2pp2");
-    if (updateRequested()) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out) << "cannot write golden " << path;
-        out << actual;
-        std::cout << "updated golden " << path << "\n";
-        return;
-    }
-
-    const std::string expected = readFile(path);
-    ASSERT_FALSE(expected.empty())
-        << "missing golden file " << path
-        << "; run scripts/update_golden.sh to create it";
-    EXPECT_EQ(expected, actual)
-        << "report drifted from " << path << ":\n"
-        << obs::RunReport::diff(expected, actual)
-        << "If the change is intentional, regenerate with "
-           "scripts/update_golden.sh and review the diff.";
+    test::expectMatchesGolden("cloud_llama3_tp2pp2", actual);
 }
 
 TEST(GoldenMultichip, ShardedReportIsReproducibleWithinProcess)

@@ -12,9 +12,6 @@
  * cluster presets.
  */
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -22,34 +19,12 @@
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "plan/planner.hh"
+#include "support/golden.hh"
 
 namespace transfusion
 {
 namespace
 {
-
-std::string
-goldenPath(const std::string &name)
-{
-    return std::string(TRANSFUSION_GOLDEN_DIR) + "/" + name
-        + ".txt";
-}
-
-bool
-updateRequested()
-{
-    const char *env = std::getenv("TRANSFUSION_UPDATE_GOLDEN");
-    return env != nullptr && std::string(env) == "1";
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
 
 /** Small edge search: heavy enough that the analytic bound prunes
  *  part of the space, light enough to finish in well under a
@@ -105,24 +80,7 @@ TEST(GoldenPlan, EdgeT5SmallCapacitySearch)
     EXPECT_NE(actual.find("plan/frontier_size"),
               std::string::npos);
 
-    const std::string path = goldenPath("edge_t5small_plan");
-    if (updateRequested()) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out) << "cannot write golden " << path;
-        out << actual;
-        std::cout << "updated golden " << path << "\n";
-        return;
-    }
-
-    const std::string expected = readFile(path);
-    ASSERT_FALSE(expected.empty())
-        << "missing golden file " << path
-        << "; run scripts/update_golden.sh to create it";
-    EXPECT_EQ(expected, actual)
-        << "report drifted from " << path << ":\n"
-        << obs::RunReport::diff(expected, actual)
-        << "If the change is intentional, regenerate with "
-           "scripts/update_golden.sh and review the diff.";
+    test::expectMatchesGolden("edge_t5small_plan", actual);
 }
 
 TEST(GoldenPlan, PlanReportIsReproducibleWithinProcess)

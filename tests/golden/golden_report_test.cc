@@ -12,9 +12,6 @@
  * cost-model change, and review the golden diff like code.
  */
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -24,6 +21,7 @@
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "schedule/evaluator.hh"
+#include "support/golden.hh"
 
 namespace transfusion
 {
@@ -35,29 +33,6 @@ constexpr std::int64_t kSeq = 4096;
 
 /** Reduced MCTS budget: deterministic (fixed seed) and quick. */
 constexpr int kMctsIterations = 128;
-
-std::string
-goldenPath(const std::string &name)
-{
-    return std::string(TRANSFUSION_GOLDEN_DIR) + "/" + name
-        + ".txt";
-}
-
-bool
-updateRequested()
-{
-    const char *env = std::getenv("TRANSFUSION_UPDATE_GOLDEN");
-    return env != nullptr && std::string(env) == "1";
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
 
 /**
  * Evaluate `strategy` on llama3-8B at `arch` with every metric
@@ -92,24 +67,7 @@ compareAgainstGolden(const std::string &name,
     ASSERT_FALSE(actual.empty())
         << "instrumentation produced no metrics";
 
-    const std::string path = goldenPath(name);
-    if (updateRequested()) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out) << "cannot write golden " << path;
-        out << actual;
-        std::cout << "updated golden " << path << "\n";
-        return;
-    }
-
-    const std::string expected = readFile(path);
-    ASSERT_FALSE(expected.empty())
-        << "missing golden file " << path
-        << "; run scripts/update_golden.sh to create it";
-    EXPECT_EQ(expected, actual)
-        << "report drifted from " << path << ":\n"
-        << obs::RunReport::diff(expected, actual)
-        << "If the cost-model change is intentional, regenerate "
-           "with scripts/update_golden.sh and review the diff.";
+    test::expectMatchesGolden(name, actual);
 }
 
 TEST(GoldenReport, CloudUnfused)
