@@ -45,26 +45,6 @@ ArchConfig::validate() const
     positive(energy.dram_pj_per_byte, "energy.dram_pj_per_byte");
 }
 
-bool
-operator==(const EnergyTable &a, const EnergyTable &b)
-{
-    return a.mac_pj == b.mac_pj && a.reg_pj == b.reg_pj
-        && a.buffer_pj == b.buffer_pj
-        && a.dram_pj_per_byte == b.dram_pj_per_byte;
-}
-
-bool
-operator==(const ArchConfig &a, const ArchConfig &b)
-{
-    return a.name == b.name && a.pe2d.rows == b.pe2d.rows
-        && a.pe2d.cols == b.pe2d.cols && a.pe1d == b.pe1d
-        && a.buffer_bytes == b.buffer_bytes
-        && a.dram_bytes_per_sec == b.dram_bytes_per_sec
-        && a.clock_hz == b.clock_hz
-        && a.element_bytes == b.element_bytes
-        && a.energy == b.energy;
-}
-
 ArchConfig
 cloudArch()
 {

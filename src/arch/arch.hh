@@ -22,6 +22,8 @@ struct PeArray2d
     std::int64_t cols = 0;
 
     std::int64_t count() const { return rows * cols; }
+
+    bool operator==(const PeArray2d &) const = default;
 };
 
 /**
@@ -41,6 +43,8 @@ struct EnergyTable
     double reg_pj = 0.3;        ///< per register-file word access
     double buffer_pj = 6.0;     ///< per on-chip buffer word access
     double dram_pj_per_byte = 31.2; ///< per DRAM byte moved
+
+    bool operator==(const EnergyTable &) const = default;
 };
 
 /** Complete architecture instance consumed by the cost model. */
@@ -79,11 +83,10 @@ struct ArchConfig
      * the roofline.
      */
     void validate() const;
-};
 
-/** Field-wise equality (used to check TP groups are homogeneous). */
-bool operator==(const EnergyTable &a, const EnergyTable &b);
-bool operator==(const ArchConfig &a, const ArchConfig &b);
+    /** Member-wise equality (TP-group homogeneity, cache keys). */
+    bool operator==(const ArchConfig &) const = default;
+};
 
 /** Cloud preset: TPU v2/v3-like (Table 3 row 1). */
 ArchConfig cloudArch();

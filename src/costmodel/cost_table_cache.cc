@@ -20,7 +20,7 @@ void
 CostTableCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
+    entries_.clear();
     stats_ = Stats{};
 }
 

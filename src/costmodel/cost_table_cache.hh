@@ -23,10 +23,27 @@
  * (Wall-clock timer *values* are replayed from the first build;
  * deterministic consumers only read timer counts, which match.)
  *
- * Keys come from costmodel::KeyBuilder and must fingerprint every
- * input that can change the value (see cache_key.hh).  Values are
- * type-erased but type-checked: retrieving a key under a different
- * type is fatal, never a reinterpretation.
+ * Keys are typed: each call site declares a plain struct holding
+ * the builder's arguments, with a defaulted `operator==` and a
+ * `using Value = ...;` naming what it builds.  The config structs a
+ * key holds compare themselves with defaulted `operator==` too, so
+ * every member — including one added later — takes part in the
+ * lookup and no code lists fields by hand.  An entry stores its key
+ * by value; a lookup compares only entries whose key has the same
+ * type, so one key type can never fetch another's value.  The cache
+ * holds a few dozen entries at most, so a flat vector scanned under
+ * the lock is all the index it needs.
+ *
+ * Doubles compare with `==`: a NaN field never equals itself, so
+ * its lookup simply misses (safe), and +0.0 equals -0.0.  That
+ * cannot return a wrong table for these configs: every double in
+ * them is either required positive before any build uses it
+ * (ArchConfig and multi-chip LinkConfig fields are validated; the
+ * efficiency-scaled PE count a LatencyParams field feeds is
+ * asserted > 0), so a zero of either sign never builds, or it only
+ * scales or offsets other terms (MCTS `ucb_c`, the evaluator's
+ * traffic factors, the link of a one-chip cluster, which moves no
+ * bytes), where the two zeros give equal results.
  */
 
 #ifndef TRANSFUSION_COSTMODEL_COST_TABLE_CACHE_HH
@@ -34,12 +51,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <typeinfo>
+#include <vector>
 
-#include "common/logging.hh"
 #include "obs/registry.hh"
 
 namespace transfusion::costmodel
@@ -69,43 +84,39 @@ class CostTableCache
      * the registry bit-identically.  Holds the cache lock across
      * the build: builders must not call back into the cache.
      */
-    template <class T>
-    std::shared_ptr<const T>
-    getOrBuild(const std::string &key,
-               const std::function<T()> &build)
+    template <class Key>
+    std::shared_ptr<const typename Key::Value>
+    getOrBuild(const Key &key,
+               const std::function<typename Key::Value()> &build)
     {
+        using Value = typename Key::Value;
         if (!enabled()) {
             // Bypass entirely: build straight into the caller's
             // registry, exactly as uncached code did.
-            return std::make_shared<const T>(build());
+            return std::make_shared<const Value>(build());
         }
         std::lock_guard<std::mutex> lock(mu_);
-        auto it = map_.find(key);
-        if (it != map_.end()) {
-            tf_assert(*it->second.type == typeid(T),
-                      "cost-table cache key built as ",
-                      it->second.type->name(),
-                      " requested as ", typeid(T).name(),
-                      " (key: ", key, ")");
-            stats_.hits += 1;
-            obs::currentRegistry().merge(it->second.recorded);
-            return std::static_pointer_cast<const T>(
-                it->second.value);
+        for (const auto &entry : entries_) {
+            const auto *typed =
+                dynamic_cast<const TypedEntry<Key> *>(entry.get());
+            if (typed != nullptr && typed->key == key) {
+                stats_.hits += 1;
+                obs::currentRegistry().merge(typed->recorded);
+                return typed->value;
+            }
         }
         stats_.misses += 1;
         obs::Registry local;
-        std::shared_ptr<const T> value;
+        auto entry = std::make_unique<TypedEntry<Key>>(key);
         {
             obs::ScopedRegistry scope(local);
-            value = std::make_shared<const T>(build());
+            entry->value = std::make_shared<const Value>(build());
         }
-        Entry entry;
-        entry.value = value;
-        entry.type = &typeid(T);
-        entry.recorded = local.snapshot();
-        obs::currentRegistry().merge(entry.recorded);
-        map_.emplace(key, std::move(entry));
-        stats_.entries = static_cast<std::int64_t>(map_.size());
+        entry->recorded = local.snapshot();
+        obs::currentRegistry().merge(entry->recorded);
+        const auto value = entry->value;
+        entries_.push_back(std::move(entry));
+        stats_.entries = static_cast<std::int64_t>(entries_.size());
         return value;
     }
 
@@ -125,14 +136,21 @@ class CostTableCache
   private:
     struct Entry
     {
-        std::shared_ptr<const void> value;
-        const std::type_info *type = nullptr;
+        virtual ~Entry() = default;
         /** Registry deltas the original build recorded. */
         obs::RegistrySnapshot recorded;
     };
 
+    template <class Key>
+    struct TypedEntry final : Entry
+    {
+        explicit TypedEntry(const Key &k) : key(k) {}
+        Key key;
+        std::shared_ptr<const typename Key::Value> value;
+    };
+
     mutable std::mutex mu_;
-    std::map<std::string, Entry> map_;
+    std::vector<std::unique_ptr<Entry>> entries_;
     Stats stats_;
     bool enabled_ = true;
 };

@@ -56,6 +56,8 @@ struct LatencyParams
      * array (drain/fill and mapping losses).
      */
     double native_efficiency = 1.0;
+
+    bool operator==(const LatencyParams &) const = default;
 };
 
 /**

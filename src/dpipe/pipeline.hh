@@ -43,6 +43,8 @@ struct PipelineOptions
      * the 1D array.
      */
     bool static_exp_on_2d = false;
+
+    bool operator==(const PipelineOptions &) const = default;
 };
 
 /** Work/occupancy split of one execution plan. */

@@ -41,6 +41,8 @@ struct StackConfig
 
     /** Validate shapes and at least one layer; fatal otherwise. */
     void validate() const;
+
+    bool operator==(const StackConfig &) const = default;
 };
 
 /** Encoder-only stack (BERT style). */

@@ -47,6 +47,8 @@ struct TransformerConfig
 
     /** Validate D == H*E and positivity; fatal otherwise. */
     void validate() const;
+
+    bool operator==(const TransformerConfig &) const = default;
 };
 
 /** @name Model presets used by the paper's evaluation */

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "serve/cost_model.hh"
 
 namespace transfusion::multichip
 {
@@ -132,23 +131,6 @@ clusterByName(const std::string &name, int n)
         return edgeCluster(n);
     tf_fatal("unknown cluster preset '", name,
              "' (expected cloud|edge)");
-}
-
-costmodel::KeyBuilder &
-appendCacheKey(costmodel::KeyBuilder &k,
-               const ClusterConfig &cluster)
-{
-    k.add("cluster.name", cluster.name)
-        .add("cluster.chips", cluster.chips.size());
-    for (const arch::ArchConfig &chip : cluster.chips)
-        serve::appendCacheKey(k, chip);
-    return k
-        .add("cluster.link.bandwidth_bps",
-             cluster.link.bandwidth_bytes_per_sec)
-        .add("cluster.link.latency_s", cluster.link.latency_s)
-        .add("cluster.link.pj_per_byte", cluster.link.pj_per_byte)
-        .add("cluster.link.topology",
-             static_cast<std::int64_t>(cluster.link.topology));
 }
 
 } // namespace transfusion::multichip

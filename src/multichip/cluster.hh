@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "arch/arch.hh"
-#include "costmodel/cache_key.hh"
 
 namespace transfusion::multichip
 {
@@ -48,6 +47,8 @@ struct LinkConfig
 
     /** Fatal (naming the field) on non-positive values. */
     void validate() const;
+
+    bool operator==(const LinkConfig &) const = default;
 };
 
 /** N chips plus the fabric between them. */
@@ -71,6 +72,8 @@ struct ClusterConfig
 
     /** One-line summary for banners and reports. */
     std::string toString() const;
+
+    bool operator==(const ClusterConfig &) const = default;
 };
 
 /** `n` copies of `chip` on `link`. */
@@ -92,14 +95,6 @@ ClusterConfig edgeCluster(int n);
 
 /** Preset lookup by name ("cloud", "edge"); fatal on unknown. */
 ClusterConfig clusterByName(const std::string &name, int n);
-
-/**
- * CostTableCache key fingerprint: every chip field-complete (via
- * serve::appendCacheKey on each ArchConfig) plus the link model
- * and topology.  See serve/cost_model.hh for the key contract.
- */
-costmodel::KeyBuilder &appendCacheKey(costmodel::KeyBuilder &k,
-                                      const ClusterConfig &cluster);
 
 } // namespace transfusion::multichip
 

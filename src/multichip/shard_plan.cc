@@ -11,7 +11,6 @@
 #include "common/thread_pool.hh"
 #include "costmodel/cost_table_cache.hh"
 #include "obs/obs.hh"
-#include "serve/cost_model.hh"
 
 namespace transfusion::multichip
 {
@@ -39,25 +38,44 @@ feasibleSpecs(const model::TransformerConfig &cfg,
 namespace
 {
 
-ShardPlan
-planShardsUncached(const ClusterConfig &cluster,
-                   const model::StackConfig &stack,
-                   std::int64_t src_len, std::int64_t tgt_len,
-                   schedule::StrategyKind strategy,
-                   const ShardPlanOptions &options)
+/**
+ * CostTableCache key of one shard-plan search, compared member-wise
+ * (see costmodel/cost_table_cache.hh).  `ShardPlanOptions::threads`
+ * is deliberately NOT in the key: the sweep's result and its
+ * registry deltas are thread-invariant (input-order collection,
+ * grid-order merge — the determinism contract the threads-1v4
+ * replay tests pin), so every fan-out width shares one entry.
+ */
+struct ShardPlanKey
 {
+    using Value = ShardPlan;
+
+    ClusterConfig cluster;
+    model::StackConfig stack;
+    std::int64_t src_len;
+    std::int64_t tgt_len;
+    schedule::StrategyKind strategy;
+    schedule::EvaluatorOptions evaluator;
+
+    bool operator==(const ShardPlanKey &) const = default;
+};
+
+ShardPlan
+planShardsUncached(const ShardPlanKey &key, int threads)
+{
+    const ClusterConfig &cluster = key.cluster;
     const std::int64_t total_layers =
-        stack.encoder_layers + stack.decoder_layers;
+        key.stack.encoder_layers + key.stack.decoder_layers;
     const std::vector<ShardSpec> specs = feasibleSpecs(
-        stack.block, total_layers, cluster.size());
+        key.stack.block, total_layers, cluster.size());
     if (specs.empty())
         tf_fatal("no feasible (tp, pp) sharding of '",
-                 stack.block.name, "' over ", cluster.size(),
+                 key.stack.block.name, "' over ", cluster.size(),
                  " chips");
 
     const int workers = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(options.threads > 0
-                                     ? options.threads
+        static_cast<std::size_t>(threads > 0
+                                     ? threads
                                      : ThreadPool::hardwareThreads()),
         specs.size()));
     ThreadPool pool(workers);
@@ -71,9 +89,9 @@ planShardsUncached(const ClusterConfig &cluster,
                 obs::ScopedRegistry scope(local);
                 entry.spec = spec;
                 const ShardedStackEvaluator eval(
-                    cluster, stack, src_len, tgt_len, spec,
-                    options.evaluator);
-                entry.result = eval.evaluate(strategy);
+                    cluster, key.stack, key.src_len, key.tgt_len,
+                    spec, key.evaluator);
+                entry.result = eval.evaluate(key.strategy);
             }
             return std::make_pair(std::move(entry),
                                   std::move(local));
@@ -88,9 +106,8 @@ planShardsUncached(const ClusterConfig &cluster,
     }
 
     for (std::size_t i = 1; i < plan.entries.size(); ++i) {
-        if (plan.entries[i].objective(options.rank_by_steady_state)
-            < plan.entries[plan.best].objective(
-                options.rank_by_steady_state))
+        if (plan.entries[i].result.steady_state_s
+            < plan.entries[plan.best].result.steady_state_s)
             plan.best = i;
     }
     TF_COUNT("multichip.shard_plans", 1);
@@ -98,18 +115,6 @@ planShardsUncached(const ClusterConfig &cluster,
 }
 
 } // namespace
-
-costmodel::KeyBuilder &
-appendCacheKey(costmodel::KeyBuilder &k,
-               const model::StackConfig &stack)
-{
-    k.add("stack.name", stack.name);
-    serve::appendCacheKey(k, stack.block);
-    return k.add("stack.encoder_layers", stack.encoder_layers)
-        .add("stack.decoder_layers", stack.decoder_layers)
-        .add("stack.decoder_cross_attention",
-             stack.decoder_cross_attention);
-}
 
 ShardPlan
 planShards(const ClusterConfig &cluster,
@@ -120,27 +125,12 @@ planShards(const ClusterConfig &cluster,
     TF_SPAN("multichip.plan_shards");
     cluster.validate();
     stack.validate();
-    // Memoized per full input fingerprint.  `options.threads` is
-    // deliberately NOT in the key: the sweep's result and its
-    // registry deltas are thread-invariant (input-order collection,
-    // grid-order merge — the determinism contract the threads-1v4
-    // replay tests pin), so every fan-out width shares one entry.
-    costmodel::KeyBuilder k;
-    k.add("kind", "shard-plan");
-    appendCacheKey(k, cluster);
-    appendCacheKey(k, stack);
-    k.add("src_len", src_len)
-        .add("tgt_len", tgt_len)
-        .add("strategy", schedule::toString(strategy))
-        .add("rank_by_steady_state", options.rank_by_steady_state);
-    serve::appendCacheKey(k, options.evaluator);
+    const ShardPlanKey key{ cluster,  stack,    src_len,
+                            tgt_len,  strategy, options.evaluator };
     const auto plan =
-        costmodel::CostTableCache::instance()
-            .getOrBuild<ShardPlan>(k.str(), [&] {
-                return planShardsUncached(cluster, stack, src_len,
-                                          tgt_len, strategy,
-                                          options);
-            });
+        costmodel::CostTableCache::instance().getOrBuild(key, [&] {
+            return planShardsUncached(key, options.threads);
+        });
     return *plan;
 }
 

@@ -24,11 +24,6 @@ struct ShardPlanOptions
     schedule::EvaluatorOptions evaluator;
     /** Worker threads; <= 0 means hardware concurrency. */
     int threads = 0;
-    /**
-     * Rank plans by steady-state throughput time (true) or by
-     * single-batch latency (false).
-     */
-    bool rank_by_steady_state = true;
 };
 
 /** One evaluated (tp, pp) candidate. */
@@ -36,13 +31,6 @@ struct ShardPlanEntry
 {
     ShardSpec spec;
     ShardedStackResult result;
-
-    /** The figure the plan is ranked by. */
-    double objective(bool steady_state) const
-    {
-        return steady_state ? result.steady_state_s
-                            : result.latency_s;
-    }
 };
 
 /** Ranked outcome of one search. */
@@ -50,7 +38,10 @@ struct ShardPlan
 {
     /** All feasible candidates, grid order (tp-major). */
     std::vector<ShardPlanEntry> entries;
-    /** Index into `entries` of the best plan (ties: first). */
+    /**
+     * Index into `entries` of the best plan: least steady-state
+     * throughput time (ties: first).
+     */
     std::size_t best = 0;
 
     const ShardPlanEntry &bestEntry() const
@@ -77,10 +68,6 @@ ShardPlan planShards(const ClusterConfig &cluster,
                      std::int64_t src_len, std::int64_t tgt_len,
                      schedule::StrategyKind strategy,
                      const ShardPlanOptions &options = {});
-
-/** CostTableCache key fingerprint of a whole-stack description. */
-costmodel::KeyBuilder &appendCacheKey(costmodel::KeyBuilder &k,
-                                      const model::StackConfig &stack);
 
 } // namespace transfusion::multichip
 

@@ -31,6 +31,8 @@ struct ShardSpec
 
     int chips() const { return tp * pp; }
     std::string toString() const;
+
+    bool operator==(const ShardSpec &) const = default;
 };
 
 /** One sharded whole-stack evaluation. */

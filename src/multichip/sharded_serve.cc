@@ -30,11 +30,29 @@ checkSpec(const ClusterConfig &cluster,
                  "' has ", cluster.size());
 }
 
-serve::ServeCostModel shardedServeCostModelUncached(
-    const ClusterConfig &cluster,
-    const model::TransformerConfig &cfg, ShardSpec spec,
-    const serve::WorkloadOptions &workload,
-    const serve::ServeOptions &options);
+/**
+ * CostTableCache key of a sharded calibration: the cluster carving
+ * plus every input of the single-chip calibration key, compared
+ * member-wise (see costmodel/cost_table_cache.hh).
+ */
+struct ShardedCalibrationKey
+{
+    using Value = serve::ServeCostModel;
+
+    ClusterConfig cluster;
+    model::TransformerConfig cfg;
+    ShardSpec spec;
+    schedule::StrategyKind strategy;
+    std::int64_t max_batch;
+    std::int64_t max_context;
+    std::int64_t max_prompt;
+    serve::ServeCostOptions cost;
+
+    bool operator==(const ShardedCalibrationKey &) const = default;
+};
+
+serve::ServeCostModel
+shardedServeCostModelUncached(const ShardedCalibrationKey &key);
 
 } // namespace
 
@@ -114,22 +132,18 @@ shardedServeCostModel(const ClusterConfig &cluster,
     // calibration's registry deltas on a hit (see
     // costmodel/cost_table_cache.hh), keeping cached construction
     // observably bit-identical.
-    costmodel::KeyBuilder k;
-    k.add("kind", "sharded-serve-cost-model");
-    appendCacheKey(k, cluster);
-    serve::appendCacheKey(k, cfg);
-    k.add("spec.tp", spec.tp).add("spec.pp", spec.pp);
-    k.add("strategy", schedule::toString(options.strategy));
-    k.add("max_batch", options.max_batch);
-    k.add("max_context", workload.maxContext());
-    k.add("max_prompt", workload.prompt.hi);
-    serve::appendCacheKey(k, options.cost);
+    const ShardedCalibrationKey key{ cluster,
+                                     cfg,
+                                     spec,
+                                     options.strategy,
+                                     options.max_batch,
+                                     workload.maxContext(),
+                                     workload.prompt.hi,
+                                     options.cost };
     const auto table =
-        costmodel::CostTableCache::instance()
-            .getOrBuild<serve::ServeCostModel>(k.str(), [&] {
-                return shardedServeCostModelUncached(
-                    cluster, cfg, spec, workload, options);
-            });
+        costmodel::CostTableCache::instance().getOrBuild(key, [&] {
+            return shardedServeCostModelUncached(key);
+        });
     return *table;
 }
 
@@ -137,50 +151,41 @@ namespace
 {
 
 serve::ServeCostModel
-shardedServeCostModelUncached(
-    const ClusterConfig &cluster,
-    const model::TransformerConfig &cfg, ShardSpec spec,
-    const serve::WorkloadOptions &workload,
-    const serve::ServeOptions &options)
+shardedServeCostModelUncached(const ShardedCalibrationKey &key)
 {
-    const std::int64_t max_context = workload.maxContext();
-    const std::int64_t max_prompt = workload.prompt.hi;
-
-    if (spec.tp == 1 && spec.pp == 1) {
+    if (key.spec.tp == 1 && key.spec.pp == 1) {
         // The exact single-chip calibration: bit-identical tables.
         return serve::ServeCostModel(
-            cluster.chips.front(), cfg, options.strategy,
-            options.max_batch, max_context, max_prompt,
-            options.cost);
+            key.cluster.chips.front(), key.cfg, key.strategy,
+            key.max_batch, key.max_context, key.max_prompt,
+            key.cost);
     }
 
     TF_SPAN("multichip.sharded_calibration");
     const auto decode_step = [&](std::int64_t batch,
                                  std::int64_t cache_len) {
-        model::TransformerConfig bcfg = cfg;
+        model::TransformerConfig bcfg = key.cfg;
         bcfg.batch = batch;
         const ShardedStackEvaluator eval(
-            cluster, model::decoderOnly(bcfg), /*src_len=*/0,
-            /*tgt_len=*/max_context, spec,
-            options.cost.evaluator);
+            key.cluster, model::decoderOnly(bcfg), /*src_len=*/0,
+            /*tgt_len=*/key.max_context, key.spec,
+            key.cost.evaluator);
         const ShardedStackEvaluator::DecodeStepCost c =
-            eval.decodeStepCost(cache_len, options.strategy);
+            eval.decodeStepCost(cache_len, key.strategy);
         return serve::StepCost{ c.seconds, c.joules };
     };
     const auto prefill = [&](std::int64_t prompt_len) {
-        model::TransformerConfig one = cfg;
+        model::TransformerConfig one = key.cfg;
         one.batch = 1;
         const ShardedStackEvaluator eval(
-            cluster, model::decoderOnly(one), /*src_len=*/0,
-            /*tgt_len=*/prompt_len, spec, options.cost.evaluator);
-        const ShardedStackResult r =
-            eval.evaluate(options.strategy);
+            key.cluster, model::decoderOnly(one), /*src_len=*/0,
+            /*tgt_len=*/prompt_len, key.spec, key.cost.evaluator);
+        const ShardedStackResult r = eval.evaluate(key.strategy);
         return serve::StepCost{ r.latency_s, r.cluster_energy_j };
     };
-    return serve::ServeCostModel(options.strategy,
-                                 options.max_batch, max_context,
-                                 max_prompt, options.cost,
-                                 decode_step, prefill);
+    return serve::ServeCostModel(key.strategy, key.max_batch,
+                                 key.max_context, key.max_prompt,
+                                 key.cost, decode_step, prefill);
 }
 
 } // namespace

@@ -57,6 +57,8 @@ struct EvaluatorOptions
 
     /** Ablation knob: disable DRAM/compute overlap entirely. */
     bool overlap_dram = true;
+
+    bool operator==(const EvaluatorOptions &) const = default;
 };
 
 /**

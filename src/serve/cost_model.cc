@@ -135,17 +135,9 @@ ServeCostModel::ServeCostModel(schedule::StrategyKind strategy,
     if (max_prompt <= 0)
         tf_fatal("max_prompt must be positive, got ", max_prompt);
 
-    batches_ = options.batches;
-    if (batches_.empty()) {
-        for (std::int64_t b = 1; b < max_batch; b *= 2)
-            batches_.push_back(b);
-        batches_.push_back(max_batch);
-    }
-    std::sort(batches_.begin(), batches_.end());
-    batches_.erase(std::unique(batches_.begin(), batches_.end()),
-                   batches_.end());
-    if (batches_.front() <= 0)
-        tf_fatal("batch sizes must be positive");
+    for (std::int64_t b = 1; b < max_batch; b *= 2)
+        batches_.push_back(b);
+    batches_.push_back(max_batch);
 
     const std::int64_t cache_lo = std::min<std::int64_t>(
         64, max_context);
@@ -268,82 +260,6 @@ ServeCostModel::prefillJoules(std::int64_t prompt_len) const
         tf_fatal("prompt length must be positive, got ", prompt_len);
     return interp(prompt_lens_, prefill_j_,
                   static_cast<double>(prompt_len));
-}
-
-costmodel::KeyBuilder &
-appendCacheKey(costmodel::KeyBuilder &k,
-               const arch::ArchConfig &arch)
-{
-    return k.add("arch.name", arch.name)
-        .add("arch.pe2d.rows", arch.pe2d.rows)
-        .add("arch.pe2d.cols", arch.pe2d.cols)
-        .add("arch.pe1d", arch.pe1d)
-        .add("arch.buffer_bytes", arch.buffer_bytes)
-        .add("arch.dram_bps", arch.dram_bytes_per_sec)
-        .add("arch.clock_hz", arch.clock_hz)
-        .add("arch.element_bytes", arch.element_bytes)
-        .add("arch.energy.mac_pj", arch.energy.mac_pj)
-        .add("arch.energy.reg_pj", arch.energy.reg_pj)
-        .add("arch.energy.buffer_pj", arch.energy.buffer_pj)
-        .add("arch.energy.dram_pj_per_byte",
-             arch.energy.dram_pj_per_byte);
-}
-
-costmodel::KeyBuilder &
-appendCacheKey(costmodel::KeyBuilder &k,
-               const model::TransformerConfig &cfg)
-{
-    return k.add("model.name", cfg.name)
-        .add("model.layers", cfg.layers)
-        .add("model.d_model", cfg.d_model)
-        .add("model.heads", cfg.heads)
-        .add("model.head_dim", cfg.head_dim)
-        .add("model.ffn_hidden", cfg.ffn_hidden)
-        .add("model.activation",
-             static_cast<std::int64_t>(cfg.activation))
-        .add("model.batch", cfg.batch)
-        .add("model.d_input", cfg.d_input);
-}
-
-costmodel::KeyBuilder &
-appendCacheKey(costmodel::KeyBuilder &k,
-               const schedule::EvaluatorOptions &options)
-{
-    return k
-        .add("eval.pipeline.max_orders",
-             static_cast<std::uint64_t>(
-                 options.pipeline.max_orders))
-        .add("eval.pipeline.vector_on_2d_max_lanes",
-             options.pipeline.latency.vector_on_2d_max_lanes)
-        .add("eval.pipeline.matrix_on_1d_efficiency",
-             options.pipeline.latency.matrix_on_1d_efficiency)
-        .add("eval.pipeline.native_efficiency",
-             options.pipeline.latency.native_efficiency)
-        .add("eval.pipeline.static_exp_on_2d",
-             options.pipeline.static_exp_on_2d)
-        .add("eval.mcts.iterations", options.mcts.iterations)
-        .add("eval.mcts.ucb_c", options.mcts.ucb_c)
-        .add("eval.mcts.seed", options.mcts.seed)
-        .add("eval.mcts.threads", options.mcts.threads)
-        .add("eval.softmax_extra_words",
-             options.softmax_extra_words)
-        .add("eval.rf_forward_fused", options.rf_forward_fused)
-        .add("eval.unfused_reread_factor",
-             options.unfused_reread_factor)
-        .add("eval.use_tileseek", options.use_tileseek)
-        .add("eval.overlap_dram", options.overlap_dram);
-}
-
-costmodel::KeyBuilder &
-appendCacheKey(costmodel::KeyBuilder &k,
-               const ServeCostOptions &options)
-{
-    k.add("cost.batches.n", options.batches.size());
-    for (std::size_t i = 0; i < options.batches.size(); ++i)
-        k.add("cost.batches", options.batches[i]);
-    k.add("cost.cache_samples", options.cache_samples)
-        .add("cost.prefill_samples", options.prefill_samples);
-    return appendCacheKey(k, options.evaluator);
 }
 
 } // namespace transfusion::serve

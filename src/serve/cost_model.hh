@@ -27,26 +27,25 @@
 #include <string>
 #include <vector>
 
-#include "costmodel/cache_key.hh"
 #include "schedule/decode.hh"
 
 namespace transfusion::serve
 {
 
-/** Calibration knobs. */
+/**
+ * Calibration knobs.  Decode steps are calibrated at the powers of
+ * two below the simulator's max batch, plus the max batch itself.
+ */
 struct ServeCostOptions
 {
-    /**
-     * Batch sizes to calibrate decode steps at; empty means powers
-     * of two up to and including the simulator's max batch.
-     */
-    std::vector<std::int64_t> batches;
     /** Geometric cache-length sample count (>= 2). */
     int cache_samples = 4;
     /** Geometric prompt-length sample count (>= 2). */
     int prefill_samples = 6;
     /** Underlying evaluator configuration (MCTS seed lives here). */
     schedule::EvaluatorOptions evaluator;
+
+    bool operator==(const ServeCostOptions &) const = default;
 };
 
 /**
@@ -190,31 +189,6 @@ class ServeCostModel
     std::vector<double> prefill_s_;
     std::vector<double> prefill_j_;
 };
-
-/**
- * @name CostTableCache key serialization
- *
- * Field-complete fingerprints of the configuration structs that
- * parameterize cost-table construction, for costmodel::KeyBuilder
- * keys.  Every field that can change a calibrated value is
- * serialized — including fields that usually sit at their defaults
- * (energy constants, evaluator knobs, `mcts.threads`, which alters
- * the merged search result) — so two call sites can only collide
- * on a key when their tables are guaranteed bit-identical.
- */
-/// @{
-costmodel::KeyBuilder &appendCacheKey(costmodel::KeyBuilder &k,
-                                      const arch::ArchConfig &arch);
-costmodel::KeyBuilder &
-appendCacheKey(costmodel::KeyBuilder &k,
-               const model::TransformerConfig &cfg);
-costmodel::KeyBuilder &
-appendCacheKey(costmodel::KeyBuilder &k,
-               const schedule::EvaluatorOptions &options);
-costmodel::KeyBuilder &
-appendCacheKey(costmodel::KeyBuilder &k,
-               const ServeCostOptions &options);
-/// @}
 
 } // namespace transfusion::serve
 

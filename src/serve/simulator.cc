@@ -16,7 +16,6 @@
 #include "common/math_utils.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
-#include "costmodel/cache_key.hh"
 #include "costmodel/cost_table_cache.hh"
 #include "obs/obs.hh"
 
@@ -30,10 +29,30 @@ constexpr double kNoHorizon =
     std::numeric_limits<double>::infinity();
 
 /**
+ * CostTableCache key of a single-chip calibration: every argument
+ * of the evaluator-based ServeCostModel constructor, compared
+ * member-wise (see costmodel/cost_table_cache.hh).
+ */
+struct CalibrationKey
+{
+    using Value = ServeCostModel;
+
+    arch::ArchConfig arch;
+    model::TransformerConfig cfg;
+    schedule::StrategyKind strategy;
+    std::int64_t max_batch;
+    std::int64_t max_context;
+    std::int64_t max_prompt;
+    ServeCostOptions cost;
+
+    bool operator==(const CalibrationKey &) const = default;
+};
+
+/**
  * Calibrate (or fetch memoized) cost tables for the arch-based
- * constructor.  The key fingerprints every construction input; the
- * cache replays the calibration's registry deltas on a hit, so a
- * cached simulator is observably identical to a fresh one.
+ * constructor.  The builder reads only the key; the cache replays
+ * the calibration's registry deltas on a hit, so a cached
+ * simulator is observably identical to a fresh one.
  */
 ServeCostModel
 calibratedCostModel(const arch::ArchConfig &arch,
@@ -41,23 +60,19 @@ calibratedCostModel(const arch::ArchConfig &arch,
                     const WorkloadOptions &workload,
                     const ServeOptions &options)
 {
-    costmodel::KeyBuilder k;
-    k.add("kind", "serve-cost-model");
-    appendCacheKey(k, arch);
-    appendCacheKey(k, cfg);
-    k.add("strategy", schedule::toString(options.strategy));
-    k.add("max_batch", options.max_batch);
-    k.add("max_context", workload.maxContext());
-    k.add("max_prompt", workload.prompt.hi);
-    appendCacheKey(k, options.cost);
+    const CalibrationKey key{ arch,
+                              cfg,
+                              options.strategy,
+                              options.max_batch,
+                              workload.maxContext(),
+                              workload.prompt.hi,
+                              options.cost };
     const auto table =
-        costmodel::CostTableCache::instance()
-            .getOrBuild<ServeCostModel>(k.str(), [&] {
-                return ServeCostModel(
-                    arch, cfg, options.strategy,
-                    options.max_batch, workload.maxContext(),
-                    workload.prompt.hi, options.cost);
-            });
+        costmodel::CostTableCache::instance().getOrBuild(key, [&] {
+            return ServeCostModel(key.arch, key.cfg, key.strategy,
+                                  key.max_batch, key.max_context,
+                                  key.max_prompt, key.cost);
+        });
     return *table;
 }
 

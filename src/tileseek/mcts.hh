@@ -38,6 +38,8 @@ struct MctsOptions
      * (or tie) the incumbent for a given seed.
      */
     int threads = 1;
+
+    bool operator==(const MctsOptions &) const = default;
 };
 
 /** MCTS-based outer tiling search. */

@@ -1,73 +1,72 @@
 /**
  * @file
- * Unit tests for the KeyBuilder fingerprints and the
- * CostTableCache: keys separate every labelled field, hits return
- * the first build's value verbatim with its observability replayed,
- * type confusion is fatal, and the RAII disable scope restores the
- * previous state even when nested.
+ * Unit tests for the CostTableCache: hits return the first build's
+ * value verbatim with its observability replayed, key types never
+ * share entries, the RAII disable scope restores the previous state
+ * even when nested, concurrent lookups build each key once, and the
+ * real call sites' keys (sharded calibration, shard plan) change
+ * with every nested config field.
  *
  * The tests run against the process-wide instance() (the one the
  * serve/multichip call sites share) under test-private keys, so
  * they neither disturb nor depend on entries other tests created.
  */
 
+#include <atomic>
+#include <latch>
+#include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "costmodel/cache_key.hh"
 #include "costmodel/cost_table_cache.hh"
+#include "model/stack.hh"
+#include "multichip/shard_plan.hh"
+#include "multichip/sharded_serve.hh"
 #include "obs/obs.hh"
+#include "support/replay_equality.hh"
 
 namespace transfusion::costmodel
 {
 namespace
 {
 
-TEST(CacheKey, LabelledFieldsNeverCollide)
+/** A test-private key type: no call site shares it. */
+struct TestKey
 {
-    // Adjacent fields must not be able to swap content across the
-    // boundary: strings are length-prefixed and every field is
-    // labelled, so "ab" + "c" and "a" + "bc" fingerprint apart
-    // even under identical labels.
-    KeyBuilder a;
-    a.add("x", "ab").add("y", "c");
-    KeyBuilder b;
-    b.add("x", "a").add("y", "bc");
-    EXPECT_NE(a.str(), b.str());
+    using Value = int;
 
-    // Distinct types of the same numeric value stay distinct.
-    KeyBuilder i64;
-    i64.add("v", std::int64_t{ 1 });
-    KeyBuilder u64;
-    u64.add("v", std::uint64_t{ 1 });
-    KeyBuilder dbl;
-    dbl.add("v", 1.0);
-    EXPECT_NE(i64.str(), u64.str());
-    EXPECT_NE(i64.str(), dbl.str());
-    EXPECT_NE(u64.str(), dbl.str());
-}
+    std::string name;
 
-TEST(CacheKey, DoublesFingerprintExactBits)
+    bool operator==(const TestKey &) const = default;
+};
+
+/** Same members as TestKey, but a different key type. */
+struct OtherKey
 {
-    // Hex-float rendering is exact: values that round-trip to the
-    // same decimal at low precision still key apart.
-    KeyBuilder a;
-    a.add("v", 0.1);
-    KeyBuilder b;
-    b.add("v", 0.1 + 1e-17); // same printf("%.15g"), different bits
-    KeyBuilder c;
-    c.add("v", 0.1);
-    EXPECT_EQ(a.str(), c.str());
-    if (0.1 != 0.1 + 1e-17) {
-        EXPECT_NE(a.str(), b.str());
-    }
+    using Value = double;
+
+    std::string name;
+
+    bool operator==(const OtherKey &) const = default;
+};
+
+/** Misses the process-wide cache records while `call` runs. */
+template <class F>
+std::int64_t
+missesDuring(F &&call)
+{
+    const auto before = CostTableCache::instance().stats().misses;
+    call();
+    return CostTableCache::instance().stats().misses - before;
 }
 
 TEST(CostTableCache, HitReturnsTheFirstBuildAndCountsIt)
 {
     auto &cache = CostTableCache::instance();
-    const std::string key = "test/hit-returns-first-build";
+    const TestKey key{ "hit-returns-first-build" };
     const auto before = cache.stats();
 
     int builds = 0;
@@ -75,10 +74,8 @@ TEST(CostTableCache, HitReturnsTheFirstBuildAndCountsIt)
         builds += 1;
         return 41 + builds;
     };
-    const auto first =
-        cache.getOrBuild<int>(key, build);
-    const auto second =
-        cache.getOrBuild<int>(key, build);
+    const auto first = cache.getOrBuild(key, build);
+    const auto second = cache.getOrBuild(key, build);
     EXPECT_EQ(builds, 1) << "second lookup must not rebuild";
     EXPECT_EQ(*first, 42);
     // Same object, not an equal copy: the cache shares the value.
@@ -93,7 +90,7 @@ TEST(CostTableCache, HitReturnsTheFirstBuildAndCountsIt)
 TEST(CostTableCache, HitReplaysTheBuildObservability)
 {
     auto &cache = CostTableCache::instance();
-    const std::string key = "test/hit-replays-observability";
+    const TestKey key{ "hit-replays-observability" };
 
     const auto build = [&]() {
         obs::currentRegistry().counterAdd("test/built", 3);
@@ -103,12 +100,12 @@ TEST(CostTableCache, HitReplaysTheBuildObservability)
     obs::Registry miss_reg;
     {
         obs::ScopedRegistry scope(miss_reg);
-        (void)cache.getOrBuild<int>(key, build);
+        (void)cache.getOrBuild(key, build);
     }
     obs::Registry hit_reg;
     {
         obs::ScopedRegistry scope(hit_reg);
-        (void)cache.getOrBuild<int>(key, build);
+        (void)cache.getOrBuild(key, build);
     }
     // The hit leaves the registry exactly as the miss did — the
     // within-process reproducibility the golden fleet test pins.
@@ -120,20 +117,28 @@ TEST(CostTableCache, HitReplaysTheBuildObservability)
     EXPECT_EQ(miss_snap.counters.size(), hit_snap.counters.size());
 }
 
-TEST(CostTableCache, TypeConfusionIsFatalNotReinterpreted)
+TEST(CostTableCache, KeyTypesNeverShareEntries)
 {
+    // Equal members under different key types are different keys:
+    // a lookup only compares entries whose key has its own type.
     auto &cache = CostTableCache::instance();
-    const std::string key = "test/type-confusion";
-    (void)cache.getOrBuild<int>(key, [] { return 5; });
-    EXPECT_THROW((void)cache.getOrBuild<double>(
-                     key, [] { return 5.0; }),
-                 PanicError);
+    const std::string name = "key-types-never-share";
+    EXPECT_EQ(*cache.getOrBuild(TestKey{ name }, [] { return 5; }),
+              5);
+    EXPECT_EQ(missesDuring([&] {
+                  EXPECT_EQ(*cache.getOrBuild(OtherKey{ name },
+                                              [] { return 2.5; }),
+                            2.5);
+              }),
+              1);
+    EXPECT_EQ(*cache.getOrBuild(TestKey{ name }, [] { return 6; }),
+              5);
 }
 
 TEST(CostTableCache, DisabledScopeBypassesAndRestores)
 {
     auto &cache = CostTableCache::instance();
-    const std::string key = "test/disabled-scope";
+    const TestKey key{ "disabled-scope" };
     ASSERT_TRUE(cache.enabled());
 
     int builds = 0;
@@ -152,15 +157,218 @@ TEST(CostTableCache, DisabledScopeBypassesAndRestores)
         }
         EXPECT_FALSE(cache.enabled());
         // Disabled lookups build every time and never populate.
-        EXPECT_EQ(*cache.getOrBuild<int>(key, build), 1);
-        EXPECT_EQ(*cache.getOrBuild<int>(key, build), 2);
+        EXPECT_EQ(*cache.getOrBuild(key, build), 1);
+        EXPECT_EQ(*cache.getOrBuild(key, build), 2);
     }
     EXPECT_TRUE(cache.enabled());
     // Re-enabled, the key was never stored: the next lookup is a
     // miss that finally populates it.
-    EXPECT_EQ(*cache.getOrBuild<int>(key, build), 3);
-    EXPECT_EQ(*cache.getOrBuild<int>(key, build), 3);
+    EXPECT_EQ(*cache.getOrBuild(key, build), 3);
+    EXPECT_EQ(*cache.getOrBuild(key, build), 3);
     EXPECT_EQ(builds, 3);
+}
+
+TEST(CostTableCache, ConcurrentLookupsBuildEachKeyOnce)
+{
+    // Every thread looks up its own private keys and a set of keys
+    // all threads share, each several times.  Each key must build
+    // exactly once, every caller of a key must receive the same
+    // object, and the hit/miss/entry counters must add up.
+    constexpr int kThreads = 4;
+    constexpr int kShared = 3;
+    constexpr int kPrivate = 2;
+    constexpr int kRounds = 3;
+    auto &cache = CostTableCache::instance();
+    const auto before = cache.stats();
+
+    std::map<std::string, std::atomic<int>> builds;
+    const auto nameOf = [](const std::string &kind, int i) {
+        return "concurrent/" + kind + std::to_string(i);
+    };
+    for (int s = 0; s < kShared; ++s)
+        builds[nameOf("shared", s)] = 0;
+    for (int t = 0; t < kThreads; ++t)
+        for (int p = 0; p < kPrivate; ++p)
+            builds[nameOf("t" + std::to_string(t) + "/", p)] = 0;
+
+    // seen[t][name] is the value pointer thread t last received.
+    std::vector<std::map<std::string, const int *>> seen(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            obs::Registry local;
+            obs::ScopedRegistry scope(local);
+            std::vector<std::string> names;
+            for (int s = 0; s < kShared; ++s)
+                names.push_back(nameOf("shared", s));
+            for (int p = 0; p < kPrivate; ++p)
+                names.push_back(
+                    nameOf("t" + std::to_string(t) + "/", p));
+            start.arrive_and_wait();
+            for (int r = 0; r < kRounds; ++r) {
+                for (const std::string &name : names) {
+                    const auto value = cache.getOrBuild(
+                        TestKey{ name }, [&] {
+                            builds.at(name) += 1;
+                            obs::currentRegistry().counterAdd(
+                                "test/concurrent_builds", 1);
+                            return static_cast<int>(name.size());
+                        });
+                    EXPECT_EQ(*value, static_cast<int>(name.size()));
+                    const int *&slot = seen[t][name];
+                    if (slot != nullptr) {
+                        EXPECT_EQ(slot, value.get()) << name;
+                    }
+                    slot = value.get();
+                }
+            }
+            // Every lookup replays (or records) its key's one build.
+            EXPECT_EQ(local.snapshot().counters.at(
+                          "test/concurrent_builds"),
+                      kRounds * (kShared + kPrivate));
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    for (const auto &[name, count] : builds)
+        EXPECT_EQ(count.load(), 1) << name;
+    for (int s = 0; s < kShared; ++s) {
+        const std::string name = nameOf("shared", s);
+        for (int t = 1; t < kThreads; ++t)
+            EXPECT_EQ(seen[t].at(name), seen[0].at(name)) << name;
+    }
+
+    const auto after = cache.stats();
+    const std::int64_t keys = kShared + kThreads * kPrivate;
+    const std::int64_t lookups =
+        kThreads * kRounds * (kShared + kPrivate);
+    EXPECT_EQ(after.misses - before.misses, keys);
+    EXPECT_EQ(after.hits - before.hits, lookups - keys);
+    EXPECT_EQ(after.entries - before.entries, keys);
+}
+
+/** The sharded calibration's inputs (small: a 2-chip TP group). */
+struct ServeInputs
+{
+    multichip::ClusterConfig cluster = multichip::cloudCluster(2);
+    serve::ServeOptions options = test::fastServe();
+};
+
+TEST(CostTableCache, ServeKeySplitsOnEveryNestedField)
+{
+    const auto cfg = model::t5Small();
+    serve::WorkloadOptions workload;
+    workload.prompt = { 64, 128 };
+    workload.output = { 8, 16 };
+    const auto misses = [&](const ServeInputs &in) {
+        return missesDuring([&] {
+            (void)multichip::shardedSimulator(
+                in.cluster, cfg, { 2, 1 }, workload, in.options);
+        });
+    };
+    const ServeInputs base;
+    ASSERT_EQ(misses(base), 1);
+    ASSERT_EQ(misses(base), 0) << "equal inputs must hit";
+
+    const std::vector<
+        std::pair<const char *, void (*)(ServeInputs &)>>
+        perturbations = {
+            { "arch.energy.dram_pj_per_byte",
+              [](ServeInputs &in) {
+                  for (arch::ArchConfig &chip : in.cluster.chips)
+                      chip.energy.dram_pj_per_byte *= 2;
+              } },
+            { "evaluator.pipeline.latency.native_efficiency",
+              [](ServeInputs &in) {
+                  in.options.cost.evaluator.pipeline.latency
+                      .native_efficiency = 0.5;
+              } },
+            { "evaluator.mcts.threads",
+              [](ServeInputs &in) {
+                  in.options.cost.evaluator.mcts.threads = 2;
+              } },
+            { "cluster.link.topology",
+              [](ServeInputs &in) {
+                  in.cluster.link.topology =
+                      multichip::Topology::FullyConnected;
+              } },
+        };
+    for (const auto &[field, perturb] : perturbations) {
+        ServeInputs in = base;
+        perturb(in);
+        EXPECT_EQ(misses(in), 1) << field << " is not in the key";
+    }
+}
+
+/** The shard plan's inputs (small: a 2-chip, 2-layer seq2seq). */
+struct PlanInputs
+{
+    multichip::ClusterConfig cluster = multichip::cloudCluster(2);
+    model::StackConfig stack =
+        model::encoderDecoder(model::t5Small(), 1, 1);
+    multichip::ShardPlanOptions options = [] {
+        multichip::ShardPlanOptions o;
+        o.evaluator.mcts.iterations = 32;
+        o.threads = 1;
+        return o;
+    }();
+};
+
+std::int64_t
+planMisses(const PlanInputs &in)
+{
+    return missesDuring([&] {
+        (void)multichip::planShards(
+            in.cluster, in.stack, 64, 64,
+            schedule::StrategyKind::TransFusion, in.options);
+    });
+}
+
+TEST(CostTableCache, ShardPlanKeySplitsOnEveryNestedField)
+{
+    const PlanInputs base;
+    ASSERT_EQ(planMisses(base), 1);
+    ASSERT_EQ(planMisses(base), 0) << "equal inputs must hit";
+
+    const std::vector<std::pair<const char *, void (*)(PlanInputs &)>>
+        perturbations = {
+            { "stack.decoder_cross_attention",
+              [](PlanInputs &in) {
+                  in.stack.decoder_cross_attention = false;
+              } },
+            { "arch.energy.dram_pj_per_byte",
+              [](PlanInputs &in) {
+                  for (arch::ArchConfig &chip : in.cluster.chips)
+                      chip.energy.dram_pj_per_byte *= 2;
+              } },
+            { "evaluator.mcts.threads",
+              [](PlanInputs &in) {
+                  in.options.evaluator.mcts.threads = 2;
+              } },
+            { "cluster.link.topology",
+              [](PlanInputs &in) {
+                  in.cluster.link.topology =
+                      multichip::Topology::FullyConnected;
+              } },
+        };
+    for (const auto &[field, perturb] : perturbations) {
+        PlanInputs in = base;
+        perturb(in);
+        EXPECT_EQ(planMisses(in), 1) << field << " is not in the key";
+    }
+}
+
+TEST(CostTableCache, ShardPlanThreadsShareOneEntry)
+{
+    // The plan's fan-out width cannot change its result, so it is
+    // deliberately not part of the key.
+    PlanInputs in;
+    in.stack = model::decoderOnly(model::t5Small());
+    ASSERT_EQ(planMisses(in), 1);
+    in.options.threads = 2;
+    EXPECT_EQ(planMisses(in), 0);
 }
 
 } // namespace

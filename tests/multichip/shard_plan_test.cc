@@ -75,15 +75,6 @@ TEST(ShardPlan, BestEntryMinimizesTheObjective)
     for (const auto &e : plan.entries)
         EXPECT_LE(plan.bestEntry().result.steady_state_s,
                   e.result.steady_state_s);
-
-    auto by_latency = fastPlan(2);
-    by_latency.rank_by_steady_state = false;
-    const auto lat_plan = planShards(
-        cloudCluster(4), stack, kSeq, kSeq,
-        schedule::StrategyKind::TransFusion, by_latency);
-    for (const auto &e : lat_plan.entries)
-        EXPECT_LE(lat_plan.bestEntry().result.latency_s,
-                  e.result.latency_s);
 }
 
 TEST(ShardPlan, ResultsAreBitIdenticalAcrossThreadCounts)
