@@ -34,7 +34,7 @@ envelope()
 /** Cheap calibration knobs (cost tables are cached process-wide,
  *  so every fleet construction after the first is cheap). */
 serve::ServeOptions
-fastServe(serve::SimCoreKind core)
+fastServe()
 {
     serve::ServeOptions o;
     o.strategy = schedule::StrategyKind::TransFusion;
@@ -42,19 +42,17 @@ fastServe(serve::SimCoreKind core)
     o.cost.cache_samples = 3;
     o.cost.prefill_samples = 3;
     o.cost.evaluator.mcts.iterations = 32;
-    o.core = core;
     return o;
 }
 
 /** Per-seed fleet configuration: health on even seeds, brownout on
  *  every third, so detector paths chaos-test alongside plain
- *  failover — under BOTH session cores and BOTH thread counts. */
+ *  failover — under BOTH thread counts. */
 fleet::FleetOptions
-fleetOptions(std::uint64_t seed, serve::SimCoreKind core,
-             int threads)
+fleetOptions(std::uint64_t seed, int threads)
 {
     fleet::FleetOptions o;
-    o.serve = fastServe(core);
+    o.serve = fastServe();
     o.threads = threads;
     o.plan_threads = 1;
     if (seed % 2 == 0) {
@@ -179,7 +177,8 @@ struct Replay
 };
 
 /** Replay inside a private registry; the report string rides along
- *  so core/thread agreement covers the observable record. */
+ *  so the digest and thread agreement cover the observable
+ *  record. */
 Replay
 replay(const fleet::FleetSimulator &fleet,
        const std::vector<serve::Request> &trace,
@@ -225,24 +224,21 @@ runSeed(std::uint64_t seed)
             static_cast<std::int64_t>(faults.events.size());
     }
 
-    const auto fleetFor = [&](serve::SimCoreKind core,
-                              int threads) {
+    const auto fleetFor = [&](int threads) {
         return fleet::FleetSimulator::uniform(
             kReplicas, cluster, spec, cfg, wl,
-            fleetOptions(seed, core, threads));
+            fleetOptions(seed, threads));
     };
     // Invariant 4 (termination) is every one of these returning.
-    const Replay legacy1 =
-        replay(fleetFor(serve::SimCoreKind::Legacy, 1), trace, run);
-    const Replay event1 = replay(
-        fleetFor(serve::SimCoreKind::EventHeap, 1), trace, run);
-    const Replay event4 = replay(
-        fleetFor(serve::SimCoreKind::EventHeap, 4), trace, run);
-    out.metrics = event1.metrics;
+    const Replay serial = replay(fleetFor(1), trace, run);
+    const Replay parallel = replay(fleetFor(4), trace, run);
+    // Invariant 2 (the frozen digest) is the caller's to check.
+    out.metrics = serial.metrics;
+    out.report = serial.report;
 
     std::ostringstream err;
     // Invariant 1: conservation (run() also self-asserts).
-    for (const Replay *r : { &legacy1, &event1, &event4 }) {
+    for (const Replay *r : { &serial, &parallel }) {
         if (r->metrics.completed + r->metrics.rejected
             != r->metrics.offered)
             err << "conservation leak; ";
@@ -250,19 +246,12 @@ runSeed(std::uint64_t seed)
             if (rep.completed + rep.rejected != rep.offered)
                 err << "replica conservation leak; ";
     }
-    // Invariant 2: legacy vs event-heap sessions, bitwise.
-    const std::string cores =
-        diffFleetMetrics(legacy1.metrics, event1.metrics);
-    if (!cores.empty())
-        err << "legacy-vs-event: " << cores;
-    if (legacy1.report != event1.report)
-        err << "legacy-vs-event report differs; ";
     // Invariant 3: threads 1 vs 4, bitwise.
     const std::string threads =
-        diffFleetMetrics(event1.metrics, event4.metrics);
+        diffFleetMetrics(serial.metrics, parallel.metrics);
     if (!threads.empty())
         err << "threads-1v4: " << threads;
-    if (event1.report != event4.report)
+    if (serial.report != parallel.report)
         err << "threads-1v4 report differs; ";
 
     // Invariant 5: a fault-tolerant server replay of replica 0's
@@ -270,7 +259,7 @@ runSeed(std::uint64_t seed)
     // faults) must end on the exact initial spec — generated
     // schedules pair every fault with a recovery.
     fault::FaultServeOptions fo;
-    fo.serve = fastServe(serve::SimCoreKind::EventHeap);
+    fo.serve = fastServe();
     fo.initial_spec = spec;
     fo.plan_threads = 1;
     const fault::FaultTolerantServer server(cluster, cfg, wl, fo);
@@ -321,7 +310,7 @@ warmCostTables()
         1, multichip::edgeCluster(kChipsPerReplica),
         multichip::ShardSpec{ kChipsPerReplica, 1 },
         model::t5Small(), envelope(),
-        fleetOptions(1, serve::SimCoreKind::EventHeap, 1));
+        fleetOptions(1, 1));
 }
 
 } // namespace transfusion::chaos

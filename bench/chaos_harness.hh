@@ -6,12 +6,13 @@
  * One seed draws a request trace, a routing policy, a health /
  * brownout configuration and a randomized fault schedule per
  * replica (chip losses, link degrades, correlated gray-failure
- * slowdowns), replays it, and checks five invariants:
+ * slowdowns), replays it, and checks the invariants:
  *
  *   1. conservation — completed + rejected == offered, fleet-wide
  *      and per replica;
- *   2. core agreement — replays with Legacy and EventHeap replica
- *      sessions are bitwise identical (metrics and RunReport);
+ *   2. frozen digest — the threads=1 replay (metrics and
+ *      RunReport) matches its checked-in digest.  runSeed returns
+ *      both; tests/chaos computes and compares the digest;
  *   3. thread independence — threads=1 and threads=4 replays are
  *      bitwise identical;
  *   4. termination — every run returns (the caller bounds the
@@ -45,13 +46,14 @@ struct SeedResult
     fleet::PolicyKind policy = fleet::PolicyKind::RoundRobin;
     /** Fault events over all replica schedules. */
     std::int64_t fault_events = 0;
-    /** The EventHeap, threads=1 replay. */
+    /** The threads=1 replay and its RunReport (invariant 2). */
     fleet::FleetMetrics metrics;
+    std::string report;
     /** Every violated invariant; empty = the seed passed. */
     std::string failure;
 };
 
-/** All five invariants for one seed. */
+/** Invariants 1 and 3-5 for one seed. */
 SeedResult runSeed(std::uint64_t seed);
 
 /** Calibrate the harness's cost tables once, so a parallel seed

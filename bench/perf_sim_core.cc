@@ -1,20 +1,14 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the simulation cores: the
- * legacy linear-scan serve core (Arg 0) vs the event-heap serve
- * core (Arg 1), on the serve layer alone and inside the fleet loop
- * on the saturating 8-replica power-of-two scenario, fault-free
- * and under gray failures.  The fleet loop itself has one
- * implementation, so the fleet rows differ only in the replica
- * sessions' core.  Each benchmark reports `rounds_per_s` —
+ * google-benchmark microbenchmarks of the simulation core: the
+ * serve round loop alone and inside the fleet loop on the
+ * saturating 8-replica power-of-two scenario, fault-free and under
+ * gray failures.  Each benchmark reports `rounds_per_s` —
  * scheduler rounds (prefill + decode) retired per wall-clock
  * second (the README's performance table comes from this binary).
  *
- * Replays only are timed: calibration happens once per core in
- * setup (and the CostTableCache collapses repeated setups).  Both
- * cores replay identical traces to identical metrics — the
- * differential harness (tests/integration/replay_diff_test.cc)
- * pins that; this binary measures the only difference left.
+ * Replays only are timed: calibration happens once in setup (and
+ * the CostTableCache collapses repeated setups).
  */
 
 #include <cstdint>
@@ -45,11 +39,10 @@ saturatingWorkload(int requests)
 }
 
 serve::ServeOptions
-serveOptions(serve::SimCoreKind core)
+serveOptions()
 {
     serve::ServeOptions o;
     o.strategy = schedule::StrategyKind::TransFusion;
-    o.core = core;
     o.max_batch = 8;
     o.cost.cache_samples = 3;
     o.cost.prefill_samples = 3;
@@ -57,22 +50,14 @@ serveOptions(serve::SimCoreKind core)
     return o;
 }
 
-serve::SimCoreKind
-coreOf(const benchmark::State &state)
-{
-    return state.range(0) == 0 ? serve::SimCoreKind::Legacy
-                               : serve::SimCoreKind::EventHeap;
-}
-
 /** One serve replay per iteration; rounds_per_s is the figure. */
 void
 BM_ServeCoreReplay(benchmark::State &state)
 {
-    const auto core = coreOf(state);
     const auto wl = saturatingWorkload(256);
     const serve::ServeSimulator sim(arch::edgeArch(),
                                     model::t5Small(), wl,
-                                    serveOptions(core));
+                                    serveOptions());
     const auto trace = serve::generateWorkload(wl, 1);
 
     std::int64_t rounds = 0;
@@ -83,11 +68,8 @@ BM_ServeCoreReplay(benchmark::State &state)
     }
     state.counters["rounds_per_s"] = benchmark::Counter(
         static_cast<double>(rounds), benchmark::Counter::kIsRate);
-    state.SetLabel(serve::toString(core));
 }
 BENCHMARK(BM_ServeCoreReplay)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 constexpr int kReplicas = 8;
@@ -95,16 +77,14 @@ constexpr int kReplicas = 8;
 /**
  * One fleet replay per iteration: 8 single-chip replicas behind
  * power-of-two routing under a saturating burst, with `run`'s
- * fault schedules.  Replica sessions run the core under test; the
- * fleet loop around them is the same for both.
+ * fault schedules.
  */
 void
 replayFleet(benchmark::State &state, fleet::FleetRunOptions run)
 {
-    const auto core = coreOf(state);
     const auto wl = saturatingWorkload(256);
     fleet::FleetOptions opts;
-    opts.serve = serveOptions(core);
+    opts.serve = serveOptions();
     opts.threads = 1;
     opts.plan_threads = 1;
     const auto fleet = fleet::FleetSimulator::uniform(
@@ -123,7 +103,6 @@ replayFleet(benchmark::State &state, fleet::FleetRunOptions run)
     }
     state.counters["rounds_per_s"] = benchmark::Counter(
         static_cast<double>(rounds), benchmark::Counter::kIsRate);
-    state.SetLabel(serve::toString(core));
 }
 
 /** The fault-free fleet scenario. */
@@ -133,17 +112,15 @@ BM_FleetP2c8Replicas(benchmark::State &state)
     replayFleet(state, {});
 }
 BENCHMARK(BM_FleetP2c8Replicas)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 /**
  * The fleet scenario under active gray failures: every replica
  * carries a generated chip-slowdown schedule, so the replay pays
  * the fault-boundary machinery (timeline cursors, session
- * multiplier swaps) while it retires rounds.  Keeps the
- * legacy-vs-event comparison honest — a win that evaporates the
- * moment faults fire would be a fair-weather win.
+ * multiplier swaps) while it retires rounds.  Keeps the figure
+ * honest — a win that evaporates the moment faults fire would be a
+ * fair-weather win.
  */
 void
 BM_FleetSlowdownFaults(benchmark::State &state)
@@ -164,8 +141,6 @@ BM_FleetSlowdownFaults(benchmark::State &state)
     replayFleet(state, run);
 }
 BENCHMARK(BM_FleetSlowdownFaults)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -32,7 +32,7 @@ run_tier1() {
     ctest --test-dir build --output-on-failure -j "$jobs" \
         -L integration
     # The seeded chaos sweep: 200+ randomized fault schedules with
-    # conservation / core-agreement / thread-identity / termination
+    # conservation / frozen-digest / thread-identity / termination
     # / exact-recovery invariants (tests/chaos).
     ctest --test-dir build --output-on-failure -j "$jobs" -L chaos
     # One short measurement of every simulation-core scenario; a
@@ -53,10 +53,9 @@ run_coverage() {
     cmake --build build-cov -j "$jobs"
     ctest --test-dir build-cov --output-on-failure -j "$jobs" \
         -L 'unit|integration|fuzz'
-    # The simulation hot layers: the serve round loop with its two
-    # batch types, and the one fleet loop.  The differential replay
-    # and session tests plus the unit tiers must keep both batch
-    # types exercised.
+    # The simulation hot layers: the serve round loop and the one
+    # fleet loop.  The replay-digest, session and unit tests must
+    # keep them exercised.
     gcovr --root . \
         --filter 'src/serve/' --filter 'src/fleet/' \
         build-cov \

@@ -79,9 +79,7 @@ struct ReplicaConfig
 /** Construction-time fleet configuration. */
 struct FleetOptions
 {
-    /** Simulator knobs shared by every replica.  `serve.core`
-     *  picks the replica sessions' event core; the fleet loop
-     *  itself has one implementation. */
+    /** Simulator knobs shared by every replica. */
     serve::ServeOptions serve;
     /** Backoff budget for failed-over requests. */
     fault::RetryPolicy retry;

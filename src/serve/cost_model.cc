@@ -183,13 +183,12 @@ ServeCostModel::decodeLookup(
         static_cast<double>(batch),
         static_cast<double>(batches_.front()),
         static_cast<double>(batches_.back()));
-    // Bilinear interpolation, bracket-only: the batch-axis interp
-    // reads at most the two rows bracketing `b`, so only those two
-    // cache-axis interps are evaluated.  The arithmetic is the
-    // full-scan version's verbatim (same interp(), same operand
-    // order), so the seconds table's result is bit-identical to
-    // decodeStepSecondsFullScan — the differential replay harness
-    // holds both cores to that.
+    // Bilinear interpolation that evaluates only the two batch
+    // rows bracketing `b`: interpolating every row along the cache
+    // axis and then along the batch axis would read no other row.
+    // Both axes use interp()'s arithmetic and operand order, so the
+    // result is bitwise that full-grid interpolation
+    // (tests/serve/cost_model_test.cc pins it for both tables).
     const auto at = [&](std::size_t i) {
         return interp(cache_lens_, table[i], mean_cache_len);
     };
@@ -223,25 +222,6 @@ ServeCostModel::decodeStepJoules(std::int64_t batch,
                                  double mean_cache_len) const
 {
     return decodeLookup(step_j_, batch, mean_cache_len);
-}
-
-double
-ServeCostModel::decodeStepSecondsFullScan(
-    std::int64_t batch, double mean_cache_len) const
-{
-    if (batch <= 0)
-        tf_fatal("decode batch must be positive, got ", batch);
-    const double b = std::clamp(
-        static_cast<double>(batch),
-        static_cast<double>(batches_.front()),
-        static_cast<double>(batches_.back()));
-    // Interpolate along the cache axis per calibrated batch, then
-    // along the batch axis.
-    std::vector<double> at_len;
-    at_len.reserve(batches_.size());
-    for (const auto &row : step_s_)
-        at_len.push_back(interp(cache_lens_, row, mean_cache_len));
-    return interp(batches_, at_len, b);
 }
 
 double

@@ -121,19 +121,6 @@ class ServeCostModel
                              double mean_cache_len) const;
 
     /**
-     * The original decode pricing: interpolate along the cache
-     * axis for *every* calibrated batch row, then along the batch
-     * axis.  Bit-identical to decodeStepSeconds (the batch-axis
-     * interp only ever reads the two bracketing rows) but O(grid)
-     * with an allocation per call.  Kept as the reference the
-     * legacy simulation core prices with, so bench/perf_sim_core
-     * measures the true before/after and the differential harness
-     * pins the equivalence.
-     */
-    double decodeStepSecondsFullScan(std::int64_t batch,
-                                     double mean_cache_len) const;
-
-    /**
      * Seconds to prefill one request's prompt (causal
      * self-attention, batch 1).  Piecewise-linear in the prompt
      * length over the calibrated grid, clamped at the grid

@@ -77,67 +77,18 @@ calibratedCostModel(const arch::ArchConfig &arch,
 }
 
 /**
- * The reference running batch (SimCoreKind::Legacy): the session's
- * `running` vector itself, scanned in full every decode round and
- * priced off the full calibration grid.
- */
-class ScanBatch
-{
-  public:
-    explicit ScanBatch(ServeSession &s) : s_(s) {}
-
-    std::int64_t size() const { return std::ssize(s_.running); }
-
-    void admit(const InFlightRequest &r) { s_.running.push_back(r); }
-
-    /** Sum of (prompt_len + generated) over the batch. */
-    double contextSum() const
-    {
-        double ctx = 0;
-        for (const InFlightRequest &r : s_.running)
-            ctx += static_cast<double>(r.req.prompt_len
-                                       + r.generated);
-        return ctx;
-    }
-
-    static constexpr auto kStepSeconds =
-        &ServeCostModel::decodeStepSecondsFullScan;
-
-    /** Give every running request one token; finishers leave in
-     *  admission order. */
-    template <class Finish>
-    void emitToken(const Finish &finish)
-    {
-        std::vector<InFlightRequest> still;
-        still.reserve(s_.running.size());
-        for (InFlightRequest &r : s_.running) {
-            r.generated += 1;
-            if (r.generated >= r.req.output_len)
-                finish(r.req, r.first_token_s);
-            else
-                still.push_back(r);
-        }
-        s_.running = std::move(still);
-    }
-
-    /** `running` is the batch: nothing to write back. */
-    void writeBack() {}
-
-  private:
-    ServeSession &s_;
-};
-
-/**
- * The event-driven running batch (SimCoreKind::EventHeap).  Every
- * decode round hands exactly one token to every running request
- * and prefill rounds never touch them, so a request admitted with
- * `g` tokens generated while `decode_rounds` rounds have run
- * finishes in round decode_rounds + (output_len - g).  Slots are in
- * admission order, so one round's finishers pop off the
- * (finish_round, slot) heap in exactly the order the scan compacts
- * them.  The context sum is an int64: integer sums below 2^53 are
- * exact in a double regardless of association, so the mean is
- * bit-identical to the scan's double accumulation.
+ * The running batch as a finish heap.  Every decode round hands
+ * exactly one token to every running request and prefill rounds
+ * never touch them, so a request admitted with `g` tokens generated
+ * while `decode_rounds` rounds have run finishes in round
+ * decode_rounds + (output_len - g): a decode round costs O(1) plus
+ * O(log n) per finisher.  Invariants:
+ *
+ *  - finishers leave in admission order: slots are numbered in
+ *    admission order and the heap is keyed (finish_round, slot);
+ *  - the context sum is an exact integer below 2^53, so its double
+ *    (and the mean cache length priced from it) does not depend on
+ *    the order requests joined or left.
  *
  * Built from `running` on entry to advance() and written back on
  * exit, so the session stays plain data between epochs; the
@@ -166,9 +117,6 @@ class HeapBatch
     }
 
     double contextSum() const { return static_cast<double>(ctx_); }
-
-    static constexpr auto kStepSeconds =
-        &ServeCostModel::decodeStepSeconds;
 
     /** Every running request gained one token; the requests whose
      *  finish round this is leave with their full context. */
@@ -219,12 +167,8 @@ class HeapBatch
     std::int64_t ctx_ = 0;
 };
 
-/**
- * The serve round loop, written once for both cores: `Batch` is
- * the running-batch type (ScanBatch or HeapBatch), and the cores
- * differ in nothing else.
- */
-template <class Batch>
+/** The serve round loop: arrival pull, admission, prefill, decode
+ *  and idle jump, until no work is left or the horizon. */
 void
 runRounds(const ServeSimulator &sim, ServeSession &s,
           double horizon_s)
@@ -248,7 +192,7 @@ runRounds(const ServeSimulator &sim, ServeSession &s,
         s.cache.release(reservation(req));
     };
 
-    Batch batch(s);
+    HeapBatch batch(s);
     bool wedged = false;
     while (s.next < s.pending.size() || !s.queue.empty()
            || batch.size() > 0) {
@@ -338,7 +282,7 @@ runRounds(const ServeSimulator &sim, ServeSession &s,
             const std::int64_t n = batch.size();
             const double mean =
                 batch.contextSum() / static_cast<double>(n);
-            s.now += (cost.*Batch::kStepSeconds)(n, mean) * s.slowdown;
+            s.now += cost.decodeStepSeconds(n, mean) * s.slowdown;
             m.decode_energy_j += cost.decodeStepJoules(n, mean);
             m.decode_rounds += 1;
             m.generated_tokens += n;
@@ -378,18 +322,6 @@ runRounds(const ServeSimulator &sim, ServeSession &s,
 }
 
 } // namespace
-
-const char *
-toString(SimCoreKind core)
-{
-    switch (core) {
-    case SimCoreKind::Legacy:
-        return "legacy";
-    case SimCoreKind::EventHeap:
-        return "event-heap";
-    }
-    tf_panic("unknown SimCoreKind ", static_cast<int>(core));
-}
 
 std::string
 ServeMetrics::summary() const
@@ -473,12 +405,7 @@ ServeSimulator::advance(ServeSession &s, double horizon_s) const
     if (!(s.slowdown >= 1.0))
         tf_fatal("session slowdown must be >= 1, got ",
                  s.slowdown);
-    // The core picks the batch type once per call; the loop itself
-    // carries no per-round dispatch.
-    if (options_.core == SimCoreKind::Legacy)
-        runRounds<ScanBatch>(*this, s, horizon_s);
-    else
-        runRounds<HeapBatch>(*this, s, horizon_s);
+    runRounds(*this, s, horizon_s);
 }
 
 std::vector<InFlightRequest>

@@ -39,48 +39,11 @@
 namespace transfusion::serve
 {
 
-/**
- * Which running-batch type a serve session's round loop uses; fleet
- * replicas follow their ServeOptions.  There is one round loop
- * (arrival pull, admission, prefill, decode, idle jump), written
- * once and parameterised by the batch type, so the two cores differ
- * only in how a decode round finds its context sum and finishers
- * and which decode pricing it calls.  Both are bit-identical by
- * contract — tests/integration/replay_diff_test and
- * tests/serve/session_diff_test hold them to it — so the choice is
- * purely about speed:
- *
- *   Legacy    — the scan batch: every decode round walks the whole
- *               running batch (context sum, token bump, compaction)
- *               and prices the step off the full interpolation grid
- *               (decodeStepSecondsFullScan).  Kept as the reference
- *               the differential tests compare against.
- *   EventHeap — the finish-heap batch: finish rounds are known at
- *               admission (every running request emits exactly one
- *               token per decode round) and kept in a min-heap
- *               keyed (finish_round, admission slot); the batch
- *               context sum is maintained incrementally as exact
- *               integer arithmetic, and the step is priced from the
- *               two bracketing grid rows (decodeStepSeconds).  A
- *               decode round costs O(1) + O(log n) per finisher
- *               instead of O(batch).
- */
-enum class SimCoreKind
-{
-    Legacy,
-    EventHeap,
-};
-
-const char *toString(SimCoreKind core);
-
 /** Serving-system configuration. */
 struct ServeOptions
 {
     schedule::StrategyKind strategy =
         schedule::StrategyKind::TransFusion;
-    /** Running-batch type of the round loop (semantics are
-     *  core-invariant). */
-    SimCoreKind core = SimCoreKind::EventHeap;
     /** Decode lanes: most requests co-scheduled per step. */
     std::int64_t max_batch = 32;
     /**
@@ -289,9 +252,8 @@ class ServeSimulator
      * flight when the horizon passes completes first, so a fault
      * at time T takes effect at the first boundary >= T).  With
      * `horizon_s` = +infinity this is exactly the run() loop.
-     * `options().core` picks the running-batch type once per call;
-     * on every return `session.running` holds the in-flight
-     * requests in admission order, whichever core ran.
+     * On every return `session.running` holds the in-flight
+     * requests in admission order.
      */
     void advance(ServeSession &session, double horizon_s) const;
 

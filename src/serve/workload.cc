@@ -58,7 +58,10 @@ validateTrace(const std::vector<Request> &requests,
 {
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const Request &r = requests[i];
-        if (r.prompt_len <= 0 || r.output_len <= 0)
+        // A NaN arrival would fail every ordering test below and
+        // stall the idle jump; +inf would never be pulled.
+        if (r.prompt_len <= 0 || r.output_len <= 0
+            || !std::isfinite(r.arrival_s))
             tf_fatal("bad ", what, ": ", r.toString());
         if (i > 0 && r.arrival_s < requests[i - 1].arrival_s)
             tf_fatal(what, "s must be sorted by arrival time");

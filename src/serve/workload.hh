@@ -61,7 +61,8 @@ arrivesBefore(const Request &a, const Request &b)
 
 /**
  * Fatal unless every request has positive prompt and output
- * lengths and the trace is sorted by arrival time.  `what` names
+ * lengths and a finite arrival time, and the trace is sorted by
+ * arrival time.  `what` names
  * the requests in the message ("bad <what>: ...", "<what>s must be
  * sorted by arrival time").
  */

@@ -3,10 +3,13 @@
  * Seeded chaos-invariant sweep: 70 seeds, each with a randomized
  * fault schedule per replica (losses, link degrades, correlated
  * gray-failure slowdowns), swept across routing policies,
- * health/brownout configurations, both session cores and two
- * thread counts.  The invariants live in the shared harness
- * (bench/chaos_harness.hh); bench/ext_chaos_sweep runs the same
- * harness at any seed count.
+ * health/brownout configurations and two thread counts.  The
+ * shared harness (bench/chaos_harness.hh) checks invariants 1 and
+ * 3-5: conservation, threads-1v4 bit-identity, termination and
+ * exact recovery.  This test adds invariant 2: every seed's
+ * threads=1 replay (metrics and RunReport) matches its frozen
+ * digest in tests/golden/data/replay_digests_chaos.txt.
+ * bench/ext_chaos_sweep runs the harness at any seed count.
  *
  * Seeds fan out over the ThreadPool; gtest assertions are not
  * thread-safe, so workers return failure strings and the main
@@ -24,6 +27,7 @@
 
 #include "chaos_harness.hh"
 #include "common/thread_pool.hh"
+#include "support/replay_digest.hh"
 
 namespace transfusion::chaos
 {
@@ -45,11 +49,17 @@ TEST(Chaos, InvariantsHoldAcrossSeededFaultSchedules)
             return runSeed(seed);
         });
     std::ostringstream failures;
-    for (const SeedResult &r : results)
+    std::string digests;
+    for (const SeedResult &r : results) {
         if (!r.failure.empty())
             failures << "seed " << r.seed << ": " << r.failure
                      << "\n";
+        digests += test::digestLine("seed=" + std::to_string(r.seed),
+                                    test::canonicalDigest(r.metrics),
+                                    r.report);
+    }
     EXPECT_TRUE(failures.str().empty()) << failures.str();
+    test::expectMatchesDigests("replay_digests_chaos", digests);
     // The sweep really covered the advertised schedule count.
     EXPECT_GE(kSeeds * kReplicas, 200);
 }

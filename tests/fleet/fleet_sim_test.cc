@@ -9,6 +9,8 @@
  * across thread counts.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -528,6 +530,24 @@ TEST(FleetSim, MalformedRunsAreFatal)
     // An empty fleet cannot be built.
     EXPECT_THROW(FleetSimulator({}, cfg, wl, fastFleet()),
                  FatalError);
+}
+
+TEST(FleetSim, NonFiniteArrivalsAreFatal)
+{
+    const auto fleet = FleetSimulator::uniform(
+        2, multichip::edgeCluster(1), model::t5Small(),
+        smallWorkload(), fastFleet());
+    // NaN used to spin the fleet loop forever and +inf to trip the
+    // accounting-leak panic.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : { nan, inf }) {
+        serve::Request r;
+        r.arrival_s = bad;
+        r.prompt_len = 128;
+        r.output_len = 16;
+        EXPECT_THROW(fleet.run({ r }, {}), FatalError) << bad;
+    }
 }
 
 } // namespace

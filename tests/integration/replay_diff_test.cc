@@ -1,22 +1,19 @@
 /**
  * @file
- * Differential replay harness: the legacy linear-scan serve core
- * and the event-heap serve core (serve::SimCoreKind) must be
- * observably indistinguishable — not approximately, bitwise.  Every
- * cell of a seed x routing-policy x fault-schedule grid replays the
- * same trace through the fleet loop with its replica sessions on
- * each core, and compares the FleetMetrics field by field, the
- * latency histograms sample-set by sample-set, and the captured
- * RunReports string by string.
+ * Replay harness over the fleet and serve loops, pinned as frozen
+ * digests: every cell of a seed x routing-policy x fault-schedule
+ * grid replays one trace through the fleet loop, and one digest
+ * line per cell (support/replay_digest.hh) covers the FleetMetrics
+ * with every replica ledger and the captured RunReport.  The
+ * digests were generated while a second, linear-scan serve core
+ * still existed, and both cores matched them; any divergence a
+ * future core change introduces fails here with the grid cell
+ * named.
  *
  * The same harness pins the CostTableCache's transparency: a fleet
  * calibrated with memoization disabled must produce the same
  * report as one served from the cache, including the replayed
  * construction-time observability.
- *
- * This is the lock the tentpole rework turns: any divergence a
- * future core change introduces fails here first, with the exact
- * grid cell named.
  */
 
 #include <string>
@@ -29,6 +26,7 @@
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "serve/workload.hh"
+#include "support/replay_digest.hh"
 #include "support/replay_equality.hh"
 
 namespace transfusion
@@ -37,7 +35,6 @@ namespace
 {
 
 using test::expectSameFleetMetrics;
-using test::expectSameServeMetrics;
 
 /** Saturating burst: arrivals far outpace one replica, so queues,
  *  sheds, and multi-round batches all occur. */
@@ -50,14 +47,6 @@ diffWorkload()
     wl.prompt = { 128, 256 };
     wl.output = { 16, 32 };
     return wl;
-}
-
-fleet::FleetOptions
-fleetOptions(serve::SimCoreKind core)
-{
-    fleet::FleetOptions o = test::fastFleet();
-    o.serve.core = core;
-    return o;
 }
 
 /** One named per-replica fault assignment for the grid. */
@@ -78,8 +67,7 @@ faultCases()
         { 0.40, fault::FaultKind::ChipRecovery, 0 });
 
     // A degraded-then-restored link opens no down span, so this
-    // case pins that the event core agrees with legacy about
-    // *non*-boundaries too.
+    // case pins the loop's *non*-boundaries too.
     fault::FaultSchedule degrade;
     fault::FaultEvent slow;
     slow.time_s = 0.05;
@@ -93,7 +81,7 @@ faultCases()
 
     // A gray failure: replica 0 runs 3x slower mid-burst, then
     // recovers.  No down span opens, so the replica keeps serving
-    // and both cores must price every slowed round identically.
+    // and every slowed round is priced at the multiplier.
     fault::FaultSchedule slowdown;
     fault::FaultEvent onset;
     onset.time_s = 0.05;
@@ -132,74 +120,60 @@ replay(const fleet::FleetSimulator &fleet,
 }
 
 /**
- * The full grid: >= 3 seeds x all 5 policies x {empty, chip-loss,
- * link-degrade, slowdown}, legacy vs event serve cores side by side
- * in the one fleet loop.  Only the
- * replay is per-cell; both fleets are calibrated once (cores share
- * cost tables by construction, which is itself part of the claim).
+ * The fleet grid pinned as data: one frozen digest line per
+ * (seed, policy, fault case) cell, covering the FleetMetrics with
+ * every replica ledger and the captured RunReport.
  */
-TEST(ReplayDiff, FleetGridLegacyVsEventHeapBitwise)
+TEST(ReplayDiff, FleetGridMatchesFrozenDigests)
 {
-    const auto cluster = multichip::edgeCluster(1);
-    const auto cfg = model::t5Small();
-    const auto wl = diffWorkload();
-
-    const auto legacy = fleet::FleetSimulator::uniform(
-        3, cluster, cfg, wl,
-        fleetOptions(serve::SimCoreKind::Legacy));
-    const auto event = fleet::FleetSimulator::uniform(
-        3, cluster, cfg, wl,
-        fleetOptions(serve::SimCoreKind::EventHeap));
+    const auto fleet = fleet::FleetSimulator::uniform(
+        3, multichip::edgeCluster(1), model::t5Small(),
+        diffWorkload(), test::fastFleet());
 
     const auto cases = faultCases();
+    std::string lines;
     for (const std::uint64_t seed : { 1u, 2u, 3u }) {
-        const auto trace = serve::generateWorkload(wl, seed);
+        const auto trace =
+            serve::generateWorkload(diffWorkload(), seed);
         for (const fleet::PolicyKind policy :
              fleet::allPolicies()) {
             for (const FaultCase &fc : cases) {
-                SCOPED_TRACE("seed " + std::to_string(seed)
-                             + " policy "
-                             + fleet::toString(policy) + " faults "
-                             + fc.name);
                 fleet::FleetRunOptions run;
                 run.policy = policy;
                 run.seed = seed;
                 run.faults = fc.faults;
-                const auto [ml, rl] = replay(legacy, trace, run);
-                const auto [me, re] = replay(event, trace, run);
-                expectSameFleetMetrics(ml, me);
-                EXPECT_EQ(rl, re)
-                    << obs::RunReport::diff(rl, re);
+                const auto [m, report] = replay(fleet, trace, run);
+                lines += test::digestLine(
+                    "seed=" + std::to_string(seed) + " policy="
+                        + fleet::toString(policy)
+                        + " faults=" + fc.name,
+                    test::canonicalDigest(m), report);
             }
         }
     }
+    test::expectMatchesDigests("replay_digests_fleet_grid", lines);
 }
 
-/** The serve layer alone, below any router: legacy and event-heap
- *  session loops replay identical traces identically. */
-TEST(ReplayDiff, ServeLegacyVsEventHeapBitwise)
+/** The serve layer alone, below any router, pinned as data. */
+TEST(ReplayDiff, ServeMatchesFrozenDigests)
 {
-    const auto arch = arch::edgeArch();
-    const auto cfg = model::t5Small();
     const auto wl = diffWorkload();
-
-    serve::ServeOptions legacy_opts;
-    legacy_opts.core = serve::SimCoreKind::Legacy;
-    legacy_opts.max_batch = 4;
-    legacy_opts.cost.cache_samples = 3;
-    legacy_opts.cost.prefill_samples = 3;
-    legacy_opts.cost.evaluator.mcts.iterations = 32;
-    serve::ServeOptions event_opts = legacy_opts;
-    event_opts.core = serve::SimCoreKind::EventHeap;
-
-    const serve::ServeSimulator legacy(arch, cfg, wl, legacy_opts);
-    const serve::ServeSimulator event(arch, cfg, wl, event_opts);
+    const serve::ServeSimulator sim(arch::edgeArch(),
+                                    model::t5Small(), wl,
+                                    test::fastServe());
+    std::string lines;
     for (const std::uint64_t seed : { 1u, 7u, 23u }) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        const auto trace = serve::generateWorkload(wl, seed);
-        expectSameServeMetrics(legacy.run(trace),
-                               event.run(trace));
+        obs::Registry local;
+        serve::ServeMetrics m;
+        {
+            obs::ScopedRegistry scope(local);
+            m = sim.run(serve::generateWorkload(wl, seed));
+        }
+        lines += test::digestLine(
+            "seed=" + std::to_string(seed), test::canonicalDigest(m),
+            obs::RunReport::capture(local).toString());
     }
+    test::expectMatchesDigests("replay_digests_serve", lines);
 }
 
 /**
@@ -214,7 +188,7 @@ TEST(ReplayDiff, CostTableCacheIsObservablyTransparent)
     const auto cluster = multichip::edgeCluster(1);
     const auto cfg = model::t5Small();
     const auto wl = diffWorkload();
-    const auto opts = fleetOptions(serve::SimCoreKind::EventHeap);
+    const auto opts = test::fastFleet();
     const auto trace = serve::generateWorkload(wl, 5);
     fleet::FleetRunOptions run;
     run.policy = fleet::PolicyKind::PowerOfTwo;

@@ -3,6 +3,10 @@
  * Unit tests for the calibrated serve cost tables.
  */
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "serve/cost_model.hh"
@@ -132,6 +136,117 @@ TEST(ServeCostModel, EnergyTablesMatchTheEvaluatorAtGridPoints)
     // Longer caches stream more KV — more energy too.
     EXPECT_LT(cm.decodeStepJoules(4, 256),
               cm.decodeStepJoules(4, 2048));
+}
+
+/** Piecewise-linear interpolation clamped at the endpoints, with
+ *  the cost model's operand order. */
+double
+interpReference(const std::vector<std::int64_t> &xs,
+                const std::vector<double> &ys, double x)
+{
+    if (xs.size() == 1 || x <= static_cast<double>(xs.front()))
+        return ys.front();
+    if (x >= static_cast<double>(xs.back()))
+        return ys.back();
+    std::size_t hi = 1;
+    while (hi + 1 < xs.size() && x > static_cast<double>(xs[hi]))
+        ++hi;
+    const auto x0 = static_cast<double>(xs[hi - 1]);
+    const auto x1 = static_cast<double>(xs[hi]);
+    const double frac = (x - x0) / (x1 - x0);
+    return ys[hi - 1] + frac * (ys[hi] - ys[hi - 1]);
+}
+
+/** The calibration grid, captured from the DecodeStepFn calls. */
+struct CapturedGrid
+{
+    std::vector<std::int64_t> batches;
+    std::vector<std::int64_t> cache_lens;
+    /** [batch index][cache index]. */
+    std::vector<std::vector<double>> seconds;
+    std::vector<std::vector<double>> joules;
+
+    /** Interpolate along the cache axis for every batch row, then
+     *  along the batch axis. */
+    double fullGrid(const std::vector<std::vector<double>> &table,
+                    std::int64_t batch, double mean_cache_len) const
+    {
+        std::vector<double> at_len;
+        for (const auto &row : table)
+            at_len.push_back(
+                interpReference(cache_lens, row, mean_cache_len));
+        return interpReference(batches, at_len,
+                               static_cast<double>(batch));
+    }
+};
+
+TEST(ServeCostModel, DecodeLookupMatchesTheFullGridInterpolation)
+{
+    // A surface that is neither affine nor separable, so a lookup
+    // that read the wrong rows or reassociated the arithmetic
+    // would show in the last bits.
+    CapturedGrid grid;
+    ServeCostOptions o;
+    o.cache_samples = 5;
+    o.prefill_samples = 3;
+    const ServeCostModel cm(
+        schedule::StrategyKind::FuseMax, /*max_batch=*/12,
+        /*max_context=*/4096, /*max_prompt=*/512, o,
+        [&grid](std::int64_t batch, std::int64_t len) {
+            const auto b = static_cast<double>(batch);
+            const auto l = static_cast<double>(len);
+            const StepCost c{ 1e-6 * (1.0 + 0.37 * b * b)
+                                  + 3e-9 * std::sqrt(l) * b,
+                              1e-4 * b + 7e-12 * l * l / (1.0 + b) };
+            if (grid.batches.empty() || grid.batches.back() != batch) {
+                grid.batches.push_back(batch);
+                grid.seconds.emplace_back();
+                grid.joules.emplace_back();
+            }
+            if (grid.batches.size() == 1)
+                grid.cache_lens.push_back(len);
+            grid.seconds.back().push_back(c.seconds);
+            grid.joules.back().push_back(c.joules);
+            return c;
+        },
+        [](std::int64_t prompt) {
+            const auto p = static_cast<double>(prompt);
+            return StepCost{ 1e-6 * p, 2e-6 * p };
+        });
+    ASSERT_EQ(grid.batches, cm.calibratedBatches());
+    ASSERT_GE(grid.cache_lens.size(), 3U);
+
+    // Cache lengths on the grid, between grid points, and clamped
+    // below and above it.
+    std::vector<double> lens = { 0.5, 1.0, 63.0, 1e6, 5000.25 };
+    for (std::size_t i = 0; i < grid.cache_lens.size(); ++i) {
+        const auto len = static_cast<double>(grid.cache_lens[i]);
+        lens.push_back(len);
+        if (i + 1 < grid.cache_lens.size()) {
+            const auto next =
+                static_cast<double>(grid.cache_lens[i + 1]);
+            lens.push_back(0.5 * (len + next));
+            lens.push_back(len + 0.3 * (next - len) + 0.125);
+        }
+    }
+    // Batches 1..max_batch hit every grid row and every bracket;
+    // 13 and 40 clamp above the grid.
+    std::vector<std::int64_t> batches;
+    for (std::int64_t b = 1; b <= 12; ++b)
+        batches.push_back(b);
+    batches.push_back(13);
+    batches.push_back(40);
+
+    for (const std::int64_t b : batches) {
+        for (const double len : lens) {
+            SCOPED_TRACE("batch " + std::to_string(b) + " len "
+                         + std::to_string(len));
+            EXPECT_EQ(cm.decodeStepSeconds(b, len),
+                      grid.fullGrid(grid.seconds, b, len));
+            EXPECT_EQ(cm.decodeStepJoules(b, len),
+                      grid.fullGrid(grid.joules, b, len));
+        }
+    }
 }
 
 TEST(ServeCostModel, StrategiesPriceDifferently)

@@ -1,15 +1,18 @@
 /**
  * @file
- * Session-level differential test of the two serve cores: a Legacy
- * (scan batch) session and an EventHeap (finish-heap batch) session
- * are driven through the same epoch script — advance to a horizon,
- * a slowdown change, drainRunning / drainQueued, injectRequests of
- * the re-offers, an idle advance that stops at its horizon, and a
- * final run-out — and every observable the session API exposes must
- * agree bitwise after every step.  The fleet and fault layers reach
- * this API only through their own loops; this test pins the round
- * loop's early exits directly, where a batch that is not written
- * back to `running` would first show.
+ * Session-level replay test, pinned as frozen digests: one serve
+ * session is driven through an epoch script — advance to a
+ * horizon, a slowdown change, drainRunning / drainQueued,
+ * injectRequests of the re-offers, an idle advance that stops at
+ * its horizon, and a final run-out — and every observable the
+ * session API exposes after each step (running, queue, next,
+ * pending, clock, reserved KV words, metrics, drained records and
+ * the RunReport so far) must match that step's digest line.  The
+ * digests were generated while a second, linear-scan serve core
+ * still existed, and both cores matched them.  The fleet and fault
+ * layers reach this API only through their own loops; this test
+ * pins the round loop's early exits directly, where a batch that
+ * is not written back to `running` would first show.
  */
 
 #include <algorithm>
@@ -19,15 +22,15 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/report.hh"
 #include "serve/simulator.hh"
+#include "support/replay_digest.hh"
 #include "support/replay_equality.hh"
 
 namespace transfusion::serve
 {
 namespace
 {
-
-using test::expectSameServeMetrics;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -45,10 +48,9 @@ burstWorkload()
 }
 
 ServeSimulator
-makeSim(SimCoreKind core)
+makeSim()
 {
     ServeOptions o = test::fastServe();
-    o.core = core;
     o.max_queue = 12;
     return ServeSimulator(arch::edgeArch(), model::t5Small(),
                           burstWorkload(), o);
@@ -68,13 +70,17 @@ struct Step
     /** Records drainRunning / drainQueued returned at this step. */
     std::vector<InFlightRequest> drained_running;
     std::vector<Request> drained_queued;
+    /** RunReport of the script's registry so far. */
+    std::string report;
 };
 
 Step
-snapshot(const std::string &name, const ServeSession &s)
+snapshot(const std::string &name, const ServeSession &s,
+         const obs::Registry &registry)
 {
     Step st;
     st.name = name;
+    st.report = obs::RunReport::capture(registry).toString();
     st.running = s.running;
     st.queue.assign(s.queue.begin(), s.queue.end());
     st.next = s.next;
@@ -96,27 +102,29 @@ reoffers(std::vector<Request> reqs, double t)
     return reqs;
 }
 
-/** Run the epoch script on one core. */
+/** Run the epoch script. */
 std::vector<Step>
 script(const ServeSimulator &sim)
 {
+    obs::Registry registry;
+    obs::ScopedRegistry scope(registry);
     std::vector<Step> steps;
     ServeSession s =
         sim.startSession(generateWorkload(burstWorkload(), 7));
 
     sim.advance(s, 0.06);
-    steps.push_back(snapshot("first horizon", s));
+    steps.push_back(snapshot("first-horizon", s, registry));
 
     // A gray failure between epochs: the heap batch is rebuilt
     // from `running` and every following round runs slower.
     s.slowdown = 2.5;
     sim.advance(s, 0.1);
-    steps.push_back(snapshot("slowed horizon", s));
+    steps.push_back(snapshot("slowed-horizon", s, registry));
 
     // Fail everything over, then take it back as re-offers.
     std::vector<InFlightRequest> running = sim.drainRunning(s);
     std::vector<Request> queued = sim.drainQueued(s);
-    Step drain = snapshot("drain", s);
+    Step drain = snapshot("drain", s, registry);
     drain.drained_running = running;
     drain.drained_queued = queued;
     steps.push_back(drain);
@@ -126,7 +134,7 @@ script(const ServeSimulator &sim)
 
     s.slowdown = 1.0;
     sim.advance(s, s.now + 0.05);
-    steps.push_back(snapshot("re-offer horizon", s));
+    steps.push_back(snapshot("re-offer-horizon", s, registry));
 
     sim.advance(s, kInf);
     // One late arrival far beyond the next horizon: the loop idles
@@ -139,75 +147,74 @@ script(const ServeSimulator &sim)
     sim.injectRequests(s, { late });
     s.metrics.offered += 1; // a new request, not a re-offer
     sim.advance(s, s.now + 5.0);
-    steps.push_back(snapshot("idle horizon", s));
+    steps.push_back(snapshot("idle-horizon", s, registry));
 
     sim.advance(s, kInf);
-    Step last = snapshot("run out", s);
-    last.metrics = sim.finishSession(s);
+    const ServeMetrics final_metrics = sim.finishSession(s);
+    Step last = snapshot("run-out", s, registry);
+    last.metrics = final_metrics;
     steps.push_back(last);
     return steps;
 }
 
 void
-expectSameRunning(const std::vector<InFlightRequest> &a,
-                  const std::vector<InFlightRequest> &b)
+writeCanonical(std::ostream &os, const Request &r)
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        SCOPED_TRACE("running " + std::to_string(i));
-        EXPECT_EQ(a[i].req.id, b[i].req.id);
-        EXPECT_EQ(a[i].req.arrival_s, b[i].req.arrival_s);
-        EXPECT_EQ(a[i].first_token_s, b[i].first_token_s);
-        EXPECT_EQ(a[i].generated, b[i].generated);
-    }
+    os << "req " << r.id << " " << r.arrival_s << " " << r.prompt_len
+       << " " << r.output_len << " " << r.priority << "\n";
 }
 
 void
-expectSameRequests(const std::vector<Request> &a,
-                   const std::vector<Request> &b)
+writeCanonical(std::ostream &os, const InFlightRequest &r)
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].id, b[i].id) << i;
-        EXPECT_EQ(a[i].arrival_s, b[i].arrival_s) << i;
-    }
+    writeCanonical(os, r.req);
+    os << "first_token=" << r.first_token_s
+       << " generated=" << r.generated << "\n";
 }
 
-TEST(SessionDiff, LegacyAndEventHeapAgreeAcrossEpochs)
+/** Everything one step shows, in the frozen-digest text form. */
+void
+writeCanonical(std::ostream &os, const Step &st)
 {
-    const ServeSimulator legacy = makeSim(SimCoreKind::Legacy);
-    const ServeSimulator event = makeSim(SimCoreKind::EventHeap);
-    const std::vector<Step> a = script(legacy);
-    const std::vector<Step> b = script(event);
+    const auto all = [&os](const char *what, const auto &records) {
+        os << what << " " << records.size() << "\n";
+        for (const auto &r : records)
+            writeCanonical(os, r);
+    };
+    all("running", st.running);
+    all("queue", st.queue);
+    os << "next=" << st.next << " pending=" << st.pending
+       << " now=" << st.now
+       << " reserved_words=" << st.reserved_words << "\n";
+    test::writeCanonical(os, st.metrics);
+    all("drained_running", st.drained_running);
+    all("drained_queued", st.drained_queued);
+}
+
+TEST(SessionDiff, EpochScriptMatchesFrozenDigests)
+{
+    const std::vector<Step> steps = script(makeSim());
 
     // The script reaches the states it is meant to: a horizon stop
     // with a batch in flight, a queue and sheds, a non-empty
     // drain, and an idle stop at the horizon.
-    ASSERT_EQ(a.size(), 6U);
-    EXPECT_FALSE(a[0].running.empty());
-    EXPECT_FALSE(a[0].queue.empty());
-    EXPECT_GT(a[0].metrics.rejected, 0);
-    EXPECT_FALSE(a[1].running.empty());
-    EXPECT_FALSE(a[2].drained_running.empty());
-    EXPECT_TRUE(a[4].running.empty());
-    EXPECT_EQ(a[4].next, a[4].pending - 1);
-    EXPECT_EQ(a[5].metrics.completed + a[5].metrics.rejected,
-              a[5].metrics.offered);
+    ASSERT_EQ(steps.size(), 6U);
+    EXPECT_FALSE(steps[0].running.empty());
+    EXPECT_FALSE(steps[0].queue.empty());
+    EXPECT_GT(steps[0].metrics.rejected, 0);
+    EXPECT_FALSE(steps[1].running.empty());
+    EXPECT_FALSE(steps[2].drained_running.empty());
+    EXPECT_TRUE(steps[4].running.empty());
+    EXPECT_EQ(steps[4].next, steps[4].pending - 1);
+    EXPECT_EQ(steps[5].metrics.completed + steps[5].metrics.rejected,
+              steps[5].metrics.offered);
 
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        SCOPED_TRACE(a[i].name);
-        expectSameRunning(a[i].running, b[i].running);
-        expectSameRequests(a[i].queue, b[i].queue);
-        EXPECT_EQ(a[i].next, b[i].next);
-        EXPECT_EQ(a[i].pending, b[i].pending);
-        EXPECT_EQ(a[i].now, b[i].now);
-        EXPECT_EQ(a[i].reserved_words, b[i].reserved_words);
-        expectSameServeMetrics(a[i].metrics, b[i].metrics);
-        expectSameRunning(a[i].drained_running,
-                          b[i].drained_running);
-        expectSameRequests(a[i].drained_queued, b[i].drained_queued);
-    }
+    std::string lines;
+    for (const Step &st : steps)
+        lines += test::digestLine(st.name, test::canonicalDigest(st),
+                                  st.report);
+    test::expectMatchesDigests("replay_digests_session_script",
+                               lines);
 }
 
 } // namespace

@@ -4,6 +4,8 @@
  * shedding, and metric bookkeeping.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
@@ -196,6 +198,34 @@ TEST(ServeSimulator, RejectsMalformedTraces)
     trace = generateWorkload(wl, 7);
     std::swap(trace.front().arrival_s, trace.back().arrival_s);
     rejects(trace, "injected requests must be sorted");
+}
+
+/** A one-request trace arriving at `arrival_s`. */
+std::vector<Request>
+oneRequestAt(double arrival_s)
+{
+    Request r;
+    r.arrival_s = arrival_s;
+    r.prompt_len = 128;
+    r.output_len = 16;
+    return { r };
+}
+
+TEST(ServeSimulator, RejectsNonFiniteArrivals)
+{
+    const ServeSimulator sim(arch::edgeArch(), model::t5Small(),
+                             calmWorkload(), fastServe());
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad : { nan, inf }) {
+        SCOPED_TRACE(bad);
+        // NaN used to spin the idle jump forever; +inf used to end
+        // the replay with the request neither completed nor shed.
+        EXPECT_THROW(sim.run(oneRequestAt(bad)), FatalError);
+        ServeSession s = sim.startSession({});
+        EXPECT_THROW(sim.injectRequests(s, oneRequestAt(bad)),
+                     FatalError);
+    }
 }
 
 } // namespace

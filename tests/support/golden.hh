@@ -1,9 +1,10 @@
 /**
  * @file
- * The golden-file check shared by the tests/golden suites: a
- * RunReport text is compared byte for byte against
- * TRANSFUSION_GOLDEN_DIR/<name>.txt, or rewrites that file when
- * TRANSFUSION_UPDATE_GOLDEN=1 (scripts/update_golden.sh).
+ * The golden-file check shared by the tests/golden suites and the
+ * frozen replay digests (support/replay_digest.hh): a text is
+ * compared byte for byte against TRANSFUSION_GOLDEN_DIR/<name>.txt,
+ * or rewrites that file when TRANSFUSION_UPDATE_GOLDEN=1
+ * (scripts/update_golden.sh).
  */
 
 #ifndef TRANSFUSION_TESTS_SUPPORT_GOLDEN_HH
@@ -22,6 +23,22 @@
 namespace transfusion::test
 {
 
+inline std::string
+goldenPath(const std::string &name)
+{
+    return std::string(TRANSFUSION_GOLDEN_DIR) + "/" + name + ".txt";
+}
+
+/** Contents of golden `name` ("" when the file is missing). */
+inline std::string
+readGolden(const std::string &name)
+{
+    std::ifstream in(goldenPath(name));
+    std::ostringstream contents;
+    contents << in.rdbuf();
+    return contents.str();
+}
+
 /**
  * Expect `actual` to equal golden `name` exactly, failing with the
  * RunReport::diff of the two on drift.  With
@@ -30,8 +47,7 @@ namespace transfusion::test
 inline void
 expectMatchesGolden(const std::string &name, const std::string &actual)
 {
-    const std::string path =
-        std::string(TRANSFUSION_GOLDEN_DIR) + "/" + name + ".txt";
+    const std::string path = goldenPath(name);
     const char *update = std::getenv("TRANSFUSION_UPDATE_GOLDEN");
     if (update != nullptr && std::string(update) == "1") {
         std::ofstream out(path);
@@ -41,10 +57,7 @@ expectMatchesGolden(const std::string &name, const std::string &actual)
         return;
     }
 
-    std::ifstream in(path);
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    const std::string expected = contents.str();
+    const std::string expected = readGolden(name);
     ASSERT_FALSE(expected.empty())
         << "missing golden file " << path
         << "; run scripts/update_golden.sh to create it";
