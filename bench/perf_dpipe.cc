@@ -3,7 +3,10 @@
  * google-benchmark microbenchmarks of the DPipe machinery itself:
  * DAG construction, bipartition enumeration, DP scheduling, and
  * the full pipeline search -- the costs a user pays per scheduled
- * layer.
+ * layer.  BM_SchedulePipelinePerLayer measures the warm path (the
+ * cascade's plan skeleton is built once and shared);
+ * BM_BuildPlanSkeleton measures the one-time, uncached skeleton
+ * build that the warm path no longer pays.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,6 +14,7 @@
 #include "arch/arch.hh"
 #include "dpipe/partition.hh"
 #include "dpipe/pipeline.hh"
+#include "dpipe/plan_skeleton.hh"
 #include "model/cascades.hh"
 
 namespace
@@ -76,6 +80,21 @@ BM_SchedulePipelinePerLayer(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SchedulePipelinePerLayer)
+    ->DenseRange(0, 3)
+    ->Unit(benchmark::kMicrosecond);
+
+void
+BM_BuildPlanSkeleton(benchmark::State &state)
+{
+    const auto kind =
+        static_cast<model::LayerKind>(state.range(0));
+    const auto dag =
+        model::buildCascade(kind, model::bertBase()).buildDag();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(dpipe::buildPlanSkeleton(
+            dag, dpipe::PipelineOptions{}.max_orders));
+}
+BENCHMARK(BM_BuildPlanSkeleton)
     ->DenseRange(0, 3)
     ->Unit(benchmark::kMicrosecond);
 

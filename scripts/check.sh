@@ -69,14 +69,16 @@ run_tsan() {
     export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
     cmake -B build-tsan -S . -DTRANSFUSION_SANITIZE=thread
     cmake --build build-tsan -j "$jobs" \
-        --target tf_common_test tf_costmodel_test tf_tileseek_test \
-        tf_schedule_test tf_serve_test tf_obs_test tf_multichip_test \
-        tf_fault_test tf_fleet_test tf_chaos_test tf_plan_test \
+        --target tf_common_test tf_costmodel_test tf_dpipe_test \
+        tf_tileseek_test tf_schedule_test tf_serve_test tf_obs_test \
+        tf_multichip_test tf_fault_test tf_fleet_test tf_chaos_test \
+        tf_plan_test \
         ext_multichip_scaling ext_fault_degradation \
         ext_fleet_scaling ext_capacity_planner \
         fig08b_speedup_models_64k
     # The threaded surfaces: pool unit tests, concurrent
-    # cost-table cache lookups, parallel sweeps, the
+    # cost-table cache lookups, concurrent first use of one shared
+    # DPipe plan skeleton, parallel sweeps, the
     # root-parallel MCTS determinism suite, the serve-replay
     # scenario fan-out, the obs registry/trace concurrency tests,
     # the multichip shard-plan search, the fault-server replans

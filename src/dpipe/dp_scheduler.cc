@@ -6,6 +6,7 @@
 #include "dp_scheduler.hh"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -88,30 +89,35 @@ Schedule::toGantt(const std::vector<std::string> &op_names,
     return os.str();
 }
 
-Schedule
-dpSchedule(const einsum::Dag &dag, const std::vector<int> &order,
-           const std::vector<OpLatencyPair> &latency)
+namespace
 {
-    const int n = dag.nodeCount();
-    tf_assert(static_cast<int>(order.size()) == n,
-              "order must cover the DAG");
-    tf_assert(static_cast<int>(latency.size()) == n,
-              "latency table must cover the DAG");
 
+/**
+ * The Eq. 43-46 DP over `order`: for every op, its earliest start
+ * on each array, commit to the earliest finisher, advance that
+ * array's timeline.  `predecessors(v)` lists op v's dependencies;
+ * `end_t` is scratch covering every id; `place(op, pe, start, end)`
+ * sees each commitment in order.  Returns the makespan.
+ */
+template <typename Id, typename Preds, typename Place>
+double
+runDp(std::span<const Id> order, const Preds &predecessors,
+      const std::vector<OpLatencyPair> &latency,
+      std::span<double> end_t, Place &&place)
+{
     // Time[pe_j]: accumulated occupancy of each array (Eq. 46).
-    double time_pe[2] = {0.0, 0.0};
-    std::vector<double> end_t(static_cast<std::size_t>(n), -1.0);
+    double time_pe[2] = { 0.0, 0.0 };
+    std::fill(end_t.begin(), end_t.end(), -1.0);
+    double makespan = 0.0;
 
-    Schedule sched;
-    sched.placements.reserve(static_cast<std::size_t>(n));
-
-    for (int v : order) {
+    for (const Id v : order) {
         // Latest completion among dependencies (Eq. 43, second arg).
         double dep_ready = 0.0;
-        for (int p : dag.predecessors(v)) {
+        for (const auto p : predecessors(v)) {
             const double e = end_t[static_cast<std::size_t>(p)];
-            tf_assert(e >= 0, "order is not topological: op ", v,
-                      " scheduled before predecessor ", p);
+            tf_assert(e >= 0, "order is not topological: op ",
+                      int{ v }, " scheduled before predecessor ",
+                      int{ p });
             dep_ready = std::max(dep_ready, e);
         }
 
@@ -134,22 +140,121 @@ dpSchedule(const einsum::Dag &dag, const std::vector<int> &order,
         // Advance the winning array's timeline (Eq. 46).
         time_pe[best_pe] = best_end;
         end_t[static_cast<std::size_t>(v)] = best_end;
+        place(int{ v }, best_pe, best_start, best_end);
+        makespan = std::max(makespan, best_end);
+    }
+    return makespan;
+}
 
+/** A `place` callback for runDp that records the full Schedule. */
+struct ScheduleRecorder
+{
+    Schedule sched;
+
+    explicit ScheduleRecorder(int ops)
+    {
+        sched.placements.reserve(static_cast<std::size_t>(ops));
+    }
+
+    void
+    operator()(int v, int pe, double start, double end)
+    {
         OpPlacement pl;
         pl.op = v;
-        pl.pe = best_pe == 0 ? PeTarget::Array2d : PeTarget::Array1d;
-        pl.start = best_start;
-        pl.end = best_end;
+        pl.pe = pe == 0 ? PeTarget::Array2d : PeTarget::Array1d;
+        pl.start = start;
+        pl.end = end;
         sched.placements.push_back(pl);
 
-        const double dur = best_end - best_start;
-        if (best_pe == 0)
+        const double dur = end - start;
+        if (pe == 0)
             sched.busy_2d += dur;
         else
             sched.busy_1d += dur;
-        sched.makespan = std::max(sched.makespan, best_end);
     }
-    return sched;
+};
+
+/** SubDagPlan predecessor lists, as runDp reads them. */
+auto
+predecessorsIn(const SubDagPlan &plan)
+{
+    return [&plan](PlanOpId v) { return plan.predecessors(v); };
+}
+
+} // namespace
+
+void
+DpSearchStats::record() const
+{
+    TF_COUNT("dpipe/dp/orders_tried", orders_tried);
+    TF_COUNT("dpipe/dp/orders_pruned", orders_pruned);
+    TF_COUNT("dpipe/dp/states_explored", states_explored);
+}
+
+BestOrder
+bestOrder(const SubDagPlan &plan,
+          const std::vector<OpLatencyPair> &latency,
+          std::vector<double> &scratch, DpSearchStats &stats)
+{
+    tf_assert(static_cast<int>(latency.size()) >= plan.idSpace(),
+              "latency table must cover the DAG");
+    if (static_cast<int>(scratch.size()) < plan.idSpace())
+        scratch.resize(static_cast<std::size_t>(plan.idSpace()));
+    const std::span<double> end_t(
+        scratch.data(), static_cast<std::size_t>(plan.idSpace()));
+    const auto preds = predecessorsIn(plan);
+    const auto no_placement = [](int, int, double, double) {};
+
+    BestOrder best;
+    best.makespan =
+        runDp(plan.order(0), preds, latency, end_t, no_placement);
+    for (std::size_t k = 1; k < plan.orderCount(); ++k) {
+        const double makespan =
+            runDp(plan.order(k), preds, latency, end_t, no_placement);
+        if (makespan < best.makespan) {
+            best.index = k;
+            best.makespan = makespan;
+        } else {
+            ++stats.orders_pruned;
+        }
+    }
+    const auto tried = static_cast<std::int64_t>(plan.orderCount());
+    stats.orders_tried += tried;
+    stats.states_explored += tried * plan.size();
+    return best;
+}
+
+Schedule
+dpSchedule(const SubDagPlan &plan, std::size_t k,
+           const std::vector<OpLatencyPair> &latency)
+{
+    tf_assert(static_cast<int>(latency.size()) >= plan.idSpace(),
+              "latency table must cover the DAG");
+    std::vector<double> end_t(static_cast<std::size_t>(plan.idSpace()));
+    ScheduleRecorder rec(plan.size());
+    rec.sched.makespan = runDp(plan.order(k), predecessorsIn(plan),
+                               latency, std::span<double>(end_t), rec);
+    return std::move(rec.sched);
+}
+
+Schedule
+dpSchedule(const einsum::Dag &dag, const std::vector<int> &order,
+           const std::vector<OpLatencyPair> &latency)
+{
+    const int n = dag.nodeCount();
+    tf_assert(static_cast<int>(order.size()) == n,
+              "order must cover the DAG");
+    tf_assert(static_cast<int>(latency.size()) == n,
+              "latency table must cover the DAG");
+    std::vector<double> end_t(static_cast<std::size_t>(n));
+    ScheduleRecorder rec(n);
+    rec.sched.makespan = runDp(
+        std::span<const int>(order),
+        [&dag](int v) -> const std::vector<int> & {
+            return dag.predecessors(v);
+        },
+        latency, std::span<double>(end_t), rec);
+    return std::move(rec.sched);
 }
 
 Schedule
@@ -157,29 +262,14 @@ bestDpSchedule(const einsum::Dag &dag,
                const std::vector<OpLatencyPair> &latency,
                std::size_t max_orders)
 {
-    // Search statistics: every DP run explores one state per
-    // (op, order) pair; orders that fail to beat the incumbent
-    // makespan are the pruned share of the search.
-    std::int64_t orders_tried = 1;
-    std::int64_t orders_pruned = 0;
-    Schedule best = dpSchedule(dag, dag.topoSort(), latency);
-    if (max_orders > 1) {
-        for (const auto &order :
-             dag.enumerateTopoOrders(max_orders)) {
-            Schedule s = dpSchedule(dag, order, latency);
-            ++orders_tried;
-            if (s.makespan < best.makespan)
-                best = std::move(s);
-            else
-                ++orders_pruned;
-        }
-    }
-    TF_COUNT("dpipe/dp/orders_tried", orders_tried);
-    TF_COUNT("dpipe/dp/orders_pruned", orders_pruned);
-    TF_COUNT("dpipe/dp/states_explored",
-             orders_tried * static_cast<std::int64_t>(
-                                dag.nodeCount()));
-    return best;
+    tf_assert(static_cast<int>(latency.size()) == dag.nodeCount(),
+              "latency table must cover the DAG");
+    const SubDagPlan plan = SubDagPlan::whole(dag, max_orders);
+    std::vector<double> scratch;
+    DpSearchStats stats;
+    const BestOrder best = bestOrder(plan, latency, scratch, stats);
+    stats.record();
+    return dpSchedule(plan, best.index, latency);
 }
 
 } // namespace transfusion::dpipe

@@ -13,10 +13,12 @@
 #define TRANSFUSION_DPIPE_DP_SCHEDULER_HH
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "costmodel/latency.hh"
+#include "dpipe/plan_skeleton.hh"
 #include "einsum/dag.hh"
 
 namespace transfusion::dpipe
@@ -76,12 +78,50 @@ Schedule dpSchedule(const einsum::Dag &dag,
 
 /**
  * Convenience: run the DP over candidate topological orders (the
- * canonical Kahn order plus up to `max_orders` lexicographically
- * enumerated ones) and keep the best makespan.
+ * canonical Kahn order, plus up to `max_orders` lexicographically
+ * enumerated ones when `max_orders` > 1) and keep the first order
+ * with the best makespan.  Builds a one-off, uncached SubDagPlan.
  */
 Schedule bestDpSchedule(const einsum::Dag &dag,
                         const std::vector<OpLatencyPair> &latency,
                         std::size_t max_orders);
+
+/**
+ * Work of a DP order search, recorded as the dpipe/dp counters:
+ * one state per (op, order) pair; orders that fail to beat the
+ * incumbent makespan are the pruned share of the search.
+ */
+struct DpSearchStats
+{
+    std::int64_t orders_tried = 0;
+    std::int64_t orders_pruned = 0;
+    std::int64_t states_explored = 0;
+
+    /** Add the tallies to the dpipe/dp counters. */
+    void record() const;
+};
+
+/** The winner of a DP order search. */
+struct BestOrder
+{
+    std::size_t index = 0; ///< order index within the SubDagPlan
+    double makespan = 0;
+};
+
+/**
+ * Price every order of `plan` with the makespan-only DP and return
+ * the first one with the smallest makespan.  `latency` is indexed by
+ * parent id and covers plan.idSpace(); `scratch` is reused across
+ * calls.  Adds the search's work to `stats`.
+ */
+BestOrder bestOrder(const SubDagPlan &plan,
+                    const std::vector<OpLatencyPair> &latency,
+                    std::vector<double> &scratch,
+                    DpSearchStats &stats);
+
+/** The full DP schedule of `plan`'s order `k`, in parent ids. */
+Schedule dpSchedule(const SubDagPlan &plan, std::size_t k,
+                    const std::vector<OpLatencyPair> &latency);
 
 } // namespace transfusion::dpipe
 

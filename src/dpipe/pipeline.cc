@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "common/logging.hh"
+#include "dpipe/plan_skeleton.hh"
 #include "obs/obs.hh"
 
 namespace transfusion::dpipe
@@ -39,75 +40,6 @@ latencyTable(const einsum::Cascade &cascade,
         });
     }
     return lat;
-}
-
-/** Induced subgraph over `members`; `to_orig` maps new->old ids. */
-einsum::Dag
-inducedSubdag(const einsum::Dag &dag, const std::vector<bool> &members,
-              std::vector<int> &to_orig)
-{
-    to_orig.clear();
-    std::vector<int> to_new(static_cast<std::size_t>(dag.nodeCount()),
-                            -1);
-    for (int v = 0; v < dag.nodeCount(); ++v) {
-        if (members[static_cast<std::size_t>(v)]) {
-            to_new[static_cast<std::size_t>(v)] =
-                static_cast<int>(to_orig.size());
-            to_orig.push_back(v);
-        }
-    }
-    einsum::Dag sub(static_cast<int>(to_orig.size()));
-    for (int v = 0; v < dag.nodeCount(); ++v) {
-        if (!members[static_cast<std::size_t>(v)])
-            continue;
-        for (int w : dag.successors(v)) {
-            if (members[static_cast<std::size_t>(w)]) {
-                sub.addEdge(to_new[static_cast<std::size_t>(v)],
-                            to_new[static_cast<std::size_t>(w)]);
-            }
-        }
-    }
-    return sub;
-}
-
-/** Latency table for a subset, remapped to subgraph ids. */
-std::vector<OpLatencyPair>
-subsetLatency(const std::vector<OpLatencyPair> &lat,
-              const std::vector<int> &to_orig)
-{
-    std::vector<OpLatencyPair> out;
-    out.reserve(to_orig.size());
-    for (int v : to_orig)
-        out.push_back(lat[static_cast<std::size_t>(v)]);
-    return out;
-}
-
-/**
- * Fig. 7(d): the steady-state epoch DAG.  A-subgraph ops (next
- * epoch) and B-subgraph ops (current epoch) keep only their
- * intra-subgraph edges -- cross edges refer to the *previous* slot's
- * results -- and a virtual ROOT (node n) feeds every resulting
- * source.
- */
-einsum::Dag
-steadyStateDag(const einsum::Dag &dag,
-               const std::vector<bool> &in_first)
-{
-    const int n = dag.nodeCount();
-    einsum::Dag combined(n + 1);
-    for (int v = 0; v < n; ++v) {
-        for (int w : dag.successors(v)) {
-            if (in_first[static_cast<std::size_t>(v)]
-                    == in_first[static_cast<std::size_t>(w)]) {
-                combined.addEdge(v, w);
-            }
-        }
-    }
-    for (int v = 0; v < n; ++v) {
-        if (combined.predecessors(v).empty())
-            combined.addEdge(n, v);
-    }
-    return combined;
 }
 
 /** Accumulate a schedule's per-array work from full-op loads. */
@@ -233,22 +165,31 @@ schedulePipeline(const einsum::Cascade &cascade,
                  const model::DimMapping &mapping,
                  const PipelineOptions &opts)
 {
-    const einsum::Dag dag = cascade.buildDag();
+    TF_SPAN("dpipe.schedule_pipeline");
+    const PlanSkeleton &skeleton =
+        sharedPlanSkeleton(cascade.buildDag(), opts.max_orders);
     const std::int64_t epochs = std::max<std::int64_t>(
         1, model::epochCount(mapping, dims, arch.pe2d.rows,
                              arch.pe2d.cols));
 
-    const auto lat_epoch = latencyTable(cascade, dims, arch,
-                                        opts.latency,
-                                        static_cast<double>(epochs));
+    // Per-epoch latencies by op id, plus the steady-state DAG's
+    // virtual ROOT (op n), which takes no time.
+    auto lat_epoch = latencyTable(cascade, dims, arch, opts.latency,
+                                  static_cast<double>(epochs));
+    lat_epoch.push_back({ 0.0, 0.0 });
     std::vector<double> full_load;
     full_load.reserve(cascade.size());
     for (const auto &op : cascade.ops())
         full_load.push_back(op.computeLoad(dims));
 
+    std::vector<double> scratch;
+    DpSearchStats dp_stats;
+
     // Baseline plan: DP-schedule one epoch, repeat it back-to-back.
-    const Schedule epoch_sched =
-        bestDpSchedule(dag, lat_epoch, opts.max_orders);
+    const Schedule epoch_sched = dpSchedule(
+        skeleton.epoch,
+        bestOrder(skeleton.epoch, lat_epoch, scratch, dp_stats).index,
+        lat_epoch);
 
     PipelineResult best;
     best.epochs = epochs;
@@ -266,52 +207,52 @@ schedulePipeline(const einsum::Cascade &cascade,
     std::int64_t bipartitions_tried = 0;
     std::int64_t bipartitions_kept = 0;
     if (epochs < 2) {
+        dp_stats.record();
         TF_COUNT("dpipe/pipeline/plans", 1);
         return best;
     }
 
-    for (const auto &part : enumerateBipartitions(dag)) {
+    for (const auto &bp : skeleton.bipartitions) {
         ++bipartitions_tried;
-        const auto combined = steadyStateDag(dag, part.in_first);
-        auto lat_combined = lat_epoch;
-        lat_combined.push_back({0.0, 0.0}); // virtual ROOT
-        const Schedule steady = bestDpSchedule(combined, lat_combined,
-                                               opts.max_orders);
-
-        // Fill (A alone) and drain (B alone).
-        std::vector<int> a_ids, b_ids;
-        std::vector<bool> in_second(part.in_first.size());
-        for (std::size_t i = 0; i < part.in_first.size(); ++i)
-            in_second[i] = !part.in_first[i];
-        const auto a_dag = inducedSubdag(dag, part.in_first, a_ids);
-        const auto b_dag = inducedSubdag(dag, in_second, b_ids);
-        const Schedule fill = bestDpSchedule(
-            a_dag, subsetLatency(lat_epoch, a_ids), opts.max_orders);
-        const Schedule drain = bestDpSchedule(
-            b_dag, subsetLatency(lat_epoch, b_ids), opts.max_orders);
+        // Steady state, fill (A alone) and drain (B alone).
+        const BestOrder steady =
+            bestOrder(bp.steady, lat_epoch, scratch, dp_stats);
+        const BestOrder fill =
+            bestOrder(bp.fill, lat_epoch, scratch, dp_stats);
+        const BestOrder drain =
+            bestOrder(bp.drain, lat_epoch, scratch, dp_stats);
 
         const double total = fill.makespan
             + static_cast<double>(epochs - 1) * steady.makespan
             + drain.makespan;
         if (total < best.total_seconds) {
             ++bipartitions_kept;
+            Schedule steady_sched =
+                dpSchedule(bp.steady, steady.index, lat_epoch);
+            const Schedule fill_sched =
+                dpSchedule(bp.fill, fill.index, lat_epoch);
+            const Schedule drain_sched =
+                dpSchedule(bp.drain, drain.index, lat_epoch);
             PipelineResult r;
             r.epochs = epochs;
             r.pipelined = true;
-            r.partition = part;
+            r.partition = bp.partition;
             r.steady_epoch_seconds = steady.makespan;
             r.fill_seconds = fill.makespan;
             r.drain_seconds = drain.makespan;
             r.total_seconds = total;
-            r.steady_schedule = steady;
-            r.work.busy_2d_s = fill.busy_2d + drain.busy_2d
-                + steady.busy_2d * static_cast<double>(epochs - 1);
-            r.work.busy_1d_s = fill.busy_1d + drain.busy_1d
-                + steady.busy_1d * static_cast<double>(epochs - 1);
-            addWork(r.work, steady, full_load, 1);
+            r.work.busy_2d_s = fill_sched.busy_2d + drain_sched.busy_2d
+                + steady_sched.busy_2d
+                    * static_cast<double>(epochs - 1);
+            r.work.busy_1d_s = fill_sched.busy_1d + drain_sched.busy_1d
+                + steady_sched.busy_1d
+                    * static_cast<double>(epochs - 1);
+            addWork(r.work, steady_sched, full_load, 1);
+            r.steady_schedule = std::move(steady_sched);
             best = std::move(r);
         }
     }
+    dp_stats.record();
     TF_COUNT("dpipe/pipeline/plans", 1);
     TF_COUNT("dpipe/pipeline/bipartitions_tried",
              bipartitions_tried);

@@ -11,7 +11,9 @@
  * keeps the best plan over all valid bipartitions and candidate
  * topological orders, and falls back to per-epoch DP scheduling
  * when no valid bipartition exists (e.g. the QKV cascade, whose
- * nodes are simultaneously sources and sinks).
+ * nodes are simultaneously sources and sinks).  The bipartitions,
+ * sub-DAGs and candidate orders come from the cascade's shared
+ * PlanSkeleton (dpipe/plan_skeleton.hh); a call only prices them.
  */
 
 #ifndef TRANSFUSION_DPIPE_PIPELINE_HH
@@ -32,7 +34,16 @@ namespace transfusion::dpipe
 /** Tuning knobs for the pipeline search. */
 struct PipelineOptions
 {
-    /** Topological orders evaluated per bipartition. */
+    /**
+     * Cap on enumerated topological orders per DP search.  Each
+     * sub-DAG DPipe schedules (the epoch-only DAG, and per
+     * bipartition the steady-state, fill and drain DAGs) is priced
+     * over the Kahn order plus, when max_orders > 1, up to
+     * max_orders lexicographically enumerated orders.  The Kahn
+     * order is also the first enumerated one, so it is priced and
+     * counted in dpipe/dp/orders_tried twice; the goldens pin that
+     * count.
+     */
     std::size_t max_orders = 64;
     costmodel::LatencyParams latency;
 
@@ -73,7 +84,9 @@ struct PipelineResult
 /**
  * Compute-side DPipe plan for a cascade.  Inner tiles follow the
  * Table 1 `mapping`; per-epoch op latency is the full-op Eq. 42
- * latency divided by the epoch count.
+ * latency divided by the epoch count.  The first call for a
+ * cascade structure and `opts.max_orders` builds the shared plan
+ * skeleton; later calls reuse it.
  */
 PipelineResult schedulePipeline(const einsum::Cascade &cascade,
                                 const einsum::DimEnv &dims,

@@ -1,0 +1,106 @@
+/**
+ * @file
+ * DPipe plan skeletons: the structure-only half of the pipeline
+ * search (Sec. 4).  Everything DPipe enumerates -- the valid
+ * bipartitions, the Fig. 7(d) steady-state DAG of each, the fill
+ * and drain sub-DAGs, and the candidate topological orders of every
+ * one of them -- depends only on the cascade DAG and the order cap,
+ * never on dims or the architecture.  A skeleton holds all of it,
+ * built once per (DAG, max_orders) and shared process-wide, so an
+ * evaluation only prices per-op latencies over the stored orders.
+ */
+
+#ifndef TRANSFUSION_DPIPE_PLAN_SKELETON_HH
+#define TRANSFUSION_DPIPE_PLAN_SKELETON_HH
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "dpipe/partition.hh"
+#include "einsum/dag.hh"
+
+namespace transfusion::dpipe
+{
+
+/** An op id as stored in a skeleton (a parent-DAG id or ROOT). */
+using PlanOpId = std::uint8_t;
+
+/**
+ * One sub-DAG's DP search space: its predecessor lists and the
+ * candidate orders the DP prices -- Kahn's order first, then (when
+ * max_orders > 1) up to max_orders lexicographically enumerated
+ * ones, so the Kahn order is priced twice.  Every id is a parent-DAG
+ * id, and all of it is one contiguous array.
+ */
+class SubDagPlan
+{
+  public:
+    SubDagPlan() = default;
+
+    /**
+     * Plan `sub`, whose node i is parent op `to_parent[i]`, inside a
+     * parent id space of `id_space` ids.
+     */
+    SubDagPlan(const einsum::Dag &sub, const std::vector<int> &to_parent,
+               int id_space, std::size_t max_orders);
+
+    /** Plan a whole DAG in its own ids. */
+    static SubDagPlan whole(const einsum::Dag &dag,
+                            std::size_t max_orders);
+
+    /** Ops per order. */
+    int size() const { return size_; }
+    /** Parent ids span [0, idSpace()). */
+    int idSpace() const { return id_space_; }
+    std::size_t orderCount() const { return order_count_; }
+
+    std::span<const PlanOpId> order(std::size_t k) const;
+    std::span<const PlanOpId> predecessors(PlanOpId v) const;
+
+  private:
+    int id_space_ = 0;
+    int size_ = 0;
+    std::size_t order_count_ = 0;
+    /// [idSpace()+1 predecessor offsets | predecessors | orders]
+    std::vector<PlanOpId> data_;
+    std::size_t orders_at_ = 0;
+};
+
+/** One valid bipartition (A, B) and its three DP search spaces. */
+struct BipartitionPlan
+{
+    Bipartition partition;
+    SubDagPlan steady; ///< Fig. 7(d) DAG; its virtual ROOT is op n
+    SubDagPlan fill;   ///< A alone
+    SubDagPlan drain;  ///< B alone
+};
+
+/** The dims-independent DPipe search over one cascade DAG. */
+struct PlanSkeleton
+{
+    SubDagPlan epoch; ///< the whole DAG, for the epoch-only plan
+    std::vector<BipartitionPlan> bipartitions;
+};
+
+/**
+ * Build a skeleton without caching it.  Records nothing in the obs
+ * registry: DPipe's counters count pricing, not enumeration.
+ */
+PlanSkeleton buildPlanSkeleton(const einsum::Dag &dag,
+                               std::size_t max_orders);
+
+/**
+ * The process-wide skeleton for (dag, max_orders), built on first
+ * use under a mutex and kept for the life of the process (one entry
+ * per distinct cascade structure and order cap).
+ */
+const PlanSkeleton &sharedPlanSkeleton(const einsum::Dag &dag,
+                                       std::size_t max_orders);
+
+/** Number of skeletons the shared registry holds. */
+std::size_t sharedPlanSkeletonCount();
+
+} // namespace transfusion::dpipe
+
+#endif // TRANSFUSION_DPIPE_PLAN_SKELETON_HH

@@ -81,6 +81,9 @@ class Dag
     /** Graphviz dot text, with optional node labels. */
     std::string toDot(const std::vector<std::string> &labels = {}) const;
 
+    /** Same nodes and the same edges, inserted in the same order. */
+    bool operator==(const Dag &) const = default;
+
   private:
     std::vector<std::vector<int>> succ;
     std::vector<std::vector<int>> pred;

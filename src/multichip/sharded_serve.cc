@@ -9,7 +9,6 @@
 #include "costmodel/cost_table_cache.hh"
 #include "model/stack.hh"
 #include "multichip/shard_plan.hh"
-#include "obs/obs.hh"
 #include "serve/kv_cache.hh"
 
 namespace transfusion::multichip
@@ -161,7 +160,8 @@ shardedServeCostModelUncached(const ShardedCalibrationKey &key)
             key.cost);
     }
 
-    TF_SPAN("multichip.sharded_calibration");
+    // The calibrating ServeCostModel constructor records the
+    // serve.calibrate span around the sampling below.
     const auto decode_step = [&](std::int64_t batch,
                                  std::int64_t cache_len) {
         model::TransformerConfig bcfg = key.cfg;

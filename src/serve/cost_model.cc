@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "common/logging.hh"
+#include "obs/obs.hh"
 
 namespace transfusion::serve
 {
@@ -128,6 +129,7 @@ ServeCostModel::ServeCostModel(schedule::StrategyKind strategy,
                                const PrefillFn &prefill)
     : strategy_(strategy)
 {
+    TF_SPAN("serve.calibrate");
     if (max_batch <= 0)
         tf_fatal("max_batch must be positive, got ", max_batch);
     if (max_context <= 0)

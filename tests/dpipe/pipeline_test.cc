@@ -7,9 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <latch>
+#include <sstream>
+#include <thread>
+
 #include "arch/arch.hh"
 #include "dpipe/pipeline.hh"
+#include "dpipe/plan_skeleton.hh"
 #include "model/cascades.hh"
+#include "model/transformer.hh"
+#include "obs/obs.hh"
+#include "schedule/evaluator.hh"
+#include "sim/compare.hh"
 
 namespace transfusion::dpipe
 {
@@ -236,6 +246,375 @@ TEST(DPipe, EdgeSplitsMatrixWorkAcrossArrays)
                                      model::peMapping(LayerKind::Mha));
     EXPECT_GT(dp.work.ops_1d, fuse.work.ops_1d);
     EXPECT_LT(dp.total_seconds, fuse.total_seconds);
+}
+
+/*
+ * The DPipe search as it ran before plan skeletons: every call
+ * re-enumerates the bipartitions, rebuilds the steady-state and
+ * induced sub-DAGs, and prices each over freshly enumerated orders.
+ * Built only from public pieces, so the skeleton path can be checked
+ * against it bit for bit.
+ */
+namespace direct
+{
+
+/**
+ * bestDpSchedule as it was: it now shares the skeleton's candidate
+ * orders, so the reference enumerates them itself.
+ */
+Schedule
+bestDpSchedule(const einsum::Dag &dag,
+               const std::vector<OpLatencyPair> &latency,
+               std::size_t max_orders)
+{
+    std::int64_t tried = 1, pruned = 0;
+    Schedule best = dpSchedule(dag, dag.topoSort(), latency);
+    if (max_orders > 1) {
+        for (const auto &order : dag.enumerateTopoOrders(max_orders)) {
+            Schedule s = dpSchedule(dag, order, latency);
+            ++tried;
+            if (s.makespan < best.makespan)
+                best = std::move(s);
+            else
+                ++pruned;
+        }
+    }
+    TF_COUNT("dpipe/dp/orders_tried", tried);
+    TF_COUNT("dpipe/dp/orders_pruned", pruned);
+    TF_COUNT("dpipe/dp/states_explored", tried * dag.nodeCount());
+    return best;
+}
+
+einsum::Dag
+inducedSubdag(const einsum::Dag &dag, const std::vector<bool> &members,
+              std::vector<int> &to_orig)
+{
+    to_orig.clear();
+    std::vector<int> to_new(static_cast<std::size_t>(dag.nodeCount()),
+                            -1);
+    for (int v = 0; v < dag.nodeCount(); ++v) {
+        if (members[static_cast<std::size_t>(v)]) {
+            to_new[static_cast<std::size_t>(v)] =
+                static_cast<int>(to_orig.size());
+            to_orig.push_back(v);
+        }
+    }
+    einsum::Dag sub(static_cast<int>(to_orig.size()));
+    for (int v = 0; v < dag.nodeCount(); ++v) {
+        for (int w : dag.successors(v)) {
+            if (members[static_cast<std::size_t>(v)]
+                    && members[static_cast<std::size_t>(w)]) {
+                sub.addEdge(to_new[static_cast<std::size_t>(v)],
+                            to_new[static_cast<std::size_t>(w)]);
+            }
+        }
+    }
+    return sub;
+}
+
+einsum::Dag
+steadyStateDag(const einsum::Dag &dag,
+               const std::vector<bool> &in_first)
+{
+    const int n = dag.nodeCount();
+    einsum::Dag combined(n + 1);
+    for (int v = 0; v < n; ++v) {
+        for (int w : dag.successors(v)) {
+            if (in_first[static_cast<std::size_t>(v)]
+                    == in_first[static_cast<std::size_t>(w)]) {
+                combined.addEdge(v, w);
+            }
+        }
+    }
+    for (int v = 0; v < n; ++v) {
+        if (combined.predecessors(v).empty())
+            combined.addEdge(n, v);
+    }
+    return combined;
+}
+
+std::vector<OpLatencyPair>
+subset(const std::vector<OpLatencyPair> &lat,
+       const std::vector<int> &ids)
+{
+    std::vector<OpLatencyPair> out;
+    for (int v : ids)
+        out.push_back(lat[static_cast<std::size_t>(v)]);
+    return out;
+}
+
+void
+addWork(WorkSplit &work, const Schedule &sched,
+        const std::vector<double> &full_load)
+{
+    for (const auto &pl : sched.placements) {
+        if (pl.op >= static_cast<int>(full_load.size()))
+            continue;
+        const double ops = full_load[static_cast<std::size_t>(pl.op)];
+        if (pl.pe == costmodel::PeTarget::Array2d)
+            work.ops_2d += ops;
+        else
+            work.ops_1d += ops;
+    }
+}
+
+PipelineResult
+schedulePipeline(const einsum::Cascade &cascade,
+                 const einsum::DimEnv &dims,
+                 const arch::ArchConfig &arch,
+                 const model::DimMapping &mapping,
+                 const PipelineOptions &opts)
+{
+    const einsum::Dag dag = cascade.buildDag();
+    const std::int64_t epochs = std::max<std::int64_t>(
+        1, model::epochCount(mapping, dims, arch.pe2d.rows,
+                             arch.pe2d.cols));
+    std::vector<OpLatencyPair> lat;
+    std::vector<double> full_load;
+    for (const auto &op : cascade.ops()) {
+        lat.push_back({
+            costmodel::opLatencySeconds(op, dims, arch,
+                                        costmodel::PeTarget::Array2d,
+                                        opts.latency)
+                / static_cast<double>(epochs),
+            costmodel::opLatencySeconds(op, dims, arch,
+                                        costmodel::PeTarget::Array1d,
+                                        opts.latency)
+                / static_cast<double>(epochs),
+        });
+        full_load.push_back(op.computeLoad(dims));
+    }
+
+    const Schedule epoch = bestDpSchedule(dag, lat, opts.max_orders);
+    PipelineResult best;
+    best.epochs = epochs;
+    best.steady_epoch_seconds = epoch.makespan;
+    best.total_seconds = epoch.makespan * static_cast<double>(epochs);
+    best.steady_schedule = epoch;
+    best.work.busy_2d_s = epoch.busy_2d * static_cast<double>(epochs);
+    best.work.busy_1d_s = epoch.busy_1d * static_cast<double>(epochs);
+    addWork(best.work, epoch, full_load);
+    TF_COUNT("dpipe/pipeline/plans", 1);
+    if (epochs < 2)
+        return best;
+
+    std::int64_t tried = 0, kept = 0;
+    for (const auto &part : enumerateBipartitions(dag)) {
+        ++tried;
+        auto lat_root = lat;
+        lat_root.push_back({ 0.0, 0.0 });
+        const Schedule steady = bestDpSchedule(
+            steadyStateDag(dag, part.in_first), lat_root,
+            opts.max_orders);
+        std::vector<bool> in_second(part.in_first.size());
+        for (std::size_t i = 0; i < in_second.size(); ++i)
+            in_second[i] = !part.in_first[i];
+        std::vector<int> a_ids, b_ids;
+        const auto a_dag = inducedSubdag(dag, part.in_first, a_ids);
+        const auto b_dag = inducedSubdag(dag, in_second, b_ids);
+        const Schedule fill = bestDpSchedule(a_dag, subset(lat, a_ids),
+                                             opts.max_orders);
+        const Schedule drain = bestDpSchedule(
+            b_dag, subset(lat, b_ids), opts.max_orders);
+
+        const double total = fill.makespan
+            + static_cast<double>(epochs - 1) * steady.makespan
+            + drain.makespan;
+        if (total < best.total_seconds) {
+            ++kept;
+            PipelineResult r;
+            r.epochs = epochs;
+            r.pipelined = true;
+            r.partition = part;
+            r.steady_epoch_seconds = steady.makespan;
+            r.fill_seconds = fill.makespan;
+            r.drain_seconds = drain.makespan;
+            r.total_seconds = total;
+            r.steady_schedule = steady;
+            r.work.busy_2d_s = fill.busy_2d + drain.busy_2d
+                + steady.busy_2d * static_cast<double>(epochs - 1);
+            r.work.busy_1d_s = fill.busy_1d + drain.busy_1d
+                + steady.busy_1d * static_cast<double>(epochs - 1);
+            addWork(r.work, steady, full_load);
+            best = std::move(r);
+        }
+    }
+    TF_COUNT("dpipe/pipeline/bipartitions_tried", tried);
+    TF_COUNT("dpipe/pipeline/bipartitions_improved", kept);
+    TF_COUNT("dpipe/pipeline/pipelined_chosen", best.pipelined ? 1 : 0);
+    TF_GAUGE_ADD("dpipe/pipeline/fill_s", best.fill_seconds);
+    TF_GAUGE_ADD("dpipe/pipeline/drain_s", best.drain_seconds);
+    TF_GAUGE_ADD("dpipe/pipeline/steady_epoch_s",
+                 best.steady_epoch_seconds);
+    return best;
+}
+
+} // namespace direct
+
+/** First field where two plans differ bitwise; empty if none. */
+std::string
+firstDifference(const PipelineResult &a, const PipelineResult &b)
+{
+    const auto bits = [](double x) {
+        return std::bit_cast<std::uint64_t>(x);
+    };
+    std::ostringstream os;
+    const auto real = [&](const char *field, double x, double y) {
+        if (os.tellp() == 0 && bits(x) != bits(y))
+            os << field << ": " << x << " vs " << y;
+    };
+    real("total_seconds", a.total_seconds, b.total_seconds);
+    real("steady_epoch_seconds", a.steady_epoch_seconds,
+         b.steady_epoch_seconds);
+    real("fill_seconds", a.fill_seconds, b.fill_seconds);
+    real("drain_seconds", a.drain_seconds, b.drain_seconds);
+    real("work.ops_2d", a.work.ops_2d, b.work.ops_2d);
+    real("work.ops_1d", a.work.ops_1d, b.work.ops_1d);
+    real("work.busy_2d_s", a.work.busy_2d_s, b.work.busy_2d_s);
+    real("work.busy_1d_s", a.work.busy_1d_s, b.work.busy_1d_s);
+    const Schedule &sa = a.steady_schedule, &sb = b.steady_schedule;
+    real("steady.makespan", sa.makespan, sb.makespan);
+    real("steady.busy_2d", sa.busy_2d, sb.busy_2d);
+    real("steady.busy_1d", sa.busy_1d, sb.busy_1d);
+    if (os.tellp() != 0)
+        return os.str();
+    if (a.epochs != b.epochs || a.pipelined != b.pipelined)
+        return "epochs or pipelined";
+    if (a.partition.in_first != b.partition.in_first)
+        return "partition";
+    if (sa.placements.size() != sb.placements.size())
+        return "placement count";
+    for (std::size_t i = 0; i < sa.placements.size(); ++i) {
+        const auto &x = sa.placements[i], &y = sb.placements[i];
+        if (x.op != y.op || x.pe != y.pe || bits(x.start) != bits(y.start)
+                || bits(x.end) != bits(y.end)) {
+            return "placement " + std::to_string(i);
+        }
+    }
+    return "";
+}
+
+/**
+ * Both searches under fresh registries; plans and metrics equal.
+ * Returns whether the plan pipelines.
+ */
+bool
+expectSkeletonMatchesDirect(const einsum::Cascade &cascade,
+                            const einsum::DimEnv &dims,
+                            const arch::ArchConfig &arch,
+                            const model::DimMapping &mapping,
+                            std::size_t max_orders,
+                            const std::string &where)
+{
+    PipelineOptions opts;
+    opts.max_orders = max_orders;
+    obs::Registry skeleton_reg, direct_reg;
+    PipelineResult via_skeleton, via_direct;
+    {
+        obs::ScopedRegistry scope(skeleton_reg);
+        via_skeleton =
+            schedulePipeline(cascade, dims, arch, mapping, opts);
+    }
+    {
+        obs::ScopedRegistry scope(direct_reg);
+        via_direct =
+            direct::schedulePipeline(cascade, dims, arch, mapping, opts);
+    }
+    EXPECT_EQ(firstDifference(via_skeleton, via_direct), "") << where;
+
+#if TRANSFUSION_OBS_ENABLED
+    const auto got = skeleton_reg.snapshot();
+    const auto want = direct_reg.snapshot();
+    EXPECT_EQ(got.counters, want.counters) << where;
+    EXPECT_EQ(got.gauges.size(), want.gauges.size()) << where;
+    for (const auto &[name, value] : want.gauges) {
+        const auto it = got.gauges.find(name);
+        EXPECT_TRUE(it != got.gauges.end()
+                    && std::bit_cast<std::uint64_t>(it->second)
+                        == std::bit_cast<std::uint64_t>(value))
+            << where << " " << name;
+    }
+#endif
+    return via_direct.pipelined;
+}
+
+TEST(DPipe, SkeletonMatchesDirectSearch)
+{
+    const auto seqs = sim::paperSequenceSweep();
+    int cases = 0, pipelined = 0;
+    for (const auto &arch : { arch::cloudArch(), arch::edgeArch() }) {
+        for (const auto &cfg : model::allModels()) {
+            for (const std::int64_t p :
+                 { seqs.front(), seqs[3], seqs.back() }) {
+                const schedule::Evaluator eval(
+                    arch, cfg, schedule::Workload::selfAttention(p));
+                for (LayerKind kind : model::allLayerKinds()) {
+                    const auto cascade = model::buildCascade(kind, cfg);
+                    for (std::size_t max_orders : { 1, 2, 64 }) {
+                        ++cases;
+                        pipelined += expectSkeletonMatchesDirect(
+                            cascade, eval.dims(), arch,
+                            model::peMapping(kind), max_orders,
+                            arch.name + "/" + cfg.name + "/P="
+                                + std::to_string(p) + "/"
+                                + model::toString(kind) + "/orders="
+                                + std::to_string(max_orders));
+                    }
+                }
+            }
+        }
+    }
+
+    // The grid must exercise both plan families.
+    EXPECT_GT(pipelined, 0);
+    EXPECT_LT(pipelined, cases);
+
+    // One inner tile: a single epoch, so only the epoch-only plan.
+    Ctx s = cloudBert(64);
+    s.dims = model::makeDims(s.cfg, 64, 64, 1);
+    expectSkeletonMatchesDirect(
+        model::buildCascade(LayerKind::Mha, s.cfg), s.dims, s.arch,
+        model::peMapping(LayerKind::Mha), 64, "single epoch");
+}
+
+TEST(DPipe, ConcurrentFirstUseSharesOneSkeleton)
+{
+    // An order cap no other caller uses makes the structure fresh.
+    constexpr std::size_t kFreshOrders = 7;
+    const Ctx s = cloudBert();
+    const auto cascade = model::buildCascade(LayerKind::Mha, s.cfg);
+    const auto mapping = model::peMapping(LayerKind::Mha);
+    PipelineOptions opts;
+    opts.max_orders = kFreshOrders;
+    const std::size_t before = sharedPlanSkeletonCount();
+
+    constexpr int kThreads = 4;
+    std::vector<PipelineResult> results(kThreads);
+    std::vector<const PlanSkeleton *> skeletons(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            obs::Registry local;
+            obs::ScopedRegistry scope(local);
+            start.arrive_and_wait();
+            results[static_cast<std::size_t>(t)] =
+                schedulePipeline(cascade, s.dims, s.arch, mapping,
+                                 opts);
+            skeletons[static_cast<std::size_t>(t)] = &sharedPlanSkeleton(
+                cascade.buildDag(), kFreshOrders);
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    EXPECT_EQ(sharedPlanSkeletonCount(), before + 1);
+    for (int t = 1; t < kThreads; ++t) {
+        EXPECT_EQ(skeletons[static_cast<std::size_t>(t)], skeletons[0]);
+        EXPECT_EQ(firstDifference(results[static_cast<std::size_t>(t)],
+                                  results[0]),
+                  "");
+    }
 }
 
 } // namespace
