@@ -1,14 +1,17 @@
 /**
  * @file
  * google-benchmark microbenchmarks of TileSeek: the Table 2 buffer
- * model, MCTS search throughput at several iteration budgets, and
- * the exhaustive reference on a reduced space.
+ * model, MCTS search throughput at several iteration budgets, one
+ * headline-grid cell's search as the figure sweep runs it, and the
+ * exhaustive reference on a reduced space.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "arch/arch.hh"
+#include "bench_util.hh"
 #include "model/transformer.hh"
+#include "schedule/evaluator.hh"
 #include "schedule/tiling.hh"
 #include "tileseek/buffer_model.hh"
 #include "tileseek/mcts.hh"
@@ -53,6 +56,30 @@ BM_SeekTileIterations(benchmark::State &state)
 BENCHMARK(BM_SeekTileIterations)
     ->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_SeekTileSweepCell(benchmark::State &state)
+{
+    // One headline-grid cell's tile search exactly as the figure
+    // sweep runs it: the real tiling space, the sweep's MCTS options
+    // (2,048 iterations, one tree) and the cell's own compute hint,
+    // the per-layer compute time of its TransFusion plan.
+    const auto arch = arch::cloudArch();
+    const auto cfg = model::llama3_8b();
+    const std::int64_t seq = 65536;
+    const auto opts = bench::sweepOptions().evaluator;
+    const double hint =
+        schedule::Evaluator(arch, cfg, seq, opts)
+            .evaluate(schedule::StrategyKind::TransFusion)
+            .total.compute_s
+        / static_cast<double>(cfg.layers);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            schedule::seekTile(arch, cfg, seq, hint, opts.mcts));
+    }
+    state.SetItemsProcessed(state.iterations() * opts.mcts.iterations);
+}
+BENCHMARK(BM_SeekTileSweepCell)->Unit(benchmark::kMillisecond);
 
 void
 BM_MctsRawIterations(benchmark::State &state)

@@ -10,7 +10,8 @@
 #   plan                                capacity-planner subsystem
 #   chaos                               seeded chaos-invariant sweep
 #   perf-smoke                          ~1 s sim-core bench canary
-#   serve / fault / fleet               UBSan surface
+#   serve / fault / fleet               UBSan surface (plus the
+#                                       tf_tileseek_test binary)
 #
 # Usage: scripts/check.sh
 #        [--tier1-only | --tsan-only | --obs-off-only |
@@ -78,7 +79,8 @@ run_tsan() {
         fig08b_speedup_models_64k
     # The threaded surfaces: pool unit tests, concurrent
     # cost-table cache lookups, concurrent first use of one shared
-    # DPipe plan skeleton, parallel sweeps, the
+    # DPipe plan skeleton and of the Evaluator's shared cascades,
+    # parallel sweeps, the
     # root-parallel MCTS determinism suite, the serve-replay
     # scenario fan-out, the obs registry/trace concurrency tests,
     # the multichip shard-plan search, the fault-server replans
@@ -134,9 +136,13 @@ run_ubsan() {
     cmake --build build-ubsan -j "$jobs" \
         --target tf_serve_test tf_fault_test tf_fleet_test \
         tf_fault_fuzz_test tf_replay_diff_test \
-        tf_fleet_scaling_test ext_chaos_sweep
+        tf_fleet_scaling_test tf_tileseek_test ext_chaos_sweep
     ctest --test-dir build-ubsan --output-on-failure -j "$jobs" \
         -L 'serve|fault|fleet' -E Chaos
+    # TileSeek's tree arena indexes its child pool by raw offsets;
+    # run the whole MCTS suite, frozen search digests included.
+    echo "== UBSan: TileSeek =="
+    ./build-ubsan/tests/tileseek/tf_tileseek_test
     # A reduced chaos sweep under UBSan: the randomized schedules
     # push the slowdown/backoff/EWMA arithmetic into corners the
     # unit tests don't reach.  Exit status is the verdict.

@@ -63,6 +63,8 @@ class Cascade
     /** Multi-line listing of all Einsums. */
     std::string toString() const;
 
+    bool operator==(const Cascade &) const = default;
+
   private:
     std::string name_;
     std::vector<Einsum> ops_;

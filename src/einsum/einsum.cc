@@ -6,7 +6,6 @@
 #include "einsum.hh"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -40,23 +39,33 @@ Einsum::Einsum(std::string name, std::vector<std::string> out_indices)
 Einsum &
 Einsum::input(std::string tensor, std::vector<std::string> indices)
 {
-    tf_assert(inputs_.size() < 2,
-              "extended Einsums take at most two inputs; op ",
-              output_.name);
-    inputs_.push_back(TensorRef{std::move(tensor),
-                                std::move(indices), false});
-    return *this;
+    return addInput(
+        TensorRef{std::move(tensor), std::move(indices), false});
 }
 
 Einsum &
 Einsum::inputPrevious(std::string tensor,
                       std::vector<std::string> indices)
 {
+    return addInput(
+        TensorRef{std::move(tensor), std::move(indices), true});
+}
+
+Einsum &
+Einsum::addInput(TensorRef in)
+{
     tf_assert(inputs_.size() < 2,
               "extended Einsums take at most two inputs; op ",
               output_.name);
-    inputs_.push_back(TensorRef{std::move(tensor),
-                                std::move(indices), true});
+    // Eq. 40's reduction indices, in first-appearance order.
+    for (const auto &idx : in.indices) {
+        if (std::ranges::find(output_.indices, idx)
+                    == output_.indices.end()
+                && std::ranges::find(reduction_, idx)
+                    == reduction_.end())
+            reduction_.push_back(idx);
+    }
+    inputs_.push_back(std::move(in));
     return *this;
 }
 
@@ -103,29 +112,13 @@ Einsum::forcePeClass(PeClass pc)
     return *this;
 }
 
-std::vector<std::string>
-Einsum::reductionIndices() const
-{
-    std::set<std::string> out_set(output_.indices.begin(),
-                                  output_.indices.end());
-    std::set<std::string> seen;
-    std::vector<std::string> red;
-    for (const auto &in : inputs_) {
-        for (const auto &idx : in.indices) {
-            if (!out_set.count(idx) && seen.insert(idx).second)
-                red.push_back(idx);
-        }
-    }
-    return red;
-}
-
 double
 Einsum::computeLoad(const DimEnv &env) const
 {
     // Eq. 40: product over output dims times product over reduction
     // dims.  Every scalar map-reduce step counts as one operation.
     return env.product(output_.indices)
-        * env.product(reductionIndices());
+        * env.product(reduction_);
 }
 
 PeClass
@@ -135,7 +128,7 @@ Einsum::peClass() const
         return forced_pe_class;
     const bool contraction = inputs_.size() == 2
         && combine_ == CombineOp::Mul && reduce_ == ReduceOp::Sum
-        && !reductionIndices().empty();
+        && !reduction_.empty();
     return contraction ? PeClass::Matrix : PeClass::Vector;
 }
 

@@ -49,6 +49,8 @@ struct TensorRef
 
     /** "Name[i,j,k]" rendering ("Name'[...]" for previous reads). */
     std::string toString() const;
+
+    bool operator==(const TensorRef &) const = default;
 };
 
 /** One extended-Einsum operation. */
@@ -94,9 +96,13 @@ class Einsum
 
     /**
      * Reduction indices per Eq. 40: labels appearing in at least one
-     * input but not in the output.
+     * input but not in the output, in first-appearance order.  Kept
+     * up to date as inputs are added.
      */
-    std::vector<std::string> reductionIndices() const;
+    const std::vector<std::string> &reductionIndices() const
+    {
+        return reduction_;
+    }
 
     /**
      * Compute load per Eq. 40: product of output extents times
@@ -114,9 +120,14 @@ class Einsum
     /** Human-readable one-line description. */
     std::string toString() const;
 
+    bool operator==(const Einsum &) const = default;
+
   private:
+    Einsum &addInput(TensorRef in);
+
     TensorRef output_;
     std::vector<TensorRef> inputs_;
+    std::vector<std::string> reduction_;
     CombineOp combine_ = CombineOp::None;
     UnaryOp unary_ = UnaryOp::None;
     ReduceOp reduce_ = ReduceOp::None;

@@ -16,30 +16,6 @@
 namespace transfusion::multichip
 {
 
-namespace
-{
-
-/**
- * Scale one-layer metrics by a layer count with exactly the
- * arithmetic StackEvaluator::blockMetrics uses, so the tp = pp = 1
- * path stays bit-identical.
- */
-schedule::LayerMetrics
-scaleMetrics(const schedule::LayerMetrics &m, std::int64_t layers)
-{
-    schedule::LayerMetrics scaled;
-    scaled.latency_s = m.latency_s * static_cast<double>(layers);
-    scaled.compute_s = m.compute_s * static_cast<double>(layers);
-    scaled.dram_s = m.dram_s * static_cast<double>(layers);
-    scaled.dram_bytes = m.dram_bytes * static_cast<double>(layers);
-    scaled.ops_2d = m.ops_2d * static_cast<double>(layers);
-    scaled.ops_1d = m.ops_1d * static_cast<double>(layers);
-    scaled.energy = m.energy.scaled(static_cast<double>(layers));
-    return scaled;
-}
-
-} // namespace
-
 std::string
 ShardSpec::toString() const
 {
@@ -216,18 +192,19 @@ ShardedStackEvaluator::evaluate(
                              std::int64_t dec_n) {
         const StageCosts &sc = stageCosts(s);
         if (enc_n > 0) {
-            res.per_chip.encoder += scaleMetrics(sc.enc, enc_n);
+            res.per_chip.encoder +=
+                sc.enc.scaled(static_cast<double>(enc_n));
             res.tp_collectives +=
                 sc.enc_c.scaled(static_cast<double>(enc_n));
         }
         if (dec_n > 0) {
             res.per_chip.decoder_self +=
-                scaleMetrics(sc.dec_self, dec_n);
+                sc.dec_self.scaled(static_cast<double>(dec_n));
             res.tp_collectives +=
                 sc.self_c.scaled(static_cast<double>(dec_n));
             if (cross) {
                 res.per_chip.decoder_cross +=
-                    scaleMetrics(sc.dec_cross, dec_n);
+                    sc.dec_cross.scaled(static_cast<double>(dec_n));
                 res.tp_collectives +=
                     sc.cross_c.scaled(static_cast<double>(dec_n));
             }

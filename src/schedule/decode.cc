@@ -101,15 +101,7 @@ DecodeEvaluator::evaluate(StrategyKind strategy) const
             at.push_back(stepMetrics(len, strategy));
 
         if (lens.size() == 1) {
-            r.decode = at[0];
-            r.decode.latency_s *= static_cast<double>(t);
-            r.decode.compute_s *= static_cast<double>(t);
-            r.decode.dram_s *= static_cast<double>(t);
-            r.decode.dram_bytes *= static_cast<double>(t);
-            r.decode.ops_2d *= static_cast<double>(t);
-            r.decode.ops_1d *= static_cast<double>(t);
-            r.decode.energy =
-                r.decode.energy.scaled(static_cast<double>(t));
+            r.decode = at[0].scaled(static_cast<double>(t));
         } else {
             for (std::size_t seg = 0; seg + 1 < lens.size();
                  ++seg) {
@@ -119,14 +111,7 @@ DecodeEvaluator::evaluate(StrategyKind strategy) const
                 LayerMetrics mid;
                 mid += at[seg];
                 mid += at[seg + 1];
-                const double half = 0.5 * steps;
-                r.decode.latency_s += mid.latency_s * half;
-                r.decode.compute_s += mid.compute_s * half;
-                r.decode.dram_s += mid.dram_s * half;
-                r.decode.dram_bytes += mid.dram_bytes * half;
-                r.decode.ops_2d += mid.ops_2d * half;
-                r.decode.ops_1d += mid.ops_1d * half;
-                r.decode.energy += mid.energy.scaled(half);
+                r.decode += mid.scaled(0.5 * steps);
             }
         }
         r.seconds_per_step =

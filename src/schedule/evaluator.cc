@@ -6,6 +6,8 @@
 #include "evaluator.hh"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
 
 #include "common/logging.hh"
 #include "common/math_utils.hh"
@@ -102,6 +104,7 @@ Evaluator::Evaluator(arch::ArchConfig arch,
 {
     arch_.validate();
     cfg_.validate();
+    cascades_ = &sharedCascades(cfg_);
     if (workload_.query_len <= 0 || workload_.context_len <= 0)
         tf_fatal("workload lengths must be positive, got P=",
                  workload_.query_len, " M=",
@@ -124,6 +127,46 @@ Evaluator::Evaluator(arch::ArchConfig arch,
     }
 }
 
+/** The sub-layer cascades (by layerIndex) and the Unfused MHA one. */
+struct Evaluator::Cascades
+{
+    std::vector<einsum::Cascade> layers;
+    einsum::Cascade unfused_mha;
+
+    bool operator==(const Cascades &) const = default;
+};
+
+const Evaluator::Cascades &
+Evaluator::sharedCascades(const model::TransformerConfig &cfg)
+{
+    // One entry per distinct config, built under the lock on first
+    // use and kept for the life of the process.  The defaulted ==
+    // compares every field, so the key is complete by construction;
+    // configs whose cascades come out equal share one copy.
+    static std::mutex mutex;
+    static std::vector<std::unique_ptr<const Cascades>> distinct;
+    static std::vector<std::pair<model::TransformerConfig,
+                                 const Cascades *>>
+        entries;
+    std::lock_guard<std::mutex> lock(mutex);
+    for (const auto &[key, cascades] : entries) {
+        if (key == cfg)
+            return *cascades;
+    }
+    Cascades built{ {}, model::buildUnfusedMhaCascade() };
+    for (const LayerKind kind : model::allLayerKinds())
+        built.layers.push_back(model::buildCascade(kind, cfg));
+    auto same = std::find_if(distinct.begin(), distinct.end(),
+                             [&](const auto &c) { return *c == built; });
+    if (same == distinct.end()) {
+        distinct.push_back(
+            std::make_unique<const Cascades>(std::move(built)));
+        same = distinct.end() - 1;
+    }
+    entries.emplace_back(cfg, same->get());
+    return **same;
+}
+
 double
 Evaluator::bufferWords() const
 {
@@ -134,52 +177,43 @@ Evaluator::bufferWords() const
 dpipe::PipelineResult
 Evaluator::computePlan(LayerKind kind, StrategyKind strategy) const
 {
-    const bool is_mha = kind == LayerKind::Mha;
     const einsum::DimEnv &dims =
         kind == LayerKind::Qkv ? qkv_dims_ : dims_;
+    const einsum::Cascade &layer = cascades_->layers[layerIndex(kind)];
     switch (strategy) {
       case StrategyKind::Unfused:
-        return dpipe::scheduleSequential(
-            is_mha ? model::buildUnfusedMhaCascade()
-                   : model::buildCascade(kind, cfg_),
-            dims, arch_, opts_.pipeline);
       case StrategyKind::Flat:
         // FLAT fuses attention on-chip per Q row but recomputes a
         // full (multi-pass) row softmax and executes operators
         // serially -- the unfused MHA cascade models its compute.
         return dpipe::scheduleSequential(
-            is_mha ? model::buildUnfusedMhaCascade()
-                   : model::buildCascade(kind, cfg_),
+            kind == LayerKind::Mha ? cascades_->unfused_mha : layer,
             dims, arch_, opts_.pipeline);
       case StrategyKind::FuseMax:
       case StrategyKind::FuseMaxLayerFuse:
         // FuseMax pipelines inside MHA only (with partial softmax
         // mapped onto the 2D array); the rest is serial.
-        if (is_mha) {
+        if (kind == LayerKind::Mha) {
             auto popts = opts_.pipeline;
             popts.static_exp_on_2d = true;
-            return dpipe::scheduleStaticPipeline(
-                model::buildCascade(kind, cfg_), dims, arch_,
-                popts);
+            return dpipe::scheduleStaticPipeline(layer, dims, arch_,
+                                                 popts);
         }
-        return dpipe::scheduleSequential(
-            model::buildCascade(kind, cfg_), dims, arch_,
-            opts_.pipeline);
+        return dpipe::scheduleSequential(layer, dims, arch_,
+                                         opts_.pipeline);
       case StrategyKind::TransFusion: {
         // DPipe explores three plan families and keeps the best:
         // bipartition pipelining with DP placement, the static
         // 2D/1D split, and the cooperative tile-split execution.
-        const auto cascade = model::buildCascade(kind, cfg_);
-        auto best = dpipe::schedulePipeline(cascade, dims, arch_,
+        auto best = dpipe::schedulePipeline(layer, dims, arch_,
                                             model::peMapping(kind),
                                             opts_.pipeline);
-        auto fixed = dpipe::scheduleStaticPipeline(cascade, dims,
+        auto fixed = dpipe::scheduleStaticPipeline(layer, dims,
                                                    arch_,
                                                    opts_.pipeline);
         if (fixed.total_seconds < best.total_seconds)
             best = fixed;
-        auto coop = dpipe::scheduleCooperative(cascade, dims,
-                                               arch_,
+        auto coop = dpipe::scheduleCooperative(layer, dims, arch_,
                                                opts_.pipeline);
         if (coop.total_seconds < best.total_seconds)
             best = coop;
@@ -190,8 +224,8 @@ Evaluator::computePlan(LayerKind kind, StrategyKind strategy) const
 }
 
 double
-Evaluator::phaseTrafficWords(LayerKind kind,
-                             StrategyKind strategy) const
+Evaluator::phaseTrafficWords(LayerKind kind, StrategyKind strategy,
+                             double rr) const
 {
     const double w = bufferWords();
     const double b = static_cast<double>(cfg_.batch);
@@ -202,9 +236,6 @@ Evaluator::phaseTrafficWords(LayerKind kind,
     const double h = static_cast<double>(cfg_.heads);
     const double e = static_cast<double>(cfg_.head_dim);
     const double f = e;
-    // Per-phase mappings re-read operands beyond the blocked
-    // optimum; fused dataflows are exempt from the factor.
-    const double rr = opts_.unfused_reread_factor;
 
     switch (kind) {
       case LayerKind::Qkv: {
@@ -280,34 +311,19 @@ Evaluator::fusedTrafficWords(const tileseek::TileShape &tile) const
 std::array<double, 4>
 Evaluator::selectiveTrafficWords() const
 {
-    const double w = bufferWords();
-    const double b = static_cast<double>(cfg_.batch);
-    const double p = static_cast<double>(workload_.query_len);
-    const double m = static_cast<double>(workload_.context_len);
-    const double d = static_cast<double>(cfg_.d_model);
-    const double s = static_cast<double>(cfg_.ffn_hidden);
-    const double h = static_cast<double>(cfg_.heads);
-    const double e = static_cast<double>(cfg_.head_dim);
-    const double f = e;
-
+    // QKV and FFN phase-wise with optimally blocked weight streaming
+    // (no re-read factor); attention stays fused.
     std::array<double, 4> words{};
-    // QKV phase-wise with optimally blocked weight streaming; with
-    // a KV cache only the new positions are projected.
-    const double d_in = static_cast<double>(cfg_.dInput());
-    const double kv_rows = workload_.kv_cached ? p : m;
-    words[layerIndex(LayerKind::Qkv)] =
-        costmodel::gemmTrafficWords(b * p, d_in, d, w)
-        + 2.0
-            * costmodel::gemmTrafficWords(b * kv_rows, d_in, d, w);
-    // Attention + LayerNorm stay fused: AV never leaves the chip;
-    // LayerNorm only reads the residual and writes NR.
-    words[layerIndex(LayerKind::Mha)] =
-        b * h * costmodel::attentionStreamWords(p, m, e, f, w);
-    words[layerIndex(LayerKind::LayerNorm)] = 2.0 * b * p * d;
-    words[layerIndex(LayerKind::Ffn)] =
-        costmodel::gemmTrafficWords(b * p, d, s, w)
-        + 2.0 * b * p * s
-        + costmodel::gemmTrafficWords(b * p, s, d, w);
+    for (LayerKind kind : model::allLayerKinds()) {
+        words[layerIndex(kind)] =
+            phaseTrafficWords(kind, StrategyKind::FuseMax, 1.0);
+    }
+    // LayerNorm stays fused with attention: AV never leaves the
+    // chip, so it only reads the residual and writes NR.
+    words[layerIndex(LayerKind::LayerNorm)] =
+        2.0 * static_cast<double>(cfg_.batch)
+        * static_cast<double>(workload_.query_len)
+        * static_cast<double>(cfg_.d_model);
     return words;
 }
 
@@ -335,11 +351,6 @@ costmodel::EnergyBreakdown
 Evaluator::onChipEnergy(LayerKind kind, StrategyKind strategy) const
 {
     const bool is_mha = kind == LayerKind::Mha;
-    const einsum::Cascade cascade =
-        (is_mha && strategy == StrategyKind::Unfused)
-            ? model::buildUnfusedMhaCascade()
-            : model::buildCascade(kind, cfg_);
-
     costmodel::OnChipParams params;
     switch (strategy) {
       case StrategyKind::Unfused:
@@ -356,7 +367,9 @@ Evaluator::onChipEnergy(LayerKind kind, StrategyKind strategy) const
         break;
     }
     return costmodel::cascadeOnChipEnergy(
-               cascade,
+               is_mha && strategy == StrategyKind::Unfused
+                   ? cascades_->unfused_mha
+                   : cascades_->layers[layerIndex(kind)],
                kind == LayerKind::Qkv ? qkv_dims_ : dims_, arch_,
                params)
         .scaled(static_cast<double>(cfg_.batch));
@@ -419,7 +432,8 @@ Evaluator::evaluate(StrategyKind strategy) const
     } else {
         for (LayerKind kind : model::allLayerKinds()) {
             traffic_words[layerIndex(kind)] =
-                phaseTrafficWords(kind, strategy);
+                phaseTrafficWords(kind, strategy,
+                                  opts_.unfused_reread_factor);
         }
     }
 
@@ -441,13 +455,7 @@ Evaluator::evaluate(StrategyKind strategy) const
         m.energy.dram_j = costmodel::dramEnergy(arch_, m.dram_bytes);
 
         // Scale to all encoder/decoder layers.
-        m.latency_s *= layers;
-        m.compute_s *= layers;
-        m.dram_s *= layers;
-        m.dram_bytes *= layers;
-        m.ops_2d *= layers;
-        m.ops_1d *= layers;
-        m.energy = m.energy.scaled(layers);
+        m = m.scaled(layers);
 
         result.total += m;
     }

@@ -118,6 +118,11 @@ class Evaluator
     const Workload &workload() const { return workload_; }
 
   private:
+    /** One model's immutable cascades, shared process-wide. */
+    struct Cascades;
+    static const Cascades &sharedCascades(
+        const model::TransformerConfig &cfg);
+
     arch::ArchConfig arch_;
     model::TransformerConfig cfg_;
     Workload workload_;
@@ -126,6 +131,7 @@ class Evaluator
     /** Dims for the QKV layer: context shrinks to the projected
      *  positions when the K/V cache already holds the rest. */
     einsum::DimEnv qkv_dims_;
+    const Cascades *cascades_ = nullptr;
 
     /** Buffer capacity in words. */
     double bufferWords() const;
@@ -134,9 +140,11 @@ class Evaluator
     dpipe::PipelineResult computePlan(model::LayerKind kind,
                                       StrategyKind strategy) const;
 
-    /** DRAM words of one sub-layer for unfused-style strategies. */
+    /** DRAM words of one sub-layer for unfused-style strategies,
+     *  re-reading operands `rr` times the blocked optimum (fused
+     *  attention is exempt). */
     double phaseTrafficWords(model::LayerKind kind,
-                             StrategyKind strategy) const;
+                             StrategyKind strategy, double rr) const;
 
     /** Per-sub-layer DRAM words of the fused stack under a tile. */
     std::array<double, 4>

@@ -23,6 +23,20 @@ LayerMetrics::operator+=(const LayerMetrics &o)
     return *this;
 }
 
+LayerMetrics
+LayerMetrics::scaled(double factor) const
+{
+    LayerMetrics m;
+    m.latency_s = latency_s * factor;
+    m.compute_s = compute_s * factor;
+    m.dram_s = dram_s * factor;
+    m.dram_bytes = dram_bytes * factor;
+    m.ops_2d = ops_2d * factor;
+    m.ops_1d = ops_1d * factor;
+    m.energy = energy.scaled(factor);
+    return m;
+}
+
 std::size_t
 layerIndex(model::LayerKind kind)
 {

@@ -32,6 +32,8 @@ struct LayerMetrics
     costmodel::EnergyBreakdown energy;
 
     LayerMetrics &operator+=(const LayerMetrics &o);
+    /** Every field times `factor` (energy via EnergyBreakdown). */
+    LayerMetrics scaled(double factor) const;
 };
 
 /** Evaluation of one (strategy, model, arch, sequence) point. */

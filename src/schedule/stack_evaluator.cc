@@ -45,17 +45,7 @@ StackEvaluator::blockMetrics(const Workload &workload,
     m += r.layer(model::LayerKind::LayerNorm);
     if (include_ffn)
         m += r.layer(model::LayerKind::Ffn);
-
-    LayerMetrics scaled;
-    scaled.latency_s = m.latency_s * static_cast<double>(layers);
-    scaled.compute_s = m.compute_s * static_cast<double>(layers);
-    scaled.dram_s = m.dram_s * static_cast<double>(layers);
-    scaled.dram_bytes =
-        m.dram_bytes * static_cast<double>(layers);
-    scaled.ops_2d = m.ops_2d * static_cast<double>(layers);
-    scaled.ops_1d = m.ops_1d * static_cast<double>(layers);
-    scaled.energy = m.energy.scaled(static_cast<double>(layers));
-    return scaled;
+    return m.scaled(static_cast<double>(layers));
 }
 
 StackResult

@@ -36,29 +36,32 @@ TileSeek::newNode(Tree &tree, int level) const
 {
     Node n;
     n.level = level;
+    n.first_slot = static_cast<int>(tree.child_pool.size());
     if (level < static_cast<int>(space.depth())) {
-        n.child_of_choice.assign(
-            space.choices[static_cast<std::size_t>(level)].size(),
-            -1);
+        tree.child_pool.resize(
+            tree.child_pool.size()
+            + space.choices[static_cast<std::size_t>(level)].size());
     }
-    tree.nodes.push_back(std::move(n));
-    ++tree.nodes_expanded;
+    // iterate() holds a reference into `nodes` across this call.
+    tf_assert(tree.nodes.size() < tree.nodes.capacity(),
+              "TileSeek node arena overflow");
+    tree.nodes.push_back(n);
     return static_cast<int>(tree.nodes.size()) - 1;
 }
 
 double
-TileSeek::ucbScore(const Node &child, int parent_visits) const
+TileSeek::ucbScore(const Node &child, double log_parent_visits) const
 {
     // Unvisited children and children of an unvisited parent are
-    // maximally attractive.  The parent_visits guard is defensive:
+    // maximally attractive.  The parent guard is defensive:
     // log(0) -> -inf would otherwise surface as a NaN score that
     // silently loses every comparison and skews selection.
-    if (child.visits == 0 || parent_visits <= 0)
+    if (child.visits == 0 || !(log_parent_visits >= 0))
         return std::numeric_limits<double>::infinity();
     const double mean = child.total_reward
         / static_cast<double>(child.visits);
     const double explore = options.ucb_c
-        * std::sqrt(std::log(static_cast<double>(parent_visits))
+        * std::sqrt(log_parent_visits
                     / static_cast<double>(child.visits));
     return mean + explore;
 }
@@ -70,12 +73,12 @@ TileSeek::evaluate(Tree &tree, const Assignment &a) const
     // infeasible points still paid for constraint validation, and
     // reporting only the feasible subset under-counted search cost.
     ++tree.result.evaluations;
-    if (!feasible(a)) {
+    // A failed constraint reads as a negative (infeasible) cost.
+    const double c = feasible(a) ? cost(a) : -1.0;
+    if (!costFeasible(c)) {
         ++tree.result.infeasible;
         return 0.0; // infeasible leaves earn zero reward
     }
-
-    const double c = cost(a);
     if (tree.reward_scale <= 0)
         tree.reward_scale = c > 0 ? c : 1.0;
     SearchResult &result = tree.result;
@@ -90,23 +93,12 @@ TileSeek::evaluate(Tree &tree, const Assignment &a) const
     return tree.reward_scale / (tree.reward_scale + c);
 }
 
-double
-TileSeek::rolloutAndScore(Tree &tree, Assignment &partial,
-                          std::size_t level) const
-{
-    for (std::size_t l = level; l < space.depth(); ++l) {
-        const auto &cands = space.choices[l];
-        partial[l] = cands[static_cast<std::size_t>(
-            tree.rng.nextBelow(cands.size()))];
-    }
-    return evaluate(tree, partial);
-}
-
 void
 TileSeek::iterate(Tree &tree) const
 {
-    Assignment partial(space.depth(), 0);
-    std::vector<int> path;
+    Assignment &partial = tree.partial;
+    std::vector<int> &path = tree.path;
+    path.clear();
     int node = 0;
     path.push_back(node);
 
@@ -118,38 +110,31 @@ TileSeek::iterate(Tree &tree) const
 
         const auto &cands =
             space.choices[static_cast<std::size_t>(n.level)];
+        const int *children = tree.child_pool.data() + n.first_slot;
 
-        // Expansion: take the first unexpanded child, if any.
-        int unexpanded = -1;
-        for (std::size_t c = 0; c < cands.size(); ++c) {
-            if (n.child_of_choice[c] < 0) {
-                unexpanded = static_cast<int>(c);
-                break;
-            }
-        }
-        if (unexpanded >= 0) {
-            const int child = newNode(tree, n.level + 1);
-            // `nodes` may have reallocated; re-reference.
-            auto &nodes = tree.nodes;
-            nodes[static_cast<std::size_t>(node)]
-                .child_of_choice[static_cast<std::size_t>(
-                    unexpanded)] = child;
-            partial[static_cast<std::size_t>(
-                nodes[static_cast<std::size_t>(node)].level)] =
-                cands[static_cast<std::size_t>(unexpanded)];
-            node = child;
+        // Expansion: children are created in choice order, so the
+        // first unexpanded one is choice `expanded`.  `nodes` has
+        // room for every iteration's node, so `n` stays valid.
+        if (n.expanded < static_cast<int>(cands.size())) {
+            const int choice = n.expanded++;
+            partial[static_cast<std::size_t>(n.level)] =
+                cands[static_cast<std::size_t>(choice)];
+            node = newNode(tree, n.level + 1);
+            tree.child_pool[static_cast<std::size_t>(n.first_slot
+                                                     + choice)] = node;
             path.push_back(node);
             break;
         }
 
         // All children expanded: UCB selection.
+        const double log_visits =
+            std::log(static_cast<double>(n.visits));
         int best_choice = 0;
         double best_score = -1;
         for (std::size_t c = 0; c < cands.size(); ++c) {
-            const int child = n.child_of_choice[c];
             const double score = ucbScore(
-                tree.nodes[static_cast<std::size_t>(child)],
-                n.visits);
+                tree.nodes[static_cast<std::size_t>(children[c])],
+                log_visits);
             if (score > best_score) {
                 best_score = score;
                 best_choice = static_cast<int>(c);
@@ -157,16 +142,20 @@ TileSeek::iterate(Tree &tree) const
         }
         partial[static_cast<std::size_t>(n.level)] =
             cands[static_cast<std::size_t>(best_choice)];
-        node = n.child_of_choice[static_cast<std::size_t>(
-            best_choice)];
+        node = children[best_choice];
         path.push_back(node);
     }
 
-    // Rollout from the frontier node's depth.
-    const std::size_t frontier_level = static_cast<std::size_t>(
-        tree.nodes[static_cast<std::size_t>(node)].level);
-    const double reward =
-        rolloutAndScore(tree, partial, frontier_level);
+    // Rollout: complete the assignment randomly from the frontier
+    // node's depth.
+    for (std::size_t l = static_cast<std::size_t>(
+             tree.nodes[static_cast<std::size_t>(node)].level);
+         l < space.depth(); ++l) {
+        const auto &cands = space.choices[l];
+        partial[l] = cands[static_cast<std::size_t>(
+            tree.rng.nextBelow(cands.size()))];
+    }
+    const double reward = evaluate(tree, partial);
 
     // Backpropagation.
     for (int v : path) {
@@ -179,6 +168,9 @@ TileSeek::iterate(Tree &tree) const
 void
 TileSeek::searchTree(Tree &tree) const
 {
+    tree.nodes.reserve(static_cast<std::size_t>(options.iterations)
+                       + 1);
+    tree.partial.assign(space.depth(), 0);
     newNode(tree, 0); // root
     for (int i = 0; i < options.iterations; ++i)
         iterate(tree);
@@ -219,7 +211,7 @@ TileSeek::search()
     SearchResult merged;
     nodes_expanded = 0;
     for (const Tree &t : trees) {
-        nodes_expanded += t.nodes_expanded;
+        nodes_expanded += static_cast<std::int64_t>(t.nodes.size());
         merged.evaluations += t.result.evaluations;
         merged.infeasible += t.result.infeasible;
         merged.best_updates += t.result.best_updates;

@@ -65,10 +65,16 @@ class TileSeek
     std::int64_t nodesExpanded() const { return nodes_expanded; }
 
   private:
+    /**
+     * A tree node.  Its children's ids sit in the tree's child_pool
+     * from `first_slot`, one slot per choice at its level.  Children
+     * are expanded in choice order, so the next one is `expanded`.
+     */
     struct Node
     {
-        int level = 0;             ///< depth in the tree
-        std::vector<int> child_of_choice; ///< -1 = unexpanded
+        int level = 0;      ///< depth in the tree
+        int first_slot = 0; ///< offset of its children in child_pool
+        int expanded = 0;   ///< children materialized so far
         double total_reward = 0;
         int visits = 0;
     };
@@ -78,9 +84,11 @@ class TileSeek
     {
         explicit Tree(std::uint64_t seed) : rng(seed) {}
 
-        std::vector<Node> nodes;
+        std::vector<Node> nodes; ///< one per iteration, plus the root
+        std::vector<int> child_pool;
+        Assignment partial;    ///< iterate()'s buffers, reused
+        std::vector<int> path;
         Rng rng;
-        std::int64_t nodes_expanded = 0;
         double reward_scale = -1; ///< first feasible cost, shaping
         SearchResult result;
     };
@@ -96,13 +104,11 @@ class TileSeek
     void searchTree(Tree &tree) const;
 
     int newNode(Tree &tree, int level) const;
-    /** UCB1 score of a child given parent visit count. */
-    double ucbScore(const Node &child, int parent_visits) const;
+    /** UCB1 score of a child given log(parent visit count), which
+     *  is -inf for an unvisited parent. */
+    double ucbScore(const Node &child, double log_parent_visits) const;
     /** One MCTS iteration; updates the tree's incumbent. */
     void iterate(Tree &tree) const;
-    /** Complete `partial` randomly from `level`; returns reward. */
-    double rolloutAndScore(Tree &tree, Assignment &partial,
-                           std::size_t level) const;
     /** Evaluate a complete assignment, updating the incumbent. */
     double evaluate(Tree &tree, const Assignment &a) const;
 };

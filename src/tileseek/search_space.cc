@@ -57,8 +57,9 @@ exhaustiveSearch(const SearchSpace &space, const FeasibleFn &feasible,
     while (true) {
         for (std::size_t l = 0; l < space.depth(); ++l)
             a[l] = space.choices[l][pos[l]];
-        if (feasible(a)) {
-            const double c = cost(a);
+                // A failed constraint reads as a negative (infeasible) cost.
+        const double c = feasible(a) ? cost(a) : -1.0;
+        if (costFeasible(c)) {
             ++result.evaluations;
             if (!result.found || c < result.best_cost) {
                 result.found = true;

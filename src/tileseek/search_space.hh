@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,13 @@ struct SearchSpace
  */
 using CostFn = std::function<double(const Assignment &)>;
 
+/** Whether a CostFn result is a real cost (finite, non-negative). */
+inline bool
+costFeasible(double c)
+{
+    return c >= 0 && c < std::numeric_limits<double>::infinity();
+}
+
 /** Feasibility predicate (Table 2 constraint validation). */
 using FeasibleFn = std::function<bool(const Assignment &)>;
 
@@ -57,11 +65,13 @@ struct SearchResult
     /**
      * Leaves the search paid to examine.  MCTS counts every
      * completed rollout (feasible or not -- constraint validation
-     * is part of the budget); exhaustiveSearch counts cost-model
-     * invocations on feasible points only.
+     * is part of the budget); exhaustiveSearch counts feasible
+     * points only, so its evaluations + infeasible is the leaf
+     * count.
      */
     std::int64_t evaluations = 0;
-    /** Leaves that failed the Table 2 constraint validation. */
+    /** Leaves that failed the Table 2 constraint validation or
+     *  whose cost signalled infeasibility. */
     std::int64_t infeasible = 0;
     /** Times the incumbent best cost improved during the search
      *  (summed over all root-parallel trees). */

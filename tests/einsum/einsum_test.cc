@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "common/logging.hh"
+#include "einsum/cascade.hh"
 #include "einsum/einsum.hh"
+#include "model/cascades.hh"
 
 namespace transfusion::einsum
 {
@@ -76,6 +82,45 @@ TEST(Einsum, ReductionIndicesAreInputsMinusOutputs)
         .combine(CombineOp::Mul).reduce(ReduceOp::Sum);
     EXPECT_EQ(z.reductionIndices(),
               (std::vector<std::string>{ "k" }));
+}
+
+/** Eq. 40's definition: input labels minus output labels, by set
+ *  difference, listed in first-appearance order. */
+std::vector<std::string>
+reductionByDefinition(const Einsum &op)
+{
+    const std::set<std::string> out(op.output().indices.begin(),
+                                    op.output().indices.end());
+    std::set<std::string> seen;
+    std::vector<std::string> red;
+    for (const auto &in : op.inputs()) {
+        for (const auto &idx : in.indices) {
+            if (!out.count(idx) && seen.insert(idx).second)
+                red.push_back(idx);
+        }
+    }
+    return red;
+}
+
+TEST(Einsum, ReductionIndicesFixedAtBuild)
+{
+    std::vector<Cascade> cascades = { model::buildUnfusedMhaCascade() };
+    for (const UnaryOp act : { UnaryOp::Relu, UnaryOp::Gelu,
+                               UnaryOp::Silu, UnaryOp::Sigmoid }) {
+        model::TransformerConfig cfg = model::bertBase();
+        cfg.activation = act;
+        for (const model::LayerKind kind : model::allLayerKinds())
+            cascades.push_back(model::buildCascade(kind, cfg));
+    }
+    std::size_t checked = 0;
+    for (const Cascade &c : cascades) {
+        for (const Einsum &op : c.ops()) {
+            EXPECT_EQ(op.reductionIndices(), reductionByDefinition(op))
+                << c.name() << "/" << op.name();
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, 0u);
 }
 
 TEST(Einsum, ComputeLoadMatchesEq40)

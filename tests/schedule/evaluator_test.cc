@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "common/logging.hh"
 #include "schedule/evaluator.hh"
 
@@ -196,6 +199,64 @@ TEST(Evaluator, RejectsBadSequence)
     EXPECT_THROW(
         Evaluator(arch::cloudArch(), model::bertBase(), 0),
         FatalError);
+}
+
+void
+expectSameMetrics(const LayerMetrics &a, const LayerMetrics &b)
+{
+    EXPECT_EQ(a.latency_s, b.latency_s);
+    EXPECT_EQ(a.compute_s, b.compute_s);
+    EXPECT_EQ(a.dram_s, b.dram_s);
+    EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+    EXPECT_EQ(a.ops_2d, b.ops_2d);
+    EXPECT_EQ(a.ops_1d, b.ops_1d);
+    EXPECT_EQ(a.energy.total(), b.energy.total());
+}
+
+TEST(Evaluator, ConcurrentConstructionSharesCascades)
+{
+    // Renamed models are configs no other test has built, so the
+    // four threads race on the first use of their cascade entries.
+    std::vector<model::TransformerConfig> models;
+    for (model::TransformerConfig cfg : model::allModels()) {
+        cfg.name += "/concurrent";
+        models.push_back(cfg);
+    }
+    models.resize(4);
+    const auto run = [](const model::TransformerConfig &cfg) {
+        const Evaluator eval(arch::edgeArch(), cfg, 1024,
+                             fastOptions());
+        std::vector<EvalResult> results;
+        for (const StrategyKind kind : allStrategies())
+            results.push_back(eval.evaluate(kind));
+        return results;
+    };
+
+    std::vector<std::vector<EvalResult>> concurrent(models.size());
+    {
+        std::vector<std::thread> threads;
+        for (std::size_t i = 0; i < models.size(); ++i) {
+            threads.emplace_back([&, i] {
+                concurrent[i] = run(models[i]);
+            });
+        }
+        for (auto &t : threads)
+            t.join();
+    }
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        const auto serial = run(models[i]);
+        ASSERT_EQ(serial.size(), concurrent[i].size());
+        for (std::size_t k = 0; k < serial.size(); ++k) {
+            SCOPED_TRACE(models[i].name + " "
+                         + toString(allStrategies()[k]));
+            expectSameMetrics(serial[k].total, concurrent[i][k].total);
+            for (std::size_t l = 0; l < serial[k].layers.size(); ++l)
+                expectSameMetrics(serial[k].layers[l],
+                                  concurrent[i][k].layers[l]);
+            EXPECT_EQ(serial[k].tile.toString(),
+                      concurrent[i][k].tile.toString());
+        }
+    }
 }
 
 TEST(LayerMetrics, AccumulateOperator)

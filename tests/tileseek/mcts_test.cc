@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 #include "tileseek/mcts.hh"
@@ -78,6 +79,47 @@ TEST(ExhaustiveSearch, CapIsFatal)
             toySpace(), [](const Assignment &) { return true; },
             [](const Assignment &) { return 0.0; }, 10.0),
         FatalError);
+}
+
+/**
+ * A 4x4 space whose only real cost is at (8,8); every other leaf
+ * signals infeasibility through the CostFn contract (+inf, -1, NaN
+ * or -inf by its first level), and the first leaf an MCTS visits
+ * costs +inf.
+ */
+SearchSpace
+signalledSpace()
+{
+    SearchSpace s;
+    s.level_names = { "a", "b" };
+    s.choices = { { 1, 2, 4, 8 }, { 1, 2, 4, 8 } };
+    return s;
+}
+
+double
+signalledCost(const Assignment &x)
+{
+    if (x[0] == 8 && x[1] == 8)
+        return 5.0;
+    switch (x[0]) {
+      case 1: return std::numeric_limits<double>::infinity();
+      case 2: return -1.0;
+      case 4: return std::numeric_limits<double>::quiet_NaN();
+      default: return -std::numeric_limits<double>::infinity();
+    }
+}
+
+TEST(ExhaustiveSearch, NegativeOrNonFiniteCostIsInfeasible)
+{
+    const auto r = exhaustiveSearch(
+        signalledSpace(), [](const Assignment &) { return true; },
+        signalledCost);
+    ASSERT_TRUE(r.found);
+    EXPECT_EQ(r.best, (Assignment{ 8, 8 }));
+    EXPECT_DOUBLE_EQ(r.best_cost, 5.0);
+    EXPECT_EQ(r.evaluations, 1);
+    EXPECT_EQ(r.infeasible, 15);
+    EXPECT_EQ(r.best_updates, 1);
 }
 
 TEST(Mcts, FindsOptimumOnSeparableObjective)
@@ -191,6 +233,25 @@ TEST(Mcts, EvaluationsCountEveryCompletedLeaf)
         TileSeek(toySpace(), feasible, cost, opts).search();
     ASSERT_TRUE(r.found);
     EXPECT_EQ(r.evaluations, 200);
+}
+
+TEST(Mcts, NegativeOrNonFiniteCostIsInfeasible)
+{
+    MctsOptions opts;
+    opts.iterations = 200;
+    const auto r = TileSeek(signalledSpace(),
+                            [](const Assignment &) { return true; },
+                            signalledCost, opts).search();
+    ASSERT_TRUE(r.found);
+    EXPECT_EQ(r.best, (Assignment{ 8, 8 }));
+    EXPECT_DOUBLE_EQ(r.best_cost, 5.0);
+    // The incumbent moved once, to the only real cost; every other
+    // leaf earned zero reward, so an infinite first cost neither
+    // became the reward scale nor turned later rewards into NaN.
+    EXPECT_EQ(r.best_updates, 1);
+    EXPECT_EQ(r.evaluations, 200);
+    EXPECT_GT(r.infeasible, 0);
+    EXPECT_LT(r.infeasible, r.evaluations);
 }
 
 TEST(Mcts, SearchIsIdempotentOnOneInstance)
