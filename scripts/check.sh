@@ -11,7 +11,8 @@
 #   chaos                               seeded chaos-invariant sweep
 #   perf-smoke                          ~1 s sim-core bench canary
 #   serve / fault / fleet               UBSan surface (plus the
-#                                       tf_tileseek_test binary)
+#                                       tf_tileseek_test and
+#                                       tf_dpipe_test binaries)
 #
 # Usage: scripts/check.sh
 #        [--tier1-only | --tsan-only | --obs-off-only |
@@ -136,13 +137,19 @@ run_ubsan() {
     cmake --build build-ubsan -j "$jobs" \
         --target tf_serve_test tf_fault_test tf_fleet_test \
         tf_fault_fuzz_test tf_replay_diff_test \
-        tf_fleet_scaling_test tf_tileseek_test ext_chaos_sweep
+        tf_fleet_scaling_test tf_tileseek_test tf_dpipe_test \
+        ext_chaos_sweep
     ctest --test-dir build-ubsan --output-on-failure -j "$jobs" \
         -L 'serve|fault|fleet' -E Chaos
     # TileSeek's tree arena indexes its child pool by raw offsets;
     # run the whole MCTS suite, frozen search digests included.
     echo "== UBSan: TileSeek =="
     ./build-ubsan/tests/tileseek/tf_tileseek_test
+    # DPipe's order search resumes each order from per-depth DP
+    # state kept at raw offsets in one scratch buffer; run the whole
+    # suite, the branch-and-bound-vs-full-pricing check included.
+    echo "== UBSan: DPipe =="
+    ./build-ubsan/tests/dpipe/tf_dpipe_test
     # A reduced chaos sweep under UBSan: the randomized schedules
     # push the slowdown/backoff/EWMA arithmetic into corners the
     # unit tests don't reach.  Exit status is the verdict.

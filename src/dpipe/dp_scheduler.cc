@@ -92,12 +92,65 @@ Schedule::toGantt(const std::vector<std::string> &op_names,
 namespace
 {
 
+/** The DP's running state after a prefix of an order. */
+struct DpState
+{
+    double time_pe[2] = { 0.0, 0.0 }; ///< Time[pe_j] (Eq. 46)
+    double makespan = 0.0;
+};
+
+/** Where one DP step committed its op. */
+struct DpStep
+{
+    int pe = -1;
+    double start = 0.0;
+    double end = 0.0;
+};
+
 /**
- * The Eq. 43-46 DP over `order`: for every op, its earliest start
- * on each array, commit to the earliest finisher, advance that
- * array's timeline.  `predecessors(v)` lists op v's dependencies;
- * `end_t` is scratch covering every id; `place(op, pe, start, end)`
- * sees each commitment in order.  Returns the makespan.
+ * One Eq. 43-46 step: op v's earliest start on each array, commit
+ * to the earliest finisher, advance that array's timeline.
+ * `predecessors(v)` lists v's dependencies; `end_t` holds every
+ * placed op's end and -1 for every unplaced one.
+ */
+template <typename Id, typename Preds>
+DpStep
+dpStep(Id v, const Preds &predecessors,
+       const std::vector<OpLatencyPair> &latency,
+       std::span<double> end_t, DpState &state)
+{
+    // Latest completion among dependencies (Eq. 43, second arg).
+    double dep_ready = 0.0;
+    for (const auto p : predecessors(v)) {
+        const double e = end_t[static_cast<std::size_t>(p)];
+        tf_assert(e >= 0, "order is not topological: op ", int{ v },
+                  " scheduled before predecessor ", int{ p });
+        dep_ready = std::max(dep_ready, e);
+    }
+
+    // Evaluate both arrays; commit to the earliest finisher
+    // (Eq. 44-45).
+    DpStep step;
+    for (int j = 0; j < 2; ++j) {
+        const double start = std::max(state.time_pe[j], dep_ready);
+        const double end = start
+            + latency[static_cast<std::size_t>(v)]
+                     [static_cast<std::size_t>(j)];
+        if (step.pe < 0 || end < step.end)
+            step = { j, start, end };
+    }
+
+    // Advance the winning array's timeline (Eq. 46).
+    state.time_pe[step.pe] = step.end;
+    end_t[static_cast<std::size_t>(v)] = step.end;
+    state.makespan = std::max(state.makespan, step.end);
+    return step;
+}
+
+/**
+ * The Eq. 43-46 DP over a whole `order`; `end_t` is scratch
+ * covering every id, and `place(op, pe, start, end)` sees each
+ * commitment in order.  Returns the makespan.
  */
 template <typename Id, typename Preds, typename Place>
 double
@@ -105,45 +158,14 @@ runDp(std::span<const Id> order, const Preds &predecessors,
       const std::vector<OpLatencyPair> &latency,
       std::span<double> end_t, Place &&place)
 {
-    // Time[pe_j]: accumulated occupancy of each array (Eq. 46).
-    double time_pe[2] = { 0.0, 0.0 };
+    DpState state;
     std::fill(end_t.begin(), end_t.end(), -1.0);
-    double makespan = 0.0;
-
     for (const Id v : order) {
-        // Latest completion among dependencies (Eq. 43, second arg).
-        double dep_ready = 0.0;
-        for (const auto p : predecessors(v)) {
-            const double e = end_t[static_cast<std::size_t>(p)];
-            tf_assert(e >= 0, "order is not topological: op ",
-                      int{ v }, " scheduled before predecessor ",
-                      int{ p });
-            dep_ready = std::max(dep_ready, e);
-        }
-
-        // Evaluate both arrays; commit to the earliest finisher
-        // (Eq. 44-45).
-        double best_end = 0.0, best_start = 0.0;
-        int best_pe = -1;
-        for (int j = 0; j < 2; ++j) {
-            const double start = std::max(time_pe[j], dep_ready);
-            const double end = start
-                + latency[static_cast<std::size_t>(v)]
-                         [static_cast<std::size_t>(j)];
-            if (best_pe < 0 || end < best_end) {
-                best_pe = j;
-                best_end = end;
-                best_start = start;
-            }
-        }
-
-        // Advance the winning array's timeline (Eq. 46).
-        time_pe[best_pe] = best_end;
-        end_t[static_cast<std::size_t>(v)] = best_end;
-        place(int{ v }, best_pe, best_start, best_end);
-        makespan = std::max(makespan, best_end);
+        const DpStep step =
+            dpStep(v, predecessors, latency, end_t, state);
+        place(int{ v }, step.pe, step.start, step.end);
     }
-    return makespan;
+    return state.makespan;
 }
 
 /** A `place` callback for runDp that records the full Schedule. */
@@ -198,26 +220,66 @@ bestOrder(const SubDagPlan &plan,
 {
     tf_assert(static_cast<int>(latency.size()) >= plan.idSpace(),
               "latency table must cover the DAG");
-    if (static_cast<int>(scratch.size()) < plan.idSpace())
-        scratch.resize(static_cast<std::size_t>(plan.idSpace()));
-    const std::span<double> end_t(
-        scratch.data(), static_cast<std::size_t>(plan.idSpace()));
+    // scratch = [end_t by id | DpState after each depth 0..n].
+    constexpr std::size_t kStateWords = 3;
+    const auto ids = static_cast<std::size_t>(plan.idSpace());
+    const auto n = static_cast<std::size_t>(plan.size());
+    const std::size_t words = ids + kStateWords * (n + 1);
+    if (scratch.size() < words)
+        scratch.resize(words);
+    const std::span<double> end_t(scratch.data(), ids);
+    const std::span<double> depth_state(scratch.data() + ids,
+                                        kStateWords * (n + 1));
+    const auto save = [&](std::size_t d, const DpState &s) {
+        depth_state[kStateWords * d] = s.time_pe[0];
+        depth_state[kStateWords * d + 1] = s.time_pe[1];
+        depth_state[kStateWords * d + 2] = s.makespan;
+    };
+    const auto load = [&](std::size_t d) {
+        DpState s;
+        s.time_pe[0] = depth_state[kStateWords * d];
+        s.time_pe[1] = depth_state[kStateWords * d + 1];
+        s.makespan = depth_state[kStateWords * d + 2];
+        return s;
+    };
     const auto preds = predecessorsIn(plan);
-    const auto no_placement = [](int, int, double, double) {};
+    std::fill(end_t.begin(), end_t.end(), -1.0);
+    save(0, DpState{});
 
+    // Branch and bound over the stored orders.  Depths 0..`priced`
+    // of depth_state (and the end_t of the ops placed there) belong
+    // to the prefix priced last.  Order k shares its first
+    // sharedPrefix(k) ops with order k - 1, so it resumes at that
+    // depth, or at `priced` if pricing stopped short of it.  The
+    // makespan never shrinks along an order, so once it is not
+    // below the incumbent the order cannot win: pricing stops
+    // there, and a later order sharing that prefix resumes already
+    // beaten.  Order 0 is always priced in full and is the first
+    // incumbent; the strict `<` keeps the first best order.
     BestOrder best;
-    best.makespan =
-        runDp(plan.order(0), preds, latency, end_t, no_placement);
-    for (std::size_t k = 1; k < plan.orderCount(); ++k) {
-        const double makespan =
-            runDp(plan.order(k), preds, latency, end_t, no_placement);
-        if (makespan < best.makespan) {
-            best.index = k;
-            best.makespan = makespan;
-        } else {
+    std::size_t priced = 0;
+    for (std::size_t k = 0; k < plan.orderCount(); ++k) {
+        const auto order = plan.order(k);
+        priced = std::min(priced, plan.sharedPrefix(k));
+        DpState state = load(priced);
+        const auto beaten = [&] {
+            return k > 0 && !(state.makespan < best.makespan);
+        };
+        for (std::size_t d = priced; d < n; ++d)
+            end_t[order[d]] = -1.0;
+        while (priced < n && !beaten()) {
+            dpStep(order[priced], preds, latency, end_t, state);
+            save(++priced, state);
+        }
+        if (beaten()) {
             ++stats.orders_pruned;
+        } else {
+            best.index = k;
+            best.makespan = state.makespan;
         }
     }
+    // The counters describe the search space, not the op-steps
+    // priced (see DpSearchStats).
     const auto tried = static_cast<std::int64_t>(plan.orderCount());
     stats.orders_tried += tried;
     stats.states_explored += tried * plan.size();

@@ -87,9 +87,12 @@ Schedule bestDpSchedule(const einsum::Dag &dag,
                         std::size_t max_orders);
 
 /**
- * Work of a DP order search, recorded as the dpipe/dp counters:
- * one state per (op, order) pair; orders that fail to beat the
- * incumbent makespan are the pruned share of the search.
+ * Work of a DP order search, recorded as the dpipe/dp counters.
+ * They count the search space, not the op-steps actually priced:
+ * every stored order is tried, every (op, order) pair is one
+ * explored state, and every order that does not beat the incumbent
+ * makespan is pruned -- whether bestOrder priced it in full, cut it
+ * part-way or skipped it on a shared, already-beaten prefix.
  */
 struct DpSearchStats
 {
@@ -109,10 +112,13 @@ struct BestOrder
 };
 
 /**
- * Price every order of `plan` with the makespan-only DP and return
- * the first one with the smallest makespan.  `latency` is indexed by
- * parent id and covers plan.idSpace(); `scratch` is reused across
- * calls.  Adds the search's work to `stats`.
+ * Return the first order of `plan` with the smallest makespan under
+ * the makespan-only DP.  An exact branch and bound: each order
+ * resumes from the DP state of the prefix it shares with the order
+ * before it, and stops once its makespan is not below the
+ * incumbent's.  `latency` is indexed by parent id and covers
+ * plan.idSpace(); `scratch` (the per-id end times and per-depth DP
+ * state) is reused across calls.  Adds the search's work to `stats`.
  */
 BestOrder bestOrder(const SubDagPlan &plan,
                     const std::vector<OpLatencyPair> &latency,

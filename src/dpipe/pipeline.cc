@@ -20,26 +20,42 @@ using costmodel::PeTarget;
 namespace
 {
 
-/** Per-op [2D, 1D] latency, optionally divided into epochs. */
-std::vector<OpLatencyPair>
-latencyTable(const einsum::Cascade &cascade,
-             const einsum::DimEnv &dims,
-             const arch::ArchConfig &arch,
-             const costmodel::LatencyParams &params, double divide)
+/** Per-op costs DPipe prices, each op's load computed once. */
+struct OpCosts
 {
-    std::vector<OpLatencyPair> lat;
-    lat.reserve(cascade.size());
+    /// [2D, 1D] seconds per epoch by op id, plus the steady-state
+    /// DAG's virtual ROOT (op n), which takes no time.
+    std::vector<OpLatencyPair> lat_epoch;
+    std::vector<double> full_load; ///< whole-op compute load by op id
+};
+
+/**
+ * Price every op of `cascade` once: its load, and from that load
+ * opLatencySeconds's exact arithmetic (Eq. 41-42) on each array,
+ * divided into `epochs`.
+ */
+OpCosts
+opCosts(const einsum::Cascade &cascade, const einsum::DimEnv &dims,
+        const arch::ArchConfig &arch,
+        const costmodel::LatencyParams &params, double epochs)
+{
+    OpCosts c;
+    c.lat_epoch.reserve(cascade.size() + 1);
+    c.full_load.reserve(cascade.size());
     for (const auto &op : cascade.ops()) {
-        lat.push_back({
-            costmodel::opLatencySeconds(op, dims, arch,
-                                        PeTarget::Array2d, params)
-                / divide,
-            costmodel::opLatencySeconds(op, dims, arch,
-                                        PeTarget::Array1d, params)
-                / divide,
-        });
+        const double load = op.computeLoad(dims);
+        const auto seconds = [&](PeTarget target) {
+            return costmodel::computeCycles(
+                       load, costmodel::effectivePes(op, arch, target,
+                                                     params))
+                / arch.clock_hz / epochs;
+        };
+        c.lat_epoch.push_back({ seconds(PeTarget::Array2d),
+                                seconds(PeTarget::Array1d) });
+        c.full_load.push_back(load);
     }
-    return lat;
+    c.lat_epoch.push_back({ 0.0, 0.0 });
+    return c;
 }
 
 /** Accumulate a schedule's per-array work from full-op loads. */
@@ -172,16 +188,9 @@ schedulePipeline(const einsum::Cascade &cascade,
         1, model::epochCount(mapping, dims, arch.pe2d.rows,
                              arch.pe2d.cols));
 
-    // Per-epoch latencies by op id, plus the steady-state DAG's
-    // virtual ROOT (op n), which takes no time.
-    auto lat_epoch = latencyTable(cascade, dims, arch, opts.latency,
-                                  static_cast<double>(epochs));
-    lat_epoch.push_back({ 0.0, 0.0 });
-    std::vector<double> full_load;
-    full_load.reserve(cascade.size());
-    for (const auto &op : cascade.ops())
-        full_load.push_back(op.computeLoad(dims));
-
+    const auto [lat_epoch, full_load] =
+        opCosts(cascade, dims, arch, opts.latency,
+                static_cast<double>(epochs));
     std::vector<double> scratch;
     DpSearchStats dp_stats;
 

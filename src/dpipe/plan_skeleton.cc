@@ -130,7 +130,7 @@ SubDagPlan::SubDagPlan(const einsum::Dag &sub,
 
     const std::size_t preds_at = preds.size() + 1;
     data_.reserve(preds_at + order_count_
-                  * static_cast<std::size_t>(size_));
+                  * (static_cast<std::size_t>(size_) + 1));
     std::size_t offset = 0;
     data_.push_back(0);
     for (const auto &list : preds) {
@@ -149,6 +149,16 @@ SubDagPlan::SubDagPlan(const einsum::Dag &sub,
                 to_parent[static_cast<std::size_t>(v)])));
         }
     }
+
+    for (std::size_t k = 0; k < order_count_; ++k) {
+        std::size_t shared = 0;
+        if (k > 0) {
+            const auto &prev = orders[k - 1], &cur = orders[k];
+            while (shared < cur.size() && prev[shared] == cur[shared])
+                ++shared;
+        }
+        data_.push_back(narrow(shared));
+    }
 }
 
 SubDagPlan
@@ -163,6 +173,13 @@ SubDagPlan::order(std::size_t k) const
 {
     const auto len = static_cast<std::size_t>(size_);
     return { data_.data() + orders_at_ + k * len, len };
+}
+
+std::size_t
+SubDagPlan::sharedPrefix(std::size_t k) const
+{
+    return data_[orders_at_
+                 + order_count_ * static_cast<std::size_t>(size_) + k];
 }
 
 std::span<const PlanOpId>

@@ -30,8 +30,9 @@ using PlanOpId = std::uint8_t;
  * One sub-DAG's DP search space: its predecessor lists and the
  * candidate orders the DP prices -- Kahn's order first, then (when
  * max_orders > 1) up to max_orders lexicographically enumerated
- * ones, so the Kahn order is priced twice.  Every id is a parent-DAG
- * id, and all of it is one contiguous array.
+ * ones, so the Kahn order is priced twice -- and, per order, the
+ * length of the prefix it shares with the order before it.  Every
+ * id is a parent-DAG id, and all of it is one contiguous array.
  */
 class SubDagPlan
 {
@@ -58,11 +59,19 @@ class SubDagPlan
     std::span<const PlanOpId> order(std::size_t k) const;
     std::span<const PlanOpId> predecessors(PlanOpId v) const;
 
+    /**
+     * Ops order `k` shares, from its start, with order k - 1 (0 for
+     * the first order).  Depth-first enumeration makes neighbours
+     * share long prefixes, so the DP can resume at this depth.
+     */
+    std::size_t sharedPrefix(std::size_t k) const;
+
   private:
     int id_space_ = 0;
     int size_ = 0;
     std::size_t order_count_ = 0;
-    /// [idSpace()+1 predecessor offsets | predecessors | orders]
+    /// [idSpace()+1 predecessor offsets | predecessors | orders |
+    ///  one shared-prefix length per order]
     std::vector<PlanOpId> data_;
     std::size_t orders_at_ = 0;
 };

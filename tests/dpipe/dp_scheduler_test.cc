@@ -2,15 +2,21 @@
  * @file
  * Unit tests for the Eq. 43-46 DP scheduler: dependency and
  * resource validity of every schedule, hand-checkable placements,
- * and quality against exhaustive search over small instances.
+ * quality against exhaustive search over small instances, and the
+ * order search's branch and bound against full pricing.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "dpipe/dp_scheduler.hh"
+#include "model/cascades.hh"
+#include "model/transformer.hh"
 
 namespace transfusion::dpipe
 {
@@ -171,6 +177,150 @@ TEST(BestDpSchedule, ExhaustiveAgreementOnSmallDags)
     }
     const Schedule s = bestDpSchedule(d, lat, 100000);
     EXPECT_DOUBLE_EQ(s.makespan, best_possible);
+}
+
+/** bestOrder's contract, priced the slow way: every order in full. */
+BestOrder
+bestOrderByFullPricing(const SubDagPlan &plan,
+                       const std::vector<OpLatencyPair> &latency,
+                       DpSearchStats &stats)
+{
+    BestOrder best;
+    for (std::size_t k = 0; k < plan.orderCount(); ++k) {
+        const double makespan = dpSchedule(plan, k, latency).makespan;
+        if (k == 0 || makespan < best.makespan) {
+            best.index = k;
+            best.makespan = makespan;
+        } else {
+            ++stats.orders_pruned;
+        }
+    }
+    const auto tried = static_cast<std::int64_t>(plan.orderCount());
+    stats.orders_tried += tried;
+    stats.states_explored += tried * plan.size();
+    return best;
+}
+
+/** Latency tables over `ids` ops: random, then tie-heavy ones. */
+std::vector<std::vector<OpLatencyPair>>
+searchLatencyTables(int ids)
+{
+    std::vector<std::vector<OpLatencyPair>> tables;
+    Rng rng(20);
+    const auto table = [&](auto &&entry) {
+        std::vector<OpLatencyPair> lat;
+        for (int v = 0; v < ids; ++v)
+            lat.push_back(entry());
+        tables.push_back(std::move(lat));
+    };
+    for (int i = 0; i < 8; ++i) {
+        table([&]() -> OpLatencyPair {
+            return { rng.nextDouble(0.1, 10.0),
+                     rng.nextDouble(0.1, 10.0) };
+        });
+    }
+    // Small integers: many orders tie, and partial makespans land
+    // exactly on the incumbent.
+    for (int i = 0; i < 4; ++i) {
+        table([&]() -> OpLatencyPair {
+            return { static_cast<double>(rng.nextBelow(4)),
+                     static_cast<double>(rng.nextBelow(4)) };
+        });
+    }
+    table([]() -> OpLatencyPair { return { 1.0, 1.0 }; });
+    // Zero-latency ops: a third of them take no time anywhere.
+    for (int i = 0; i < 2; ++i) {
+        table([&]() -> OpLatencyPair {
+            if (rng.nextBelow(3) == 0)
+                return { 0.0, 0.0 };
+            return { rng.nextDouble(0.1, 10.0),
+                     rng.nextDouble(0.1, 10.0) };
+        });
+    }
+    // 2D == 1D: every op is as fast on either array.
+    for (int i = 0; i < 2; ++i) {
+        table([&]() -> OpLatencyPair {
+            const double t = rng.nextDouble(0.1, 10.0);
+            return { t, t };
+        });
+    }
+    table([]() -> OpLatencyPair { return { 0.0, 0.0 }; });
+    return tables;
+}
+
+TEST(BestOrder, MatchesFullPricing)
+{
+    // Every DP search space of every layer's skeleton, under random
+    // and tie-heavy latencies: the prefix-sharing branch and bound
+    // must pick the same order, the bitwise-same makespan and the
+    // same counters as pricing every order from scratch.  One
+    // scratch buffer serves every search, as in schedulePipeline.
+    std::vector<einsum::Dag> dags;
+    for (const auto &cfg : model::allModels()) {
+        for (const auto kind : model::allLayerKinds()) {
+            auto dag = model::buildCascade(kind, cfg).buildDag();
+            if (std::find(dags.begin(), dags.end(), dag) == dags.end())
+                dags.push_back(std::move(dag));
+        }
+    }
+    ASSERT_GE(dags.size(), model::allLayerKinds().size());
+
+    std::vector<double> scratch;
+    int searches = 0, resumed = 0;
+    for (const auto &dag : dags) {
+        const auto tables = searchLatencyTables(dag.nodeCount() + 1);
+        for (std::size_t max_orders : { 1, 2, 64 }) {
+            const PlanSkeleton skeleton =
+                buildPlanSkeleton(dag, max_orders);
+            std::vector<const SubDagPlan *> plans{ &skeleton.epoch };
+            for (const auto &bp : skeleton.bipartitions) {
+                plans.push_back(&bp.steady);
+                plans.push_back(&bp.fill);
+                plans.push_back(&bp.drain);
+            }
+            for (const SubDagPlan *plan : plans) {
+                ASSERT_EQ(plan->sharedPrefix(0), 0u);
+                for (std::size_t k = 1; k < plan->orderCount(); ++k) {
+                    const auto prev = plan->order(k - 1);
+                    const auto cur = plan->order(k);
+                    const std::size_t shared = plan->sharedPrefix(k);
+                    ASSERT_TRUE(std::equal(cur.begin(),
+                                           cur.begin() + shared,
+                                           prev.begin()));
+                    ASSERT_TRUE(shared == cur.size()
+                                || cur[shared] != prev[shared]);
+                    resumed += shared > 0;
+                }
+                for (std::size_t t = 0; t < tables.size(); ++t) {
+                    SCOPED_TRACE("nodes=" + std::to_string(dag.nodeCount())
+                                 + " orders="
+                                 + std::to_string(max_orders)
+                                 + " plan size="
+                                 + std::to_string(plan->size())
+                                 + " table=" + std::to_string(t));
+                    DpSearchStats got_stats, want_stats;
+                    const BestOrder got = bestOrder(
+                        *plan, tables[t], scratch, got_stats);
+                    const BestOrder want = bestOrderByFullPricing(
+                        *plan, tables[t], want_stats);
+                    ++searches;
+                    EXPECT_EQ(got.index, want.index);
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.makespan),
+                              std::bit_cast<std::uint64_t>(
+                                  want.makespan));
+                    EXPECT_EQ(got_stats.orders_tried,
+                              want_stats.orders_tried);
+                    EXPECT_EQ(got_stats.orders_pruned,
+                              want_stats.orders_pruned);
+                    EXPECT_EQ(got_stats.states_explored,
+                              want_stats.states_explored);
+                }
+            }
+        }
+    }
+    // The grid must reach the resume path, not only Kahn's order.
+    EXPECT_GT(resumed, 0);
+    EXPECT_GT(searches, 0);
 }
 
 TEST(Schedule, ToStringListsOps)
