@@ -47,29 +47,117 @@ FaultEvent::toString() const
     return os.str();
 }
 
+ClusterHealth::ClusterHealth(int chips)
+{
+    if (chips <= 0)
+        tf_fatal("fault schedule needs a positive cluster size, "
+                 "got ",
+                 chips);
+    chips_.resize(static_cast<std::size_t>(chips));
+}
+
+void
+ClusterHealth::apply(const FaultEvent &e)
+{
+    if (e.kind == FaultKind::LinkDegrade) {
+        if (!(e.factor > 0) || e.factor > 1)
+            tf_fatal("link-degrade factor must be in (0, 1], "
+                     "got ",
+                     e.factor);
+        link_scale_ = e.factor;
+        return;
+    }
+    if (e.chip < 0 || e.chip >= size())
+        tf_fatal("fault event chip ", e.chip, " out of range for a ",
+                 size(), "-chip cluster");
+    Chip &chip = chips_[static_cast<std::size_t>(e.chip)];
+    // A chip carries at most one fault at a time, and each recovery
+    // kind only clears its own fault kind (ChipRecovery <- ChipLoss,
+    // SlowdownRecovery <- ChipSlowdown).
+    const bool faulted = chip.lost || chip.slowdown > 1.0;
+    const FaultKind outstanding =
+        chip.lost ? FaultKind::ChipLoss : FaultKind::ChipSlowdown;
+    switch (e.kind) {
+    case FaultKind::ChipLoss:
+        if (faulted)
+            tf_fatal("chip ", e.chip, " lost at t=", e.time_s,
+                     " with an outstanding ",
+                     fault::toString(outstanding), " (",
+                     e.toString(), ")");
+        chip.lost = true;
+        lost_ += 1;
+        break;
+    case FaultKind::ChipSlowdown:
+        if (!(e.factor > 1))
+            tf_fatal("chip-slowdown multiplier must be > 1, got ",
+                     e.factor, " (", e.toString(), ")");
+        if (faulted)
+            tf_fatal("chip ", e.chip, " slowed at t=", e.time_s,
+                     " with an outstanding ",
+                     fault::toString(outstanding), " (",
+                     e.toString(), ")");
+        chip.slowdown = e.factor;
+        break;
+    case FaultKind::ChipRecovery:
+    case FaultKind::SlowdownRecovery: {
+        const FaultKind clears = e.kind == FaultKind::ChipRecovery
+            ? FaultKind::ChipLoss
+            : FaultKind::ChipSlowdown;
+        if (!faulted)
+            tf_fatal("chip ", e.chip, " recovered while healthy (",
+                     e.toString(), ")");
+        if (outstanding != clears)
+            tf_fatal("chip ", e.chip, " has an outstanding ",
+                     fault::toString(outstanding), " but t=",
+                     e.time_s, " delivers a ",
+                     fault::toString(e.kind),
+                     "; recovery kinds must match the fault "
+                     "they clear");
+        lost_ -= chip.lost ? 1 : 0;
+        chip = Chip{};
+        break;
+    }
+    case FaultKind::LinkDegrade:
+        break; // handled above
+    }
+}
+
+bool
+ClusterHealth::healthy(int chip) const
+{
+    const Chip &c = chips_.at(static_cast<std::size_t>(chip));
+    return !c.lost && c.slowdown == 1.0;
+}
+
+std::vector<int>
+ClusterHealth::survivors() const
+{
+    std::vector<int> out;
+    for (int i = 0; i < size(); ++i)
+        if (!chips_[static_cast<std::size_t>(i)].lost)
+            out.push_back(i);
+    return out;
+}
+
+double
+ClusterHealth::pace() const
+{
+    double pace = 1.0;
+    for (const Chip &c : chips_)
+        pace = std::max(pace, c.slowdown);
+    return pace;
+}
+
+bool
+ClusterHealth::degraded() const
+{
+    return lost_ > 0 || link_scale_ < 1.0 || pace() > 1.0;
+}
+
 void
 FaultSchedule::validate(int cluster_size) const
 {
-    if (cluster_size <= 0)
-        tf_fatal("fault schedule needs a positive cluster size, "
-                 "got ",
-                 cluster_size);
-    // Per-chip outstanding fault: a chip carries at most one fault
-    // at a time, and each recovery kind only clears its own fault
-    // kind (ChipRecovery <- ChipLoss, SlowdownRecovery <-
-    // ChipSlowdown).
-    enum class Outstanding
-    {
-        None,
-        Loss,
-        Slowdown,
-    };
-    std::vector<Outstanding> state(
-        static_cast<std::size_t>(cluster_size), Outstanding::None);
-    const auto outstandingKind = [](Outstanding o) {
-        return o == Outstanding::Loss ? FaultKind::ChipLoss
-                                      : FaultKind::ChipSlowdown;
-    };
+    ClusterHealth health(cluster_size);
     double prev = 0;
     for (const FaultEvent &e : events) {
         if (e.time_s < 0)
@@ -79,62 +167,7 @@ FaultSchedule::validate(int cluster_size) const
             tf_fatal("fault events must be sorted by time; ",
                      e.toString(), " follows t=", prev);
         prev = e.time_s;
-        if (e.kind == FaultKind::LinkDegrade) {
-            if (!(e.factor > 0) || e.factor > 1)
-                tf_fatal("link-degrade factor must be in (0, 1], "
-                         "got ",
-                         e.factor);
-            continue;
-        }
-        if (e.chip < 0 || e.chip >= cluster_size)
-            tf_fatal("fault event chip ", e.chip,
-                     " out of range for a ", cluster_size,
-                     "-chip cluster");
-        const auto i = static_cast<std::size_t>(e.chip);
-        switch (e.kind) {
-        case FaultKind::ChipLoss:
-            if (state[i] != Outstanding::None)
-                tf_fatal("chip ", e.chip, " lost at t=", e.time_s,
-                         " with an outstanding ",
-                         fault::toString(outstandingKind(state[i])),
-                         " (", e.toString(), ")");
-            state[i] = Outstanding::Loss;
-            break;
-        case FaultKind::ChipSlowdown:
-            if (!(e.factor > 1))
-                tf_fatal("chip-slowdown multiplier must be > 1, "
-                         "got ",
-                         e.factor, " (", e.toString(), ")");
-            if (state[i] != Outstanding::None)
-                tf_fatal("chip ", e.chip, " slowed at t=", e.time_s,
-                         " with an outstanding ",
-                         fault::toString(outstandingKind(state[i])),
-                         " (", e.toString(), ")");
-            state[i] = Outstanding::Slowdown;
-            break;
-        case FaultKind::ChipRecovery:
-        case FaultKind::SlowdownRecovery: {
-            const Outstanding wants =
-                e.kind == FaultKind::ChipRecovery
-                ? Outstanding::Loss
-                : Outstanding::Slowdown;
-            if (state[i] == Outstanding::None)
-                tf_fatal("chip ", e.chip,
-                         " recovered while healthy (",
-                         e.toString(), ")");
-            if (state[i] != wants)
-                tf_fatal("chip ", e.chip, " has an outstanding ",
-                         fault::toString(outstandingKind(state[i])),
-                         " but t=", e.time_s, " delivers a ",
-                         fault::toString(e.kind),
-                         "; recovery kinds must match the fault "
-                         "they clear");
-            state[i] = Outstanding::None;
-            break;
-        }
-        case FaultKind::LinkDegrade:
-            break; // handled above
-        }
+        health.apply(e);
     }
 }
 
@@ -148,63 +181,32 @@ FaultSchedule::toString() const
     return os.str();
 }
 
-std::vector<DownSpan>
-FaultSchedule::downSpans(int cluster_size) const
+std::vector<ReplicaTransition>
+FaultSchedule::replicaTransitions(int cluster_size) const
 {
     validate(cluster_size);
-    std::vector<DownSpan> spans;
-    int down_chips = 0;
-    for (const FaultEvent &e : events) {
-        switch (e.kind) {
-        case FaultKind::ChipLoss:
-            if (down_chips == 0)
-                spans.push_back(
-                    { e.time_s,
-                      std::numeric_limits<double>::infinity() });
-            down_chips += 1;
-            break;
-        case FaultKind::ChipRecovery:
-            down_chips -= 1;
-            if (down_chips == 0)
-                spans.back().end_s = e.time_s;
-            break;
-        case FaultKind::LinkDegrade:
-            break; // a slower fabric still serves
-        case FaultKind::ChipSlowdown:
-        case FaultKind::SlowdownRecovery:
-            break; // a slow chip still serves
-        }
-    }
-    return spans;
-}
-
-std::vector<SlowdownStep>
-FaultSchedule::slowdownTimeline(int cluster_size) const
-{
-    validate(cluster_size);
-    std::vector<SlowdownStep> steps;
-    std::vector<double> mult(
-        static_cast<std::size_t>(cluster_size), 1.0);
-    double effective = 1.0;
-    // Group events sharing a timestamp so a correlated incident
-    // emits one step, then record only actual changes.
+    std::vector<ReplicaTransition> out;
+    ClusterHealth health(cluster_size);
+    double pace = 1.0;
     for (std::size_t i = 0; i < events.size();) {
         const double t = events[i].time_s;
         for (; i < events.size() && events[i].time_s == t; ++i) {
-            const FaultEvent &e = events[i];
-            if (e.kind == FaultKind::ChipSlowdown)
-                mult[static_cast<std::size_t>(e.chip)] = e.factor;
-            else if (e.kind == FaultKind::SlowdownRecovery)
-                mult[static_cast<std::size_t>(e.chip)] = 1.0;
+            const bool was_down = health.survivorCount() < cluster_size;
+            health.apply(events[i]);
+            const bool down = health.survivorCount() < cluster_size;
+            if (down != was_down)
+                out.push_back({ t,
+                                down ? TransitionKind::Down
+                                     : TransitionKind::Up });
         }
-        const double now =
-            *std::max_element(mult.begin(), mult.end());
-        if (now != effective) {
-            effective = now;
-            steps.push_back({ t, effective });
+        // One pace step per timestamp, so a correlated incident (or
+        // a same-instant hand-off between chips) is one change.
+        if (health.pace() != pace) {
+            pace = health.pace();
+            out.push_back({ t, TransitionKind::Pace, pace });
         }
     }
-    return steps;
+    return out;
 }
 
 void
@@ -245,20 +247,18 @@ generateFaultSchedule(const FaultScheduleOptions &options,
                       int cluster_size, std::uint64_t seed)
 {
     options.validate();
-    if (cluster_size <= 0)
-        tf_fatal("fault schedule needs a positive cluster size, "
-                 "got ",
-                 cluster_size);
-
     Rng rng(seed);
     FaultSchedule schedule;
+    // Every emitted event also lands on `health`, so a down OR
+    // slowed chip takes no new fault until its recovery lands.
+    ClusterHealth health(cluster_size);
+    const auto emit = [&](const FaultEvent &e) {
+        health.apply(e);
+        schedule.events.push_back(e);
+    };
     // Recoveries scheduled by earlier incidents, flushed in time
-    // order before each later incident.  `healthy` means "carries
-    // no outstanding fault": a down OR slowed chip takes no new
-    // fault until its recovery lands.
+    // order before each later incident.
     std::vector<FaultEvent> due;
-    std::vector<bool> healthy(
-        static_cast<std::size_t>(cluster_size), true);
     const auto flushDue = [&](double until) {
         // Tie-break equal timestamps by chip so correlated-group
         // recoveries (which share one instant) flush in a fixed
@@ -271,11 +271,8 @@ generateFaultSchedule(const FaultScheduleOptions &options,
                   });
         std::size_t used = 0;
         for (; used < due.size() && due[used].time_s <= until;
-             ++used) {
-            healthy[static_cast<std::size_t>(due[used].chip)] =
-                true;
-            schedule.events.push_back(due[used]);
-        }
+             ++used)
+            emit(due[used]);
         due.erase(due.begin(),
                   due.begin() + static_cast<std::ptrdiff_t>(used));
     };
@@ -291,7 +288,7 @@ generateFaultSchedule(const FaultScheduleOptions &options,
 
         std::vector<int> candidates;
         for (int c = 0; c < cluster_size; ++c)
-            if (healthy[static_cast<std::size_t>(c)])
+            if (health.healthy(c))
                 candidates.push_back(c);
         // Never down the last healthy chip; fall back to a link
         // event so the incident count is honored.  One draw picks
@@ -304,8 +301,7 @@ generateFaultSchedule(const FaultScheduleOptions &options,
             || u < options.link_degrade_prob) {
             const double factor =
                 rng.nextDouble(options.min_factor, 1.0);
-            schedule.events.push_back(
-                { t, FaultKind::LinkDegrade, -1, factor });
+            emit({ t, FaultKind::LinkDegrade, -1, factor });
         } else if (u < options.link_degrade_prob
                        + options.slowdown_prob) {
             // Correlated slowdown: a group of chips share one
@@ -325,9 +321,7 @@ generateFaultSchedule(const FaultScheduleOptions &options,
                 const int chip = candidates[pick];
                 candidates[pick] = candidates.back();
                 candidates.pop_back();
-                healthy[static_cast<std::size_t>(chip)] = false;
-                schedule.events.push_back(
-                    { t, FaultKind::ChipSlowdown, chip, factor });
+                emit({ t, FaultKind::ChipSlowdown, chip, factor });
                 due.push_back({ recover_at,
                                 FaultKind::SlowdownRecovery, chip,
                                 1.0 });
@@ -335,9 +329,7 @@ generateFaultSchedule(const FaultScheduleOptions &options,
         } else {
             const int chip =
                 candidates[rng.nextBelow(candidates.size())];
-            healthy[static_cast<std::size_t>(chip)] = false;
-            schedule.events.push_back(
-                { t, FaultKind::ChipLoss, chip, 1.0 });
+            emit({ t, FaultKind::ChipLoss, chip, 1.0 });
             FaultEvent recovery;
             recovery.time_s = t
                 + options.mean_outage_s

@@ -1,16 +1,18 @@
 /**
  * @file
  * Deterministic fault model for multi-chip serving: a schedule of
- * chip-loss, chip-recovery and link-degradation events at virtual
- * timestamps.  A schedule is plain data — tests inject hand-written
- * ones, benches generate them from a seed — and the fault-tolerant
- * server consumes events strictly in time order, so a (workload,
+ * chip-loss/recovery, chip-slowdown/recovery and link-degradation
+ * events at virtual timestamps.  A schedule is plain data — tests
+ * inject hand-written ones, benches generate them from a seed — and
+ * its consumers read events strictly in time order, so a (workload,
  * schedule, seed) triple reproduces the same degraded trace
  * bit-for-bit on any machine and thread count.
  *
- * Events describe the *world*, not the reaction: what the serving
- * stack does about a loss (drain, replan, retry) lives in
- * fault_server.hh.
+ * What an event does to a cluster — which chips are lost, the pace
+ * of the fused pipeline, the link scale — is decided in one place,
+ * ClusterHealth.  Events describe the *world*, not the reaction:
+ * what the serving stack does about a loss (drain, replan, retry,
+ * fail over) lives in fault_server.hh and fleet/fleet_sim.hh.
  */
 
 #ifndef TRANSFUSION_FAULT_FAULT_SCHEDULE_HH
@@ -58,24 +60,71 @@ struct FaultEvent
     std::string toString() const;
 };
 
-/** One maximal span during which a cluster is not fully healthy. */
-struct DownSpan
+/**
+ * The health of one cluster as fault events land on it: each chip
+ * healthy, lost, or slowed by a multiplier, plus the fabric's link
+ * scale.  This is the one interpreter of a FaultEvent — schedule
+ * validation, the fleet's replica transitions, the fault server and
+ * the generator all step one.
+ */
+class ClusterHealth
 {
-    double start_s = 0;
-    /** +infinity when the schedule never restores full health. */
-    double end_s = 0;
+  public:
+    /** `chips` healthy chips on a pristine fabric; fatal unless
+     *  chips > 0. */
+    explicit ClusterHealth(int chips);
+
+    /**
+     * Land one event.  Fatal when it is inconsistent with the
+     * current state or malformed: a chip index out of range, a
+     * degrade factor outside (0, 1], a slowdown multiplier not
+     * > 1, a fault on a chip that already carries one, or a
+     * recovery that does not match the outstanding fault kind (the
+     * message names the chip, the timestamp and both kinds).
+     */
+    void apply(const FaultEvent &e);
+
+    int size() const { return static_cast<int>(chips_.size()); }
+    /** Whether `chip` carries no outstanding fault. */
+    bool healthy(int chip) const;
+    /** Chips not lost (a slowed chip still serves), ascending. */
+    std::vector<int> survivors() const;
+    int survivorCount() const { return size() - lost_; }
+    /** Max multiplier over slowed chips (a fused pipeline paces
+     *  on its slowest member); 1.0 when none is slowed. */
+    double pace() const;
+    /** Pristine-relative link bandwidth scale, absolute. */
+    double linkScale() const { return link_scale_; }
+    /** Any chip lost or slowed, or the link degraded. */
+    bool degraded() const;
+
+  private:
+    struct Chip
+    {
+        bool lost = false;
+        /** Compute-time multiplier; > 1 while slowed. */
+        double slowdown = 1.0;
+    };
+    std::vector<Chip> chips_;
+    int lost_ = 0;
+    double link_scale_ = 1.0;
 };
 
-/**
- * One change point of the cluster-wide compute-slowdown multiplier.
- * The multiplier holds from `time_s` until the next step; before
- * the first step it is implicitly 1.0.
- */
-struct SlowdownStep
+/** How a replica spanning a whole cluster changes at one instant. */
+enum class TransitionKind
+{
+    Down, ///< the first chip is lost: the replica stops serving
+    Up,   ///< the last lost chip recovers: the replica serves again
+    Pace, ///< the cluster's pace (ClusterHealth::pace) changes
+};
+
+/** One change point of a replica's serving state. */
+struct ReplicaTransition
 {
     double time_s = 0;
-    /** Max over per-chip active multipliers; 1.0 = full speed. */
-    double multiplier = 1.0;
+    TransitionKind kind = TransitionKind::Down;
+    /** For Pace: the pace from time_s on; 1.0 = full speed. */
+    double pace = 1.0;
 };
 
 /** An ordered fault trace against one cluster. */
@@ -88,14 +137,9 @@ struct FaultSchedule
     /**
      * Fatal unless the schedule is well-formed for a cluster of
      * `cluster_size` chips: times non-negative and non-decreasing,
-     * chip indices in range, degrade factors in (0, 1], slowdown
-     * multipliers > 1.  Each chip carries at most one outstanding
-     * fault at a time, and a recovery must match the outstanding
-     * kind — a chip-recovery against an outstanding slowdown (or a
-     * slowdown-recovery against an outstanding loss) is rejected
-     * with a message naming the chip, the timestamp and both kinds.
-     * Losing every chip is legal (a total outage the server must
-     * survive).
+     * and every event consistent when applied in order to a
+     * ClusterHealth (see ClusterHealth::apply).  Losing every chip
+     * is legal (a total outage the server must survive).
      */
     void validate(int cluster_size) const;
 
@@ -103,29 +147,17 @@ struct FaultSchedule
     std::string toString() const;
 
     /**
-     * Maximal time spans with at least one chip down, merged and in
-     * time order (validates first).  A loss never recovered yields
-     * a final span ending at +infinity.  Link-degrade events do not
-     * open a span — a scaled fabric still serves.  This is the view
-     * the fleet layer consumes: a sharded replica spans all its
-     * chips, so any lost chip makes the whole replica unroutable
-     * until full health returns.
+     * The changes a replica built on the whole cluster sees, in
+     * time order (validates first).  A sharded replica spans every
+     * chip, so it is down while any chip is lost: a Down or Up is
+     * emitted at each event that makes the first chip lost or the
+     * last one whole, so a recovery listed before a loss at the
+     * same instant gives an Up then a Down.  Pace changes are
+     * coalesced per timestamp, follow that timestamp's Down/Up
+     * edges, and are emitted only when the pace actually moves.
+     * Link degrades never appear: a slower fabric still serves.
      */
-    std::vector<DownSpan> downSpans(int cluster_size) const;
-
-    /**
-     * Change points of the cluster-wide compute-slowdown
-     * multiplier, in time order (validates first).  The effective
-     * multiplier at any instant is the max over chips with an
-     * active slowdown — a fused pipeline runs at the pace of its
-     * slowest member — and 1.0 when none is active.  Steps are
-     * coalesced per timestamp and emitted only when the effective
-     * value changes, so consumers can binary-search or walk the
-     * list as a piecewise-constant function.  Loss/recovery and
-     * link events never appear here: a down chip is handled by
-     * downSpans, not by a multiplier.
-     */
-    std::vector<SlowdownStep> slowdownTimeline(
+    std::vector<ReplicaTransition> replicaTransitions(
         int cluster_size) const;
 };
 

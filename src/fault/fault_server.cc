@@ -145,13 +145,7 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
     TF_SPAN("fault.run");
     TF_TIMER("fault/run");
 
-    const int size = cluster_.size();
-    std::vector<bool> healthy(static_cast<std::size_t>(size), true);
-    // Per-chip compute-slowdown multipliers; the session runs at
-    // the max (a fused pipeline paces on its slowest member).
-    std::vector<double> chip_mult(static_cast<std::size_t>(size),
-                                  1.0);
-    double link_scale = 1.0;
+    ClusterHealth health(cluster_.size());
     bool outage = false;
     multichip::ShardSpec spec = spec_;
     const serve::ServeSimulator *sim = &*sim_;
@@ -165,36 +159,23 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
     std::set<std::int64_t> retried_ids;
     std::set<std::int64_t> final_rejected;
 
-    const auto healthyChips = [&]() {
-        return static_cast<int>(std::count(healthy.begin(),
-                                           healthy.end(), true));
-    };
-    const auto effectiveSlowdown = [&]() {
-        return *std::max_element(chip_mult.begin(),
-                                 chip_mult.end());
-    };
-    const auto degradedNow = [&]() {
-        return healthyChips() < size || link_scale < 1.0
-            || effectiveSlowdown() > 1.0;
-    };
-
     double window_start = 0;
     std::int64_t window_token_mark = 0;
     const auto closeWindow = [&](double end) {
         FaultWindow w;
         w.start_s = window_start;
         w.end_s = std::max(end, window_start);
-        w.chips = healthyChips();
+        w.chips = health.survivorCount();
         w.spec = outage ? multichip::ShardSpec{ 0, 0 } : spec;
-        w.link_scale = link_scale;
-        w.slowdown = effectiveSlowdown();
+        w.link_scale = health.linkScale();
+        w.slowdown = health.pace();
         w.outage = outage;
         w.tokens =
             session.metrics.generated_tokens - window_token_mark;
         fm.windows.push_back(w);
         if (outage) {
             fm.outage_s += w.durationSeconds();
-        } else if (degradedNow()) {
+        } else if (health.degraded()) {
             fm.degraded_s += w.durationSeconds();
             if (w.slowdown > 1.0)
                 fm.slowdown_s += w.durationSeconds();
@@ -264,13 +245,13 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
         multichip::ClusterConfig surviving;
         surviving.name = cluster_.name + "-degraded";
         surviving.link = cluster_.link;
-        surviving.link.bandwidth_bytes_per_sec *= link_scale;
-        for (int i = 0; i < size; ++i)
-            if (healthy[static_cast<std::size_t>(i)])
-                surviving.chips.push_back(
-                    cluster_.chips[static_cast<std::size_t>(i)]);
+        surviving.link.bandwidth_bytes_per_sec *= health.linkScale();
+        for (const int i : health.survivors())
+            surviving.chips.push_back(
+                cluster_.chips[static_cast<std::size_t>(i)]);
 
-        if (healthyChips() == size && link_scale == 1.0) {
+        if (surviving.size() == cluster_.size()
+            && health.linkScale() == 1.0) {
             // Full recovery restores the exact initial plan and
             // tables — no replanning drift across an outage.
             outage = false;
@@ -310,9 +291,9 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
         closeWindow(std::max(session.now, e.time_s));
         session.now = std::max(session.now, e.time_s);
         fm.fault_events += 1;
+        health.apply(e);
         switch (e.kind) {
         case FaultKind::ChipLoss: {
-            healthy[static_cast<std::size_t>(e.chip)] = false;
             fm.chip_losses += 1;
             // The replica spans every chip, so one loss evicts the
             // whole in-flight batch; each request becomes a
@@ -333,19 +314,15 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
             break;
         }
         case FaultKind::ChipRecovery:
-            healthy[static_cast<std::size_t>(e.chip)] = true;
             fm.chip_recoveries += 1;
             break;
         case FaultKind::LinkDegrade:
-            link_scale = e.factor;
             fm.link_degradations += 1;
             break;
         case FaultKind::ChipSlowdown:
-            chip_mult[static_cast<std::size_t>(e.chip)] = e.factor;
             fm.chip_slowdowns += 1;
             break;
         case FaultKind::SlowdownRecovery:
-            chip_mult[static_cast<std::size_t>(e.chip)] = 1.0;
             fm.slowdown_recoveries += 1;
             break;
         }
@@ -364,7 +341,7 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
         case FaultKind::SlowdownRecovery:
             break;
         }
-        session.slowdown = effectiveSlowdown();
+        session.slowdown = health.pace();
     };
 
     /** Terminal outage: account every outstanding request. */
@@ -396,7 +373,7 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
             // into the same epoch when they land before it.
             while (true) {
                 sim->advance(session, horizon);
-                if (!processSheds(degradedNow()))
+                if (!processSheds(health.degraded()))
                     break;
                 if (session.now >= horizon)
                     break;

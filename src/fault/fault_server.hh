@@ -6,7 +6,9 @@
  *
  * The server drives the serve::ServeSimulator session API in
  * *epochs* bounded by fault timestamps.  At each event it closes
- * the current health window, mutates the world, and resumes:
+ * the current health window, applies the event to its
+ * ClusterHealth (the surviving chips, the pace and the link scale
+ * all come from there), and resumes:
  *
  *  - chip loss: every in-flight request is drained (the sharded
  *    replica spans all chips, so losing one kills the whole

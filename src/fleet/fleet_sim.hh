@@ -8,24 +8,26 @@
  * The fleet drives every replica's resumable session
  * (startSession / advance / finishSession) against one shared
  * virtual clock.  Each step advances the sessions with work left
- * (in parallel) to the next fleet event — an arrival, a replica
- * fault boundary, or an autoscaler tick — then applies the events
- * in a fixed order: fault transitions in replica-index order,
+ * (on FleetOptions::threads workers) to the next fleet event — an
+ * arrival, a replica transition, or an autoscaler tick — then runs
+ * its phases in a fixed order: settle finished drains, fault
+ * transitions in replica-index order, health and brownout updates,
  * arrivals in (arrival, id) order, the autoscaler tick last.
  *
- * Failover: a replica with *any* chip down (FaultSchedule::
- * downSpans) is unroutable; at the down boundary its in-flight and
- * queued work is drained and re-offered to the router after the
- * capped-backoff retry budget (fault::RetryPolicy), never silently
- * dropped.  Sheds on a *healthy* replica (queue overflow,
+ * Failover: each replica's fault schedule becomes its transition
+ * list (FaultSchedule::replicaTransitions).  A replica with *any*
+ * chip down is unroutable from its Down transition to its Up; at
+ * the Down its in-flight and queued work is drained and re-offered
+ * to the router after the capped-backoff retry budget
+ * (fault::RetryPolicy), never silently dropped.  Sheds on a *healthy* replica (queue overflow,
  * can-never-fit) stay final — genuine overload is not a fault.
  * Intra-replica degraded replanning is the fault layer's domain;
  * the fleet fails over at replica granularity.
  *
  * Gray failures: a replica with an active ChipSlowdown keeps
- * serving — its session runs every round at the schedule's
- * multiplier — and is *not* removed from routing by the fault
- * model itself.  Detection is the HealthMonitor's job: when
+ * serving — from each Pace transition on, its session runs every
+ * round at that pace — and is *not* removed from routing by the
+ * fault model itself.  Detection is the HealthMonitor's job: when
  * FleetOptions::health is enabled, each replica's observed step
  * latency and outstanding depth feed a circuit breaker (updated in
  * replica-index order at every fleet event boundary, between
@@ -113,12 +115,13 @@ struct FleetRunOptions
     /**
      * Per-replica fault schedules, indexed by replica; shorter
      * than the fleet means the tail replicas never fault.  Each
-     * schedule is validated against its replica's cluster size.
-     * Down-spans make the replica unroutable (fail-stop); the
-     * slowdown timeline (gray failures) scales the replica's
-     * session clock at each transition timestamp — the replica
-     * keeps serving, and only the HealthMonitor can route around
-     * it.
+     * schedule is validated against its replica's cluster size and
+     * read as the replica's transitions
+     * (FaultSchedule::replicaTransitions): from a Down to the next
+     * Up the replica is unroutable (fail-stop); a Pace transition
+     * (gray failure) scales its session clock from that timestamp
+     * on — the replica keeps serving, and only the HealthMonitor
+     * can route around it.
      */
     std::vector<fault::FaultSchedule> faults;
 };

@@ -3,10 +3,10 @@
  * Per-replica gray-failure detection: a deterministic EWMA health
  * monitor feeding a three-state circuit breaker.
  *
- * A fail-stop fault announces itself (FaultSchedule::downSpans
- * makes the replica unroutable), but a gray failure — a chip
- * running every round N x slower — keeps answering and silently
- * blows the fleet's tail latency.  The monitor infers it from the
+ * A fail-stop fault announces itself (a Down transition of
+ * FaultSchedule::replicaTransitions makes the replica unroutable),
+ * but a gray failure — a chip running every round N x slower —
+ * keeps answering and silently blows the fleet's tail latency.  The monitor infers it from the
  * two signals the fleet loop already owns: the replica's *observed*
  * step latency (virtual-clock delta over rounds executed between
  * updates, so a slowdown multiplier shows up directly) and its

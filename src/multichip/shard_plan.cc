@@ -11,6 +11,7 @@
 #include "common/thread_pool.hh"
 #include "costmodel/cost_table_cache.hh"
 #include "obs/obs.hh"
+#include "obs/parallel.hh"
 
 namespace transfusion::multichip
 {
@@ -79,31 +80,17 @@ planShardsUncached(const ShardPlanKey &key, int threads)
                                      : ThreadPool::hardwareThreads()),
         specs.size()));
     ThreadPool pool(workers);
-    // Same determinism idiom as schedule::Sweep::run: per-task
-    // registries merged in grid order after input-order collection.
-    auto tagged = parallelMap(
-        pool, specs, [&](const ShardSpec &spec) {
-            obs::Registry local;
-            ShardPlanEntry entry;
-            {
-                obs::ScopedRegistry scope(local);
-                entry.spec = spec;
-                const ShardedStackEvaluator eval(
-                    cluster, key.stack, key.src_len, key.tgt_len,
-                    spec, key.evaluator);
-                entry.result = eval.evaluate(key.strategy);
-            }
-            return std::make_pair(std::move(entry),
-                                  std::move(local));
-        });
-
-    obs::Registry &sink = obs::currentRegistry();
     ShardPlan plan;
-    plan.entries.reserve(tagged.size());
-    for (auto &[entry, registry] : tagged) {
-        sink.merge(registry);
-        plan.entries.push_back(std::move(entry));
-    }
+    plan.entries = obs::parallelMapRecorded(
+        pool, specs, [&](const ShardSpec &spec) {
+            ShardPlanEntry entry;
+            entry.spec = spec;
+            const ShardedStackEvaluator eval(
+                cluster, key.stack, key.src_len, key.tgt_len, spec,
+                key.evaluator);
+            entry.result = eval.evaluate(key.strategy);
+            return entry;
+        });
 
     for (std::size_t i = 1; i < plan.entries.size(); ++i) {
         if (plan.entries[i].result.steady_state_s

@@ -9,8 +9,8 @@
  * thread are deterministic; floating-point gauge *sums* across
  * threads are only deterministic when each task writes to its own
  * Registry and the per-task registries merge in a fixed (input)
- * order -- the rule schedule::Sweep::run and serve::runScenarios
- * follow.  Wall-clock timer durations are inherently
+ * order -- the rule obs::parallelMapRecorded (obs/parallel.hh)
+ * implements.  Wall-clock timer durations are inherently
  * nondeterministic; RunReport therefore exports only their counts.
  */
 

@@ -17,6 +17,7 @@
 #include "multichip/cluster.hh"
 #include "multichip/sharded_serve.hh"
 #include "obs/obs.hh"
+#include "obs/parallel.hh"
 #include "serve/workload.hh"
 
 namespace transfusion::plan
@@ -288,31 +289,15 @@ CapacityPlanner::plan(const SearchSpace &space,
                                  : ThreadPool::hardwareThreads()),
         specs.size()));
     ThreadPool pool(workers);
-    // The determinism-merge idiom (schedule::Sweep, planShards):
-    // per-task registries, input-order collection, input-order
-    // merge — but prefixed, so same-named fleet metrics from
-    // different candidates never collide.
-    auto tagged = parallelMap(
-        pool, specs, [&](const DeploymentSpec &spec) {
-            obs::Registry local;
-            CandidateOutcome out;
-            {
-                obs::ScopedRegistry scope(local);
-                out = evaluate(spec, trace, required, seed);
-            }
-            return std::make_pair(std::move(out),
-                                  std::move(local));
-        });
-
-    obs::Registry &sink = obs::currentRegistry();
+    // Prefixed, so same-named fleet metrics from different
+    // candidates never collide.
     PlanResult result;
-    result.candidates.reserve(tagged.size());
-    for (std::size_t i = 0; i < tagged.size(); ++i) {
-        sink.mergePrefixed(
-            tagged[i].second.snapshot(),
-            "plan/candidate." + std::to_string(i) + ".");
-        result.candidates.push_back(std::move(tagged[i].first));
-    }
+    result.candidates = obs::parallelMapRecorded(
+        pool, specs,
+        [&](const DeploymentSpec &spec) {
+            return evaluate(spec, trace, required, seed);
+        },
+        "plan/candidate.");
 
     result.enumerated =
         static_cast<std::int64_t>(result.candidates.size());

@@ -9,7 +9,7 @@
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "obs/obs.hh"
+#include "obs/parallel.hh"
 
 namespace transfusion::schedule
 {
@@ -48,32 +48,18 @@ Sweep::run(const std::vector<SweepPoint> &points) const
     const int workers = static_cast<int>(std::min<std::size_t>(
         static_cast<std::size_t>(thread_count), points.size()));
     ThreadPool pool(workers);
-    // Evaluations instrument per-task registries; merging them in
-    // point (input) order afterwards keeps observability reports
-    // bit-identical to the serial sweep for any thread count, just
-    // like the StrategyMetrics vector itself.
-    auto tagged = parallelMap(
+    // Observability reports stay bit-identical to the serial sweep
+    // for any thread count, like the StrategyMetrics vector itself.
+    return obs::parallelMapRecorded(
         pool, points, [this](const SweepPoint &p) {
-            obs::Registry local;
             StrategyMetrics m;
-            {
-                obs::ScopedRegistry scope(local);
-                m.point = p;
-                const Evaluator eval(p.arch, p.cfg, p.seq,
-                                     options.evaluator);
-                for (const StrategyKind kind : options.strategies)
-                    m.results.emplace(kind, eval.evaluate(kind));
-            }
-            return std::make_pair(std::move(m), std::move(local));
+            m.point = p;
+            const Evaluator eval(p.arch, p.cfg, p.seq,
+                                 options.evaluator);
+            for (const StrategyKind kind : options.strategies)
+                m.results.emplace(kind, eval.evaluate(kind));
+            return m;
         });
-    obs::Registry &sink = obs::currentRegistry();
-    std::vector<StrategyMetrics> out;
-    out.reserve(tagged.size());
-    for (auto &[metrics, registry] : tagged) {
-        sink.merge(registry);
-        out.push_back(std::move(metrics));
-    }
-    return out;
 }
 
 std::vector<SweepPoint>

@@ -18,6 +18,7 @@
 #include "common/thread_pool.hh"
 #include "costmodel/cost_table_cache.hh"
 #include "obs/obs.hh"
+#include "obs/parallel.hh"
 
 namespace transfusion::serve
 {
@@ -513,28 +514,10 @@ runScenarios(const ServeSimulator &sim,
              int threads)
 {
     ThreadPool pool(threads);
-    // Each replay records its metrics into a task-local registry;
-    // merging those registries in scenario (input) order afterwards
-    // keeps the caller's observed metrics bit-identical for any
-    // thread count -- the same contract the metrics vector has.
-    auto tagged = parallelMap(
+    return obs::parallelMapRecorded(
         pool, scenarios, [&sim](const ServeScenario &s) {
-            obs::Registry local;
-            ServeMetrics m;
-            {
-                obs::ScopedRegistry scope(local);
-                m = sim.run(generateWorkload(s.workload, s.seed));
-            }
-            return std::make_pair(std::move(m), std::move(local));
+            return sim.run(generateWorkload(s.workload, s.seed));
         });
-    obs::Registry &sink = obs::currentRegistry();
-    std::vector<ServeMetrics> out;
-    out.reserve(tagged.size());
-    for (auto &[metrics, registry] : tagged) {
-        sink.merge(registry);
-        out.push_back(std::move(metrics));
-    }
-    return out;
 }
 
 } // namespace transfusion::serve

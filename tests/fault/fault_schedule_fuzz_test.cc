@@ -1,11 +1,12 @@
 /**
  * @file
  * Randomized invariants of the fault-schedule generator and of
- * downSpans, swept over ten thousand seeds: every generated trace
- * must validate, keep its timestamps sorted, pair every loss with
- * a later recovery of the same chip, and never down the last
- * healthy chip; and the downSpans view must round-trip against an
- * independent replay of the raw event list.
+ * replicaTransitions, swept over ten thousand seeds: every
+ * generated trace must validate, keep its timestamps sorted, pair
+ * every loss with a later recovery of the same chip, and never
+ * down the last healthy chip; and the transitions' down spans and
+ * pace steps must round-trip against an independent replay of the
+ * raw event list.
  *
  * Own binary under the `fuzz` label: the sweep is cheap per seed
  * but 10k-deep, so it stays out of the unit tier's latency budget.
@@ -73,6 +74,54 @@ struct Replay
         }
     }
 };
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** One maximal span with the replica down; end_s = +inf when it
+ *  never comes back up. */
+struct Span
+{
+    double start_s = 0;
+    double end_s = kInf;
+};
+
+/** The Down/Up transitions of `tr` paired into spans. */
+std::vector<Span>
+downSpans(const std::vector<ReplicaTransition> &tr)
+{
+    std::vector<Span> spans;
+    for (const ReplicaTransition &x : tr) {
+        if (x.kind == TransitionKind::Down) {
+            EXPECT_TRUE(spans.empty() || spans.back().end_s != kInf)
+                << "Down while down at t=" << x.time_s;
+            spans.push_back({ x.time_s, kInf });
+        } else if (x.kind == TransitionKind::Up) {
+            EXPECT_TRUE(!spans.empty() && spans.back().end_s == kInf)
+                << "Up while up at t=" << x.time_s;
+            if (!spans.empty())
+                spans.back().end_s = x.time_s;
+        }
+    }
+    return spans;
+}
+
+/** One change of the replica pace. */
+struct PaceStep
+{
+    double time_s = 0;
+    double pace = 1.0;
+};
+
+/** The Pace transitions of `tr`. */
+std::vector<PaceStep>
+paceSteps(const std::vector<ReplicaTransition> &tr)
+{
+    std::vector<PaceStep> steps;
+    for (const ReplicaTransition &x : tr)
+        if (x.kind == TransitionKind::Pace)
+            steps.push_back({ x.time_s, x.pace });
+    return steps;
+}
 
 TEST(FaultScheduleFuzz, GeneratedSchedulesKeepTheirInvariants)
 {
@@ -143,15 +192,28 @@ TEST(FaultScheduleFuzz, SlowdownTimelineRoundTripsTheRawEvents)
         const int cluster = 2 + static_cast<int>(seed % 7);
         const FaultSchedule s =
             generateFaultSchedule(fuzzOptions(seed), cluster, seed);
-        const std::vector<SlowdownStep> tl =
-            s.slowdownTimeline(cluster);
+        const std::vector<ReplicaTransition> all =
+            s.replicaTransitions(cluster);
+        const std::vector<PaceStep> tl = paceSteps(all);
+
+        // The merged list is in time order, and at each instant
+        // the pace step (at most one) comes after the Down/Up
+        // edges.
+        for (std::size_t k = 1; k < all.size(); ++k) {
+            ASSERT_LE(all[k - 1].time_s, all[k].time_s)
+                << "seed " << seed << " transition " << k;
+            if (all[k - 1].time_s == all[k].time_s) {
+                ASSERT_NE(all[k - 1].kind, TransitionKind::Pace)
+                    << "seed " << seed << " transition " << k;
+            }
+        }
 
         // Rebuild the timeline from the raw events: per-chip
         // multipliers, replica multiplier = max over chips, one
         // step per timestamp where the max actually changes.
         std::vector<double> mult(
             static_cast<std::size_t>(cluster), 1.0);
-        std::vector<SlowdownStep> expected;
+        std::vector<PaceStep> expected;
         double current = 1.0;
         std::size_t i = 0;
         while (i < s.events.size()) {
@@ -181,21 +243,21 @@ TEST(FaultScheduleFuzz, SlowdownTimelineRoundTripsTheRawEvents)
         for (std::size_t k = 0; k < tl.size(); ++k) {
             EXPECT_EQ(tl[k].time_s, expected[k].time_s)
                 << "seed " << seed << " step " << k;
-            EXPECT_EQ(tl[k].multiplier, expected[k].multiplier)
+            EXPECT_EQ(tl[k].pace, expected[k].pace)
                 << "seed " << seed << " step " << k;
             // Strictly increasing times, every step a change.
             ASSERT_GT(tl[k].time_s, prev_t)
                 << "seed " << seed << " step " << k;
             prev_t = tl[k].time_s;
             if (k > 0) {
-                ASSERT_NE(tl[k].multiplier, tl[k - 1].multiplier)
+                ASSERT_NE(tl[k].pace, tl[k - 1].pace)
                     << "seed " << seed << " step " << k;
             }
         }
         // The timeline always ends back at full speed (generated
         // slowdowns are paired), and never dips below 1.
         if (!tl.empty()) {
-            EXPECT_EQ(tl.back().multiplier, 1.0)
+            EXPECT_EQ(tl.back().pace, 1.0)
                 << "seed " << seed;
         }
     }
@@ -203,17 +265,17 @@ TEST(FaultScheduleFuzz, SlowdownTimelineRoundTripsTheRawEvents)
 
 TEST(FaultScheduleFuzz, DownSpansRoundTripTheRawEventList)
 {
-    constexpr double kInf = std::numeric_limits<double>::infinity();
     for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
         const int cluster = 2 + static_cast<int>(seed % 7);
         const FaultSchedule s =
             generateFaultSchedule(fuzzOptions(seed), cluster, seed);
-        const std::vector<DownSpan> spans = s.downSpans(cluster);
+        const std::vector<Span> spans =
+            downSpans(s.replicaTransitions(cluster));
 
         // Rebuild the spans from the raw events: a span opens when
         // the first chip goes down and closes when the last one
         // recovers.
-        std::vector<DownSpan> expected;
+        std::vector<Span> expected;
         Replay replay(cluster);
         for (const FaultEvent &e : s.events) {
             const int before = replay.down_count;

@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for the fault schedule: validation catches malformed
- * traces, generation is seeded-deterministic and always valid, and
- * the retry-backoff arithmetic is exact.
+ * traces, ClusterHealth interprets events, the replica transitions
+ * read the down edges and pace steps off it, generation is
+ * seeded-deterministic and always valid, and the retry-backoff
+ * arithmetic is exact.
  */
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,23 @@ namespace transfusion::fault
 {
 namespace
 {
+
+constexpr TransitionKind kDown = TransitionKind::Down;
+constexpr TransitionKind kUp = TransitionKind::Up;
+constexpr TransitionKind kPace = TransitionKind::Pace;
+
+/** Field-by-field match of a transition list (doubles bitwise). */
+void
+expectTransitions(const std::vector<ReplicaTransition> &got,
+                  const std::vector<ReplicaTransition> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].time_s, want[i].time_s) << "transition " << i;
+        EXPECT_EQ(got[i].kind, want[i].kind) << "transition " << i;
+        EXPECT_EQ(got[i].pace, want[i].pace) << "transition " << i;
+    }
+}
 
 TEST(FaultSchedule, ValidateAcceptsAWellFormedTrace)
 {
@@ -122,8 +142,8 @@ TEST(FaultSchedule, GeneratorNeverDownsTheLastChip)
 TEST(FaultSchedule, DownSpansCoverEveryUnhealthyInterval)
 {
     // The fleet routes around a replica exactly while any chip is
-    // down: spans open at the first loss, close when the *last*
-    // down chip recovers, and overlapping outages coalesce.
+    // down: it goes Down at the first loss, Up when the *last* down
+    // chip recovers, and overlapping outages coalesce.
     FaultSchedule s;
     s.events.push_back({ 1.0, FaultKind::ChipLoss, 0 });
     s.events.push_back({ 2.0, FaultKind::ChipLoss, 1 });  // overlap
@@ -131,33 +151,58 @@ TEST(FaultSchedule, DownSpansCoverEveryUnhealthyInterval)
     s.events.push_back({ 4.0, FaultKind::ChipRecovery, 1 });
     s.events.push_back({ 6.0, FaultKind::ChipLoss, 1 });
     s.events.push_back({ 7.0, FaultKind::ChipRecovery, 1 });
-    const auto spans = s.downSpans(2);
-    ASSERT_EQ(spans.size(), 2u);
-    EXPECT_EQ(spans[0].start_s, 1.0);
-    EXPECT_EQ(spans[0].end_s, 4.0); // last recovery, not first
-    EXPECT_EQ(spans[1].start_s, 6.0);
-    EXPECT_EQ(spans[1].end_s, 7.0);
+    expectTransitions(s.replicaTransitions(2),
+                      { { 1.0, kDown },
+                        { 4.0, kUp }, // last recovery, not first
+                        { 6.0, kDown },
+                        { 7.0, kUp } });
 }
 
 TEST(FaultSchedule, DownSpansOpenForeverWithoutRecovery)
 {
     FaultSchedule s;
     s.events.push_back({ 2.5, FaultKind::ChipLoss, 1 });
-    const auto spans = s.downSpans(2);
-    ASSERT_EQ(spans.size(), 1u);
-    EXPECT_EQ(spans[0].start_s, 2.5);
-    EXPECT_TRUE(std::isinf(spans[0].end_s));
+    expectTransitions(s.replicaTransitions(2), { { 2.5, kDown } });
 }
 
 TEST(FaultSchedule, LinkDegradesNeverOpenADownSpan)
 {
     // A slower fabric still serves — degrades are the fault
-    // server's replanning domain, not a routing outage.
+    // server's replanning domain, not a routing outage or a pace.
     FaultSchedule s;
     s.events.push_back({ 1.0, FaultKind::LinkDegrade, -1, 0.25 });
     s.events.push_back({ 5.0, FaultKind::LinkDegrade, -1, 1.0 });
-    EXPECT_TRUE(s.downSpans(2).empty());
-    EXPECT_TRUE(FaultSchedule{}.downSpans(2).empty());
+    EXPECT_TRUE(s.replicaTransitions(2).empty());
+    EXPECT_TRUE(FaultSchedule{}.replicaTransitions(2).empty());
+}
+
+TEST(FaultSchedule, SameInstantEdgesFollowEventOrderBeforePace)
+{
+    // Edges are per event: a recovery listed before a loss at one
+    // instant briefly makes the replica whole (Up then Down), the
+    // reverse order never does.  The instant's pace step follows
+    // its edges.
+    FaultSchedule s;
+    s.events.push_back({ 1.0, FaultKind::ChipLoss, 0 });
+    s.events.push_back({ 2.0, FaultKind::ChipRecovery, 0 });
+    s.events.push_back({ 2.0, FaultKind::ChipSlowdown, 2, 3.0 });
+    s.events.push_back({ 2.0, FaultKind::ChipLoss, 1 });
+    s.events.push_back({ 3.0, FaultKind::ChipLoss, 0 });
+    s.events.push_back({ 3.0, FaultKind::ChipRecovery, 1 });
+    s.events.push_back({ 4.0, FaultKind::ChipLoss, 1 });
+    s.events.push_back({ 4.0, FaultKind::ChipRecovery, 1 });
+    expectTransitions(s.replicaTransitions(3),
+                      { { 1.0, kDown },
+                        { 2.0, kUp },
+                        { 2.0, kDown },
+                        { 2.0, kPace, 3.0 } });
+    // A loss and its recovery at one instant is a zero-length
+    // outage: Down then Up.
+    FaultSchedule blip;
+    blip.events.push_back({ 1.0, FaultKind::ChipLoss, 0 });
+    blip.events.push_back({ 1.0, FaultKind::ChipRecovery, 0 });
+    expectTransitions(blip.replicaTransitions(2),
+                      { { 1.0, kDown }, { 1.0, kUp } });
 }
 
 TEST(FaultSchedule, ValidateRejectsMixedKindRecoveries)
@@ -224,7 +269,7 @@ TEST(FaultSchedule, ValidateRejectsMixedKindRecoveries)
 TEST(FaultSchedule, SlowdownTimelineTakesTheMaxOverChips)
 {
     // One slow chip gates the whole fused pipeline, so the replica
-    // multiplier is the max over active per-chip slowdowns.
+    // pace is the max over active per-chip slowdowns.
     FaultSchedule s;
     s.events.push_back({ 1.0, FaultKind::ChipSlowdown, 0, 2.0 });
     s.events.push_back({ 2.0, FaultKind::ChipSlowdown, 1, 4.0 });
@@ -232,40 +277,100 @@ TEST(FaultSchedule, SlowdownTimelineTakesTheMaxOverChips)
         { 3.0, FaultKind::SlowdownRecovery, 1 });
     s.events.push_back(
         { 5.0, FaultKind::SlowdownRecovery, 0 });
-    const auto tl = s.slowdownTimeline(2);
-    ASSERT_EQ(tl.size(), 4u);
-    EXPECT_EQ(tl[0].time_s, 1.0);
-    EXPECT_EQ(tl[0].multiplier, 2.0);
-    EXPECT_EQ(tl[1].time_s, 2.0);
-    EXPECT_EQ(tl[1].multiplier, 4.0);
-    EXPECT_EQ(tl[2].time_s, 3.0);
-    EXPECT_EQ(tl[2].multiplier, 2.0); // chip 0 still slow
-    EXPECT_EQ(tl[3].time_s, 5.0);
-    EXPECT_EQ(tl[3].multiplier, 1.0); // full speed again
+    expectTransitions(s.replicaTransitions(2),
+                      { { 1.0, kPace, 2.0 },
+                        { 2.0, kPace, 4.0 },
+                        { 3.0, kPace, 2.0 }, // chip 0 still slow
+                        { 5.0, kPace, 1.0 } }); // full speed again
 }
 
 TEST(FaultSchedule, SlowdownTimelineCoalescesAndSkipsNoChange)
 {
-    // Same-timestamp events collapse into one step, and a step
-    // that does not change the effective multiplier is dropped.
+    // Same-timestamp events collapse into one step (the 2x listed
+    // first never shows), and a step that does not change the pace
+    // is dropped.
     FaultSchedule s;
-    s.events.push_back({ 1.0, FaultKind::ChipSlowdown, 0, 4.0 });
     s.events.push_back({ 1.0, FaultKind::ChipSlowdown, 1, 2.0 });
+    s.events.push_back({ 1.0, FaultKind::ChipSlowdown, 0, 4.0 });
     s.events.push_back(
         { 2.0, FaultKind::SlowdownRecovery, 1 }); // max unchanged
     s.events.push_back(
         { 3.0, FaultKind::SlowdownRecovery, 0 });
-    const auto tl = s.slowdownTimeline(2);
-    ASSERT_EQ(tl.size(), 2u);
-    EXPECT_EQ(tl[0].time_s, 1.0);
-    EXPECT_EQ(tl[0].multiplier, 4.0);
-    EXPECT_EQ(tl[1].time_s, 3.0);
-    EXPECT_EQ(tl[1].multiplier, 1.0);
-    // Losses and link degrades never enter the timeline.
+    expectTransitions(s.replicaTransitions(2),
+                      { { 1.0, kPace, 4.0 }, { 3.0, kPace, 1.0 } });
+    // Losses and link degrades never step the pace.
     FaultSchedule t;
     t.events.push_back({ 1.0, FaultKind::ChipLoss, 0 });
     t.events.push_back({ 2.0, FaultKind::LinkDegrade, -1, 0.5 });
-    EXPECT_TRUE(t.slowdownTimeline(2).empty());
+    expectTransitions(t.replicaTransitions(2), { { 1.0, kDown } });
+}
+
+TEST(ClusterHealth, SurvivorsAreTheChipsNotLost)
+{
+    ClusterHealth h(4);
+    EXPECT_EQ(h.survivors(), (std::vector<int>{ 0, 1, 2, 3 }));
+    h.apply({ 1.0, FaultKind::ChipLoss, 1 });
+    h.apply({ 1.0, FaultKind::ChipSlowdown, 2, 2.0 });
+    // A slowed chip still serves; only the lost one drops out.
+    EXPECT_EQ(h.survivors(), (std::vector<int>{ 0, 2, 3 }));
+    EXPECT_EQ(h.survivorCount(), 3);
+    EXPECT_TRUE(h.healthy(0));
+    EXPECT_FALSE(h.healthy(1));
+    EXPECT_FALSE(h.healthy(2)); // carries a fault, though it serves
+    EXPECT_TRUE(h.degraded());
+    h.apply({ 2.0, FaultKind::ChipLoss, 0 });
+    h.apply({ 2.0, FaultKind::ChipLoss, 3 });
+    EXPECT_EQ(h.survivors(), (std::vector<int>{ 2 }));
+    EXPECT_THROW(ClusterHealth(0), FatalError);
+}
+
+TEST(ClusterHealth, PaceIsTheMaxOverSlowedChips)
+{
+    ClusterHealth h(3);
+    EXPECT_EQ(h.pace(), 1.0);
+    h.apply({ 1.0, FaultKind::ChipSlowdown, 0, 2.0 });
+    h.apply({ 1.0, FaultKind::ChipSlowdown, 2, 3.0 });
+    EXPECT_EQ(h.pace(), 3.0);
+    h.apply({ 2.0, FaultKind::ChipLoss, 1 }); // a loss is no pace
+    EXPECT_EQ(h.pace(), 3.0);
+    h.apply({ 3.0, FaultKind::SlowdownRecovery, 2 });
+    EXPECT_EQ(h.pace(), 2.0);
+    h.apply({ 4.0, FaultKind::SlowdownRecovery, 0 });
+    EXPECT_EQ(h.pace(), 1.0);
+}
+
+TEST(ClusterHealth, LinkScaleIsAbsoluteNotCumulative)
+{
+    ClusterHealth h(2);
+    h.apply({ 1.0, FaultKind::LinkDegrade, -1, 0.5 });
+    EXPECT_EQ(h.linkScale(), 0.5);
+    h.apply({ 2.0, FaultKind::LinkDegrade, -1, 0.25 });
+    EXPECT_EQ(h.linkScale(), 0.25); // not 0.125
+    EXPECT_TRUE(h.degraded());
+    h.apply({ 3.0, FaultKind::LinkDegrade, -1, 1.0 });
+    EXPECT_EQ(h.linkScale(), 1.0);
+    EXPECT_FALSE(h.degraded());
+}
+
+TEST(ClusterHealth, RecoveryRestoresTheInitialState)
+{
+    ClusterHealth h(3);
+    h.apply({ 1.0, FaultKind::ChipLoss, 0 });
+    h.apply({ 1.0, FaultKind::ChipSlowdown, 1, 4.0 });
+    h.apply({ 1.0, FaultKind::LinkDegrade, -1, 0.5 });
+    h.apply({ 2.0, FaultKind::ChipRecovery, 0 });
+    h.apply({ 2.0, FaultKind::SlowdownRecovery, 1 });
+    h.apply({ 2.0, FaultKind::LinkDegrade, -1, 1.0 });
+    EXPECT_EQ(h.survivors(), (std::vector<int>{ 0, 1, 2 }));
+    EXPECT_EQ(h.pace(), 1.0);
+    EXPECT_EQ(h.linkScale(), 1.0);
+    EXPECT_FALSE(h.degraded());
+    for (int c = 0; c < 3; ++c)
+        EXPECT_TRUE(h.healthy(c)) << "chip " << c;
+    // And a recovered chip takes a new fault of either kind.
+    h.apply({ 3.0, FaultKind::ChipSlowdown, 0, 2.0 });
+    h.apply({ 3.0, FaultKind::ChipLoss, 1 });
+    EXPECT_EQ(h.survivorCount(), 2);
 }
 
 TEST(FaultSchedule, GeneratorEmitsValidCorrelatedSlowdowns)

@@ -509,6 +509,83 @@ TEST(FleetSim, FaultAppliesBeforeAnArrivalAtTheSameInstant)
     EXPECT_EQ(m.completed + m.rejected, m.offered);
 }
 
+TEST(FleetSim, SameInstantFaultsApplyInScheduleOrder)
+{
+    // Hand-written schedules whose per-chip faults touch at one
+    // instant: generated schedules never do (the fuzz sweep asserts
+    // down-spans never touch), so only these pin the edge order.
+    const auto cluster = multichip::edgeCluster(2);
+    const auto cfg = model::t5Small();
+    auto wl = smallWorkload();
+    wl.arrival_per_s = 50.0;
+    const auto trace = serve::generateWorkload(wl, 7);
+    const auto fleet = FleetSimulator::uniform(
+        2, cluster, multichip::ShardSpec{ 2, 1 }, cfg, wl,
+        fastFleet());
+
+    FleetRunOptions run;
+    run.policy = PolicyKind::RoundRobin;
+    const double span = fleet.run(trace, run).makespan_s;
+    const double t1 = 0.2 * span;
+    const double t2 = 0.4 * span;
+    const double t3 = 0.6 * span;
+    using fault::FaultKind;
+    const auto replay = [&](std::vector<fault::FaultEvent> events) {
+        FleetRunOptions r = run;
+        r.faults.resize(2);
+        r.faults[1].events = std::move(events);
+        return fleet.run(trace, r);
+    };
+
+    // Reference: chip 0 alone is down over [t1, t3].  Each
+    // comparison replays it afresh: a percentile query sorts a
+    // histogram's samples, which moves the last bits of its sum.
+    const auto lone = [&]() {
+        return replay({ { t1, FaultKind::ChipLoss, 0 },
+                        { t3, FaultKind::ChipRecovery, 0 } });
+    };
+    EXPECT_EQ(lone().replica_downs, 1);
+    EXPECT_EQ(lone().replica_ups, 1);
+    EXPECT_GT(lone().failover_drained, 0);
+
+    // Loss listed first: some chip is down throughout, so the
+    // replica makes no transition at t2 and replays the reference.
+    expectSameFleetMetrics(
+        replay({ { t1, FaultKind::ChipLoss, 0 },
+                 { t2, FaultKind::ChipLoss, 1 },
+                 { t2, FaultKind::ChipRecovery, 0 },
+                 { t3, FaultKind::ChipRecovery, 1 } }),
+        lone());
+
+    // Recovery listed first: the replica is briefly whole, so t2
+    // adds one up edge and one down edge, whose drain finds nothing
+    // (the replica was unroutable since t1).  Nothing else moves.
+    FleetMetrics recovery_first =
+        replay({ { t1, FaultKind::ChipLoss, 0 },
+                 { t2, FaultKind::ChipRecovery, 0 },
+                 { t2, FaultKind::ChipLoss, 1 },
+                 { t3, FaultKind::ChipRecovery, 1 } });
+    EXPECT_EQ(recovery_first.replica_ups, 2);
+    EXPECT_EQ(recovery_first.replica_downs, 2);
+    recovery_first.replica_ups -= 1;
+    recovery_first.replica_downs -= 1;
+    expectSameFleetMetrics(recovery_first, lone());
+
+    // A same-instant pace hand-off between two equally slowed chips
+    // keeps the replica's pace at 2x: no transition at t2.
+    const FleetMetrics slow =
+        replay({ { t1, FaultKind::ChipSlowdown, 0, 2.0 },
+                 { t3, FaultKind::SlowdownRecovery, 0 } });
+    EXPECT_EQ(slow.slowdown_transitions, 2);
+    const FleetMetrics hand_off =
+        replay({ { t1, FaultKind::ChipSlowdown, 0, 2.0 },
+                 { t2, FaultKind::SlowdownRecovery, 0 },
+                 { t2, FaultKind::ChipSlowdown, 1, 2.0 },
+                 { t3, FaultKind::SlowdownRecovery, 1 } });
+    EXPECT_EQ(hand_off.slowdown_transitions, 2);
+    expectSameFleetMetrics(hand_off, slow);
+}
+
 TEST(FleetSim, MalformedRunsAreFatal)
 {
     const auto cluster = multichip::edgeCluster(1);
