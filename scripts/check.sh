@@ -78,10 +78,13 @@ run_tsan() {
         ext_multichip_scaling ext_fault_degradation \
         ext_fleet_scaling ext_capacity_planner \
         fig08b_speedup_models_64k
-    # The threaded surfaces: pool unit tests, concurrent
-    # cost-table cache lookups, concurrent first use of one shared
-    # DPipe plan skeleton and of the Evaluator's shared cascades,
-    # parallel sweeps, the
+    # The threaded surfaces: pool unit tests, the single-flight
+    # cost-table cache (concurrent misses on one key waiting on its
+    # slot, distinct keys building at once, failed builds failing
+    # their waiters, and nested builds: DPipe plans memoized inside
+    # the planner's concurrent calibrations), concurrent first use
+    # of one shared DPipe plan skeleton and of the Evaluator's
+    # shared cascades, parallel sweeps, the
     # root-parallel MCTS determinism suite, the serve-replay
     # scenario fan-out, the obs registry/trace concurrency tests,
     # the multichip shard-plan search, the fault-server replans

@@ -1,13 +1,24 @@
 /**
  * @file
  * CostTableCache implementation (the template lives in the header;
- * only the singleton and bookkeeping live here).
+ * only the singleton, the build depth and bookkeeping live here).
  */
 
 #include "cost_table_cache.hh"
 
+#include <algorithm>
+
 namespace transfusion::costmodel
 {
+
+namespace
+{
+
+/// Builders this thread is running (getOrBuild frames, innermost
+/// last); nonzero exactly while a builder is on the stack.
+thread_local int t_build_depth = 0;
+
+} // namespace
 
 CostTableCache &
 CostTableCache::instance()
@@ -16,11 +27,41 @@ CostTableCache::instance()
     return cache;
 }
 
+bool
+CostTableCache::insideBuild()
+{
+    return t_build_depth > 0;
+}
+
+CostTableCache::BuildDepth::BuildDepth()
+{
+    ++t_build_depth;
+}
+
+CostTableCache::BuildDepth::~BuildDepth()
+{
+    --t_build_depth;
+}
+
+void
+CostTableCache::forget(std::type_index type,
+                       const std::shared_ptr<Entry> &entry, bool nested)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    Bucket &bucket = buckets_[type];
+    const auto it = std::find(bucket.begin(), bucket.end(), entry);
+    if (it == bucket.end())
+        return;
+    bucket.erase(it);
+    if (!nested)
+        stats_.entries -= 1;
+}
+
 void
 CostTableCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
+    buckets_.clear();
     stats_ = Stats{};
 }
 

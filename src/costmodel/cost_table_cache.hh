@@ -2,7 +2,7 @@
  * @file
  * Process-wide memoization of expensive, deterministic cost-table
  * construction (calibrated ServeCostModel grids, shard-plan
- * sweeps).
+ * sweeps) and, inside those builds, of DPipe plan pricing.
  *
  * Serving-layer construction recomputes identical Evaluator tables
  * over and over: every fleet replica slot calibrates the same
@@ -23,16 +23,36 @@
  * (Wall-clock timer *values* are replayed from the first build;
  * deterministic consumers only read timer counts, which match.)
  *
+ * Single flight: a lookup finds or inserts its key's slot under the
+ * lock, then builds outside it.  A duplicate lookup of a key that
+ * is still building waits on the slot's shared future; distinct
+ * keys build at the same time.  A builder that throws removes its
+ * slot and hands the exception to every waiter, so a failed build
+ * leaves no entry and the next lookup builds again.
+ *
+ * Nesting: because builds run outside the lock, a builder may look
+ * up a *different* key (a calibration build prices DPipe plans
+ * through the cache; see dpipe/pipeline.hh).  Key types must nest
+ * acyclically (calibration → plan).  A thread that looks up a key
+ * it is itself building panics instead of waiting forever; a cycle
+ * that crosses threads is not detected.  insideBuild() tells a
+ * caller whether its thread is running a builder; pool workers a
+ * builder starts are not, so they look up as top-level callers.
+ *
+ * Stats: hits, misses and entries count top-level lookups (the cost
+ * tables themselves); nested_hits and nested_misses count lookups
+ * made inside a build, so plan entries never blur the table counts.
+ *
  * Keys are typed: each call site declares a plain struct holding
  * the builder's arguments, with a defaulted `operator==` and a
  * `using Value = ...;` naming what it builds.  The config structs a
  * key holds compare themselves with defaulted `operator==` too, so
  * every member — including one added later — takes part in the
  * lookup and no code lists fields by hand.  An entry stores its key
- * by value; a lookup compares only entries whose key has the same
- * type, so one key type can never fetch another's value.  The cache
- * holds a few dozen entries at most, so a flat vector scanned under
- * the lock is all the index it needs.
+ * by value in a bucket of its key type, and a lookup scans only its
+ * own type's bucket, so one key type can never fetch another's
+ * value.  Put a key's cheap members first: the defaulted `==`
+ * compares in declaration order and rejects at the first mismatch.
  *
  * Doubles compare with `==`: a NaN field never equals itself, so
  * its lookup simply misses (safe), and +0.0 equals -0.0.  That
@@ -51,10 +71,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <thread>
+#include <typeindex>
+#include <unordered_map>
 #include <vector>
 
+#include "common/logging.hh"
 #include "obs/registry.hh"
 
 namespace transfusion::costmodel
@@ -67,22 +92,28 @@ class CostTableCache
     /** Hit/miss accounting (for tests and bench banners). */
     struct Stats
     {
-        std::int64_t hits = 0;
-        std::int64_t misses = 0;
-        std::int64_t entries = 0;
+        std::int64_t hits = 0;    ///< top-level lookups served
+        std::int64_t misses = 0;  ///< top-level lookups that built
+        std::int64_t entries = 0; ///< entries top-level misses stored
+        std::int64_t nested_hits = 0;   ///< in-build lookups served
+        std::int64_t nested_misses = 0; ///< in-build lookups that built
     };
 
     /** The process-wide cache every call site shares. */
     static CostTableCache &instance();
 
+    /** True while this thread runs a getOrBuild builder. */
+    static bool insideBuild();
+
     /**
      * Return the value cached under `key`, building it with
-     * `build` on the first request.  The builder runs under a
-     * task-local registry whose snapshot is merged into the
-     * caller's current registry on the miss *and* replayed on
-     * every later hit, so cached and uncached construction leave
-     * the registry bit-identically.  Holds the cache lock across
-     * the build: builders must not call back into the cache.
+     * `build` on the first request.  The builder runs outside the
+     * lock under a task-local registry whose snapshot is merged
+     * into the caller's current registry on the miss *and* replayed
+     * on every later hit, so cached and uncached construction leave
+     * the registry bit-identically.  A lookup of a key another
+     * thread is building waits for that build (and rethrows its
+     * exception); a lookup of a key this thread is building panics.
      */
     template <class Key>
     std::shared_ptr<const typename Key::Value>
@@ -90,34 +121,63 @@ class CostTableCache
                const std::function<typename Key::Value()> &build)
     {
         using Value = typename Key::Value;
-        if (!enabled()) {
+        const bool nested = insideBuild();
+        std::unique_lock<std::mutex> lock(mu_);
+        if (!enabled_) {
             // Bypass entirely: build straight into the caller's
             // registry, exactly as uncached code did.
+            lock.unlock();
             return std::make_shared<const Value>(build());
         }
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto &entry : entries_) {
-            const auto *typed =
-                dynamic_cast<const TypedEntry<Key> *>(entry.get());
-            if (typed != nullptr && typed->key == key) {
-                stats_.hits += 1;
-                obs::currentRegistry().merge(typed->recorded);
-                return typed->value;
+        Bucket &bucket = buckets_[std::type_index(typeid(Key))];
+        for (const auto &entry : bucket) {
+            auto &typed = static_cast<TypedEntry<Key> &>(*entry);
+            if (typed.key == key) {
+                if (typed.builder == std::this_thread::get_id())
+                    tf_panic("CostTableCache: a builder looked up "
+                             "the key of its own build; key types "
+                             "must nest acyclically");
+                (nested ? stats_.nested_hits : stats_.hits) += 1;
+                const auto built = typed.built;
+                lock.unlock();
+                const Built<Value> &done = built.get();
+                obs::currentRegistry().merge(done.recorded);
+                return done.value;
             }
         }
-        stats_.misses += 1;
-        obs::Registry local;
-        auto entry = std::make_unique<TypedEntry<Key>>(key);
-        {
-            obs::ScopedRegistry scope(local);
-            entry->value = std::make_shared<const Value>(build());
+        auto entry = std::make_shared<TypedEntry<Key>>(key);
+        entry->builder = std::this_thread::get_id();
+        std::promise<Built<Value>> promise;
+        const auto built = promise.get_future().share();
+        entry->built = built;
+        bucket.push_back(entry);
+        (nested ? stats_.nested_misses : stats_.misses) += 1;
+        if (!nested)
+            stats_.entries += 1;
+        lock.unlock();
+
+        Built<Value> fresh;
+        try {
+            obs::Registry local;
+            {
+                obs::ScopedRegistry scope(local);
+                const BuildDepth depth;
+                fresh.value = std::make_shared<const Value>(build());
+            }
+            fresh.recorded = local.snapshot();
+        } catch (...) {
+            forget(std::type_index(typeid(Key)), entry, nested);
+            promise.set_exception(std::current_exception());
+            throw;
         }
-        entry->recorded = local.snapshot();
-        obs::currentRegistry().merge(entry->recorded);
-        const auto value = entry->value;
-        entries_.push_back(std::move(entry));
-        stats_.entries = static_cast<std::int64_t>(entries_.size());
-        return value;
+        {
+            std::lock_guard<std::mutex> relock(mu_);
+            entry->builder = std::thread::id();
+        }
+        promise.set_value(std::move(fresh));
+        const Built<Value> &done = built.get();
+        obs::currentRegistry().merge(done.recorded);
+        return done.value;
     }
 
     /** Drop every entry (tests; never needed in production). */
@@ -134,11 +194,19 @@ class CostTableCache
     bool enabled() const;
 
   private:
+    /** A finished build: the value and the deltas it recorded. */
+    template <class Value>
+    struct Built
+    {
+        std::shared_ptr<const Value> value;
+        obs::RegistrySnapshot recorded;
+    };
+
     struct Entry
     {
         virtual ~Entry() = default;
-        /** Registry deltas the original build recorded. */
-        obs::RegistrySnapshot recorded;
+        /** The thread running the build; empty once it finished. */
+        std::thread::id builder;
     };
 
     template <class Key>
@@ -146,11 +214,27 @@ class CostTableCache
     {
         explicit TypedEntry(const Key &k) : key(k) {}
         Key key;
-        std::shared_ptr<const typename Key::Value> value;
+        std::shared_future<Built<typename Key::Value>> built;
     };
 
+    using Bucket = std::vector<std::shared_ptr<Entry>>;
+
+    /** Marks this thread as inside a builder for its lifetime. */
+    struct BuildDepth
+    {
+        BuildDepth();
+        ~BuildDepth();
+        BuildDepth(const BuildDepth &) = delete;
+        BuildDepth &operator=(const BuildDepth &) = delete;
+    };
+
+    /** Remove a failed build's slot (if clear() left it). */
+    void forget(std::type_index type,
+                const std::shared_ptr<Entry> &entry, bool nested);
+
     mutable std::mutex mu_;
-    std::vector<std::unique_ptr<Entry>> entries_;
+    /// One bucket per key type: lookups never cross types.
+    std::unordered_map<std::type_index, Bucket> buckets_;
     Stats stats_;
     bool enabled_ = true;
 };

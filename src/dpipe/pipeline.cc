@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "common/logging.hh"
+#include "costmodel/cost_table_cache.hh"
 #include "dpipe/plan_skeleton.hh"
 #include "obs/obs.hh"
 
@@ -27,6 +28,61 @@ struct OpCosts
     /// DAG's virtual ROOT (op n), which takes no time.
     std::vector<OpLatencyPair> lat_epoch;
     std::vector<double> full_load; ///< whole-op compute load by op id
+
+    bool operator==(const OpCosts &) const = default;
+};
+
+/**
+ * One pricing's plan and the search tallies it records.  The tallies
+ * are recorded from here, after the lookup, on a memo hit and a
+ * miss alike, so a memo entry holds no string-keyed registry
+ * snapshot: that keeps each entry about half as large.
+ */
+struct PricedPlan
+{
+    PipelineResult plan;
+    DpSearchStats dp;
+    std::int64_t bipartitions_tried = 0;
+    std::int64_t bipartitions_kept = 0;
+
+    /** Record the dpipe/ counters and gauges of this pricing. */
+    void record() const
+    {
+        dp.record();
+        TF_COUNT("dpipe/pipeline/plans", 1);
+        if (plan.epochs < 2)
+            return; // no bipartition was searched
+        TF_COUNT("dpipe/pipeline/bipartitions_tried",
+                 bipartitions_tried);
+        TF_COUNT("dpipe/pipeline/bipartitions_improved",
+                 bipartitions_kept);
+        TF_COUNT("dpipe/pipeline/pipelined_chosen",
+                 plan.pipelined ? 1 : 0);
+        TF_GAUGE_ADD("dpipe/pipeline/fill_s", plan.fill_seconds);
+        TF_GAUGE_ADD("dpipe/pipeline/drain_s", plan.drain_seconds);
+        TF_GAUGE_ADD("dpipe/pipeline/steady_epoch_s",
+                     plan.steady_epoch_seconds);
+    }
+};
+
+/**
+ * CostTableCache key of one schedulePipeline pricing: every input
+ * the search reads once the op costs are known.  Skeletons live for
+ * the process, so the pointer names the cascade structure and order
+ * cap; the cheap members come first so the defaulted == rejects
+ * early.  The key sits below the Evaluator's DimEnv on purpose:
+ * LayerNorm and FFN never read the context tiling that changes with
+ * cache length, so their op costs (and plans) repeat across it.
+ */
+struct PlanKey
+{
+    using Value = PricedPlan;
+
+    const PlanSkeleton *skeleton;
+    std::int64_t epochs;
+    OpCosts costs;
+
+    bool operator==(const PlanKey &) const = default;
 };
 
 /**
@@ -174,25 +230,22 @@ scheduleCooperative(const einsum::Cascade &cascade,
     return r;
 }
 
-PipelineResult
-schedulePipeline(const einsum::Cascade &cascade,
-                 const einsum::DimEnv &dims,
-                 const arch::ArchConfig &arch,
-                 const model::DimMapping &mapping,
-                 const PipelineOptions &opts)
+namespace
 {
-    TF_SPAN("dpipe.schedule_pipeline");
-    const PlanSkeleton &skeleton =
-        sharedPlanSkeleton(cascade.buildDag(), opts.max_orders);
-    const std::int64_t epochs = std::max<std::int64_t>(
-        1, model::epochCount(mapping, dims, arch.pe2d.rows,
-                             arch.pe2d.cols));
 
-    const auto [lat_epoch, full_load] =
-        opCosts(cascade, dims, arch, opts.latency,
-                static_cast<double>(epochs));
+/**
+ * Search `key.skeleton` for the best plan under `key.costs`.
+ * Records nothing: the caller records the returned tallies.
+ */
+PricedPlan
+pricePlan(const PlanKey &key)
+{
+    const PlanSkeleton &skeleton = *key.skeleton;
+    const std::int64_t epochs = key.epochs;
+    const auto &[lat_epoch, full_load] = key.costs;
     std::vector<double> scratch;
-    DpSearchStats dp_stats;
+    PricedPlan priced;
+    DpSearchStats &dp_stats = priced.dp;
 
     // Baseline plan: DP-schedule one epoch, repeat it back-to-back.
     const Schedule epoch_sched = dpSchedule(
@@ -200,7 +253,7 @@ schedulePipeline(const einsum::Cascade &cascade,
         bestOrder(skeleton.epoch, lat_epoch, scratch, dp_stats).index,
         lat_epoch);
 
-    PipelineResult best;
+    PipelineResult &best = priced.plan;
     best.epochs = epochs;
     best.pipelined = false;
     best.steady_epoch_seconds = epoch_sched.makespan;
@@ -213,16 +266,11 @@ schedulePipeline(const einsum::Cascade &cascade,
         * static_cast<double>(epochs);
     addWork(best.work, epoch_sched, full_load, 1);
 
-    std::int64_t bipartitions_tried = 0;
-    std::int64_t bipartitions_kept = 0;
-    if (epochs < 2) {
-        dp_stats.record();
-        TF_COUNT("dpipe/pipeline/plans", 1);
-        return best;
-    }
+    if (epochs < 2)
+        return priced;
 
     for (const auto &bp : skeleton.bipartitions) {
-        ++bipartitions_tried;
+        ++priced.bipartitions_tried;
         // Steady state, fill (A alone) and drain (B alone).
         const BestOrder steady =
             bestOrder(bp.steady, lat_epoch, scratch, dp_stats);
@@ -235,7 +283,7 @@ schedulePipeline(const einsum::Cascade &cascade,
             + static_cast<double>(epochs - 1) * steady.makespan
             + drain.makespan;
         if (total < best.total_seconds) {
-            ++bipartitions_kept;
+            ++priced.bipartitions_kept;
             Schedule steady_sched =
                 dpSchedule(bp.steady, steady.index, lat_epoch);
             const Schedule fill_sched =
@@ -261,19 +309,39 @@ schedulePipeline(const einsum::Cascade &cascade,
             best = std::move(r);
         }
     }
-    dp_stats.record();
-    TF_COUNT("dpipe/pipeline/plans", 1);
-    TF_COUNT("dpipe/pipeline/bipartitions_tried",
-             bipartitions_tried);
-    TF_COUNT("dpipe/pipeline/bipartitions_improved",
-             bipartitions_kept);
-    TF_COUNT("dpipe/pipeline/pipelined_chosen",
-             best.pipelined ? 1 : 0);
-    TF_GAUGE_ADD("dpipe/pipeline/fill_s", best.fill_seconds);
-    TF_GAUGE_ADD("dpipe/pipeline/drain_s", best.drain_seconds);
-    TF_GAUGE_ADD("dpipe/pipeline/steady_epoch_s",
-                 best.steady_epoch_seconds);
-    return best;
+    return priced;
+}
+
+} // namespace
+
+PipelineResult
+schedulePipeline(const einsum::Cascade &cascade,
+                 const einsum::DimEnv &dims,
+                 const arch::ArchConfig &arch,
+                 const model::DimMapping &mapping,
+                 const PipelineOptions &opts)
+{
+    TF_SPAN("dpipe.schedule_pipeline");
+    const PlanSkeleton &skeleton =
+        sharedPlanSkeleton(cascade.buildDag(), opts.max_orders);
+    const std::int64_t epochs = std::max<std::int64_t>(
+        1, model::epochCount(mapping, dims, arch.pe2d.rows,
+                             arch.pe2d.cols));
+    const PlanKey key{ &skeleton, epochs,
+                       opCosts(cascade, dims, arch, opts.latency,
+                               static_cast<double>(epochs)) };
+    // Memoized only inside cost-table builds, where calibration
+    // grids repeat plans; elsewhere (sweeps) calls rarely repeat
+    // and an entry would only cost memory.
+    if (!costmodel::CostTableCache::insideBuild()) {
+        PricedPlan priced = pricePlan(key);
+        priced.record();
+        return std::move(priced.plan);
+    }
+    const auto priced = costmodel::CostTableCache::instance().getOrBuild(
+        key, [&] { return pricePlan(key); });
+    priced->record();
+    return priced->plan;
 }
 
 } // namespace transfusion::dpipe

@@ -87,6 +87,17 @@ struct PipelineResult
  * latency divided by the epoch count.  The first call for a
  * cascade structure and `opts.max_orders` builds the shared plan
  * skeleton; later calls reuse it.
+ *
+ * Inside a cost-table build (CostTableCache::insideBuild()), the
+ * search is memoized through the CostTableCache, keyed on the
+ * skeleton, the epoch count and the exact per-op latencies and
+ * loads -- everything the search reads -- so the calibration grid's
+ * repeats (QKV, LayerNorm and FFN do not depend on cache length)
+ * are priced once per cache lifetime.  An entry stores the plan and
+ * the search's tallies, and every call records the dpipe/ counters
+ * and gauges from those tallies, so a hit and a miss leave the
+ * registry identically.  Outside a build (figure sweeps) every call
+ * prices directly.
  */
 PipelineResult schedulePipeline(const einsum::Cascade &cascade,
                                 const einsum::DimEnv &dims,

@@ -3,9 +3,11 @@
  * Unit tests for the CostTableCache: hits return the first build's
  * value verbatim with its observability replayed, key types never
  * share entries, the RAII disable scope restores the previous state
- * even when nested, concurrent lookups build each key once, and the
- * real call sites' keys (sharded calibration, shard plan) change
- * with every nested config field.
+ * even when nested, concurrent lookups build each key once, the
+ * single-flight contract (nested builds, self-wait panics, distinct
+ * keys build concurrently, failed builds leave no entry, nested
+ * lookups count apart), and the real call sites' keys (sharded
+ * calibration, shard plan) change with every nested config field.
  *
  * The tests run against the process-wide instance() (the one the
  * serve/multichip call sites share) under test-private keys, so
@@ -13,6 +15,7 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <latch>
 #include <map>
 #include <string>
@@ -247,6 +250,184 @@ TEST(CostTableCache, ConcurrentLookupsBuildEachKeyOnce)
     EXPECT_EQ(after.misses - before.misses, keys);
     EXPECT_EQ(after.hits - before.hits, lookups - keys);
     EXPECT_EQ(after.entries - before.entries, keys);
+}
+
+TEST(CostTableCache, NestedBuildLandsInsideTheOuterSnapshot)
+{
+    // A builder may look up a different key: the inner build runs,
+    // and its deltas are part of what the outer build recorded, so
+    // a hit on the outer key replays both.
+    auto &cache = CostTableCache::instance();
+    const std::string name = "nested-build";
+    int inner_builds = 0;
+    const auto outer = [&]() {
+        obs::currentRegistry().counterAdd("test/outer", 1);
+        const auto inner = cache.getOrBuild(OtherKey{ name }, [&] {
+            inner_builds += 1;
+            obs::currentRegistry().counterAdd("test/inner", 2);
+            return 0.5;
+        });
+        return static_cast<int>(*inner * 4);
+    };
+    obs::Registry miss_reg, hit_reg;
+    {
+        obs::ScopedRegistry scope(miss_reg);
+        EXPECT_EQ(*cache.getOrBuild(TestKey{ name }, outer), 2);
+    }
+    {
+        obs::ScopedRegistry scope(hit_reg);
+        EXPECT_EQ(*cache.getOrBuild(TestKey{ name }, outer), 2);
+    }
+    EXPECT_EQ(inner_builds, 1);
+    for (const auto *reg : { &miss_reg, &hit_reg }) {
+        const auto snap = reg->snapshot();
+        EXPECT_EQ(snap.counters.at("test/outer"), 1);
+        EXPECT_EQ(snap.counters.at("test/inner"), 2);
+    }
+}
+
+/** Look up a key from inside its own build; the panic escapes. */
+void
+lookUpOwnKeyWhileBuildingIt() noexcept
+{
+    auto &cache = CostTableCache::instance();
+    const TestKey key{ "self-wait" };
+    (void)cache.getOrBuild(key, [&] {
+        return *cache.getOrBuild(key, [] { return 1; });
+    });
+}
+
+TEST(CostTableCacheDeathTest, SelfWaitPanicsInsteadOfHanging)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // The panic ends the program (noexcept turns it into
+    // std::terminate) rather than waiting on a slot that only this
+    // thread could ever fill.
+    EXPECT_DEATH(lookUpOwnKeyWhileBuildingIt(),
+                 "key of its own build");
+}
+
+/**
+ * Arrive at `arrived` and wait (bounded) for `expected` arrivals.
+ * Returns whether they all arrived: a cache that serialized builds
+ * behind one lock times out here instead of wedging the test.
+ */
+bool
+meetWithin(std::atomic<int> &arrived, int expected,
+           std::chrono::seconds timeout)
+{
+    arrived += 1;
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    while (arrived.load() < expected) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+TEST(CostTableCache, DistinctKeysBuildConcurrently)
+{
+    // Each builder waits for the other to be inside its build too,
+    // which only a cache that builds outside its lock allows.
+    auto &cache = CostTableCache::instance();
+    std::atomic<int> arrived{ 0 };
+    std::vector<int> met(2, -1);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+        threads.emplace_back([&, t] {
+            met[static_cast<std::size_t>(t)] = *cache.getOrBuild(
+                TestKey{ "overlap/" + std::to_string(t) }, [&] {
+                    return meetWithin(arrived, 2,
+                                      std::chrono::seconds(20))
+                        ? 1
+                        : 0;
+                });
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(met[0], 1) << "builder 0 never saw builder 1 overlap";
+    EXPECT_EQ(met[1], 1) << "builder 1 never saw builder 0 overlap";
+}
+
+/**
+ * What the failing builder throws.  It carries no message: the
+ * waiter rethrows the builder's own exception object, and reading a
+ * message the builder's thread later frees would be a race report
+ * TSan cannot see through (libstdc++'s exception reference counts
+ * are not instrumented; see scripts/tsan.supp).
+ */
+struct BuildFailed
+{};
+
+TEST(CostTableCache, ThrowingBuildLeavesNoEntryAndFailsItsWaiters)
+{
+    auto &cache = CostTableCache::instance();
+    const TestKey key{ "throwing-build" };
+    const auto before = cache.stats();
+
+    // The builder throws only once a second lookup of its key is
+    // waiting on the slot (a lookup counts its hit before waiting).
+    std::atomic<bool> waiter_failed{ false };
+    const auto failing = [&]() -> int {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (cache.stats().hits == before.hits
+               && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        throw BuildFailed{};
+    };
+    std::thread builder([&] {
+        EXPECT_THROW((void)cache.getOrBuild(key, failing), BuildFailed);
+    });
+    while (cache.stats().misses == before.misses)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::thread waiter([&] {
+        try {
+            (void)cache.getOrBuild(key, [] { return 7; });
+        } catch (const BuildFailed &) {
+            waiter_failed = true;
+        }
+    });
+    builder.join();
+    waiter.join();
+    EXPECT_TRUE(waiter_failed.load()) << "the waiter did not see the "
+                                         "builder's exception";
+
+    const auto after = cache.stats();
+    EXPECT_EQ(after.entries, before.entries) << "failed build kept";
+    // The next lookup builds again and keeps its result.
+    EXPECT_EQ(missesDuring([&] {
+                  EXPECT_EQ(*cache.getOrBuild(key, [] { return 8; }),
+                            8);
+              }),
+              1);
+    EXPECT_EQ(*cache.getOrBuild(key, [] { return 9; }), 8);
+}
+
+TEST(CostTableCache, NestedStatsCountOnlyInBuildLookups)
+{
+    auto &cache = CostTableCache::instance();
+    const std::string name = "nested-stats";
+    const auto outer = [&]() {
+        EXPECT_TRUE(CostTableCache::insideBuild());
+        // One nested miss, then one nested hit.
+        for (int i = 0; i < 2; ++i)
+            (void)cache.getOrBuild(OtherKey{ name }, [] { return 1.0; });
+        return 3;
+    };
+    EXPECT_FALSE(CostTableCache::insideBuild());
+    const auto before = cache.stats();
+    (void)cache.getOrBuild(TestKey{ name }, outer);
+    (void)cache.getOrBuild(TestKey{ name }, outer);
+    EXPECT_FALSE(CostTableCache::insideBuild());
+    const auto after = cache.stats();
+    EXPECT_EQ(after.misses - before.misses, 1);
+    EXPECT_EQ(after.hits - before.hits, 1);
+    EXPECT_EQ(after.entries - before.entries, 1);
+    EXPECT_EQ(after.nested_misses - before.nested_misses, 1);
+    EXPECT_EQ(after.nested_hits - before.nested_hits, 1);
 }
 
 /** The sharded calibration's inputs (small: a 2-chip TP group). */

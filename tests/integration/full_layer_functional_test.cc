@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
+#include "einsum/ops.hh"
 #include "model/cascades.hh"
 #include "ref/interpreter.hh"
 #include "ref/reference.hh"
@@ -29,6 +32,16 @@ struct LayerCase
     std::int64_t h, e, s, p, m0, m1;
     einsum::UnaryOp act;
 };
+
+/** Readable, stable test ids (the default prints raw bytes,
+ *  padding included), e.g. `h2 e4 s16 p6 m3x2 relu` for the m0 x m1
+ *  tiling; terse so every full id stays under 100 characters. */
+void
+PrintTo(const LayerCase &c, std::ostream *os)
+{
+    *os << "h" << c.h << " e" << c.e << " s" << c.s << " p" << c.p
+        << " m" << c.m0 << "x" << c.m1 << " " << einsum::toString(c.act);
+}
 
 class FullLayerEquivalence
     : public ::testing::TestWithParam<LayerCase>

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/logging.hh"
 #include "ref/reference.hh"
@@ -23,6 +24,15 @@ struct AttentionCase
 {
     std::int64_t h, e, f, p, m, m0;
 };
+
+/** Readable, stable test ids (the default prints raw bytes,
+ *  padding included). */
+void
+PrintTo(const AttentionCase &c, std::ostream *os)
+{
+    *os << "h=" << c.h << " e=" << c.e << " f=" << c.f << " p=" << c.p
+        << " m=" << c.m << " m0=" << c.m0;
+}
 
 class AttentionEquivalence
     : public ::testing::TestWithParam<AttentionCase>
