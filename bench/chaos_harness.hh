@@ -22,7 +22,7 @@
  *
  * runSeed is a pure function of the seed and reports violations
  * as a string, not as gtest assertions, so callers can fan seeds
- * out over a ThreadPool.
+ * out with parallelMap.
  */
 
 #ifndef TRANSFUSION_BENCH_CHAOS_HARNESS_HH

@@ -17,8 +17,8 @@
  * held every invariant, so it can gate scripts directly.
  *
  * Flags: --schedules N (schedules swept, default 32), --seed
- * offsets the whole sweep, --threads sizes the worker pool that
- * fans seeds out (per-seed replays stay bit-identical regardless).
+ * offsets the whole sweep, --threads sets the workers that fan
+ * seeds out (per-seed replays stay bit-identical regardless).
  */
 
 #include <cstdint>
@@ -28,7 +28,7 @@
 
 #include "bench_util.hh"
 #include "chaos_harness.hh"
-#include "common/thread_pool.hh"
+#include "common/parallel_map.hh"
 
 using namespace transfusion;
 
@@ -48,9 +48,8 @@ main(int argc, char **argv)
     for (int s = 0; s < args.schedules; ++s)
         seeds.push_back(args.seed
                         + static_cast<std::uint64_t>(s));
-    ThreadPool pool(args.threads);
     const std::vector<chaos::SeedResult> results =
-        parallelMap(pool, seeds, [](const std::uint64_t &seed) {
+        parallelMap(args.threads, seeds, [](const std::uint64_t &seed) {
             return chaos::runSeed(seed);
         });
 

@@ -8,8 +8,10 @@
  * latency under contention.
  *
  * Determinism: the trace and every fleet replay are pure functions
- * of --seed and the policy; --threads only parallelizes session
- * advancement, so the table is bit-identical for any value.
+ * of --seed and the policy; --threads fans the replica sizes out
+ * (each size builds its fleet once and replays its policies in
+ * order), and rows print in input order, so the table is
+ * bit-identical for any value.
  *
  * Flags: --replicas N caps the sweep (default 8), --policy NAME
  * restricts it to one policy (default: all), --seed the trace and
@@ -23,6 +25,7 @@
 #include "bench_util.hh"
 #include "common/math_utils.hh"
 #include "fleet/fleet_sim.hh"
+#include "obs/parallel.hh"
 
 namespace
 {
@@ -79,7 +82,7 @@ main(int argc, char **argv)
     opts.serve.cost.cache_samples = 3;
     opts.serve.cost.prefill_samples = 3;
     opts.serve.cost.evaluator.mcts.iterations = 32;
-    opts.threads = args.threads;
+    opts.threads = 1;
     opts.plan_threads = args.threads;
 
     const auto trace = serve::generateWorkload(wl, args.seed);
@@ -92,21 +95,33 @@ main(int argc, char **argv)
               << trace.size() << " requests at "
               << wl.arrival_per_s << " req/s\n\n";
 
+    std::vector<int> sizes;
+    for (int n = 1; n <= args.replicas; n *= 2)
+        sizes.push_back(n);
+    const auto runs = obs::parallelMapRecorded(
+        args.threads, sizes, [&](const int &n) {
+            // Calibrate once per size; the policy is a run-time knob.
+            const auto fleet = fleet::FleetSimulator::uniform(
+                n, cluster, cfg, wl, opts);
+            std::vector<fleet::FleetMetrics> per_policy;
+            for (const fleet::PolicyKind policy : policies) {
+                fleet::FleetRunOptions run;
+                run.policy = policy;
+                run.seed = args.seed;
+                per_policy.push_back(fleet.run(trace, run));
+            }
+            return per_policy;
+        });
+
     Table t({ "replicas", "policy", "completed", "rejected",
               "completed/s", "tok/s", "energy J", "chip-s",
               "wait p99", "lat p99" });
-    for (int n = 1; n <= args.replicas; n *= 2) {
-        // Calibrate once per size; the policy is a run-time knob.
-        const auto fleet = fleet::FleetSimulator::uniform(
-            n, cluster, cfg, wl, opts);
-        for (const fleet::PolicyKind policy : policies) {
-            fleet::FleetRunOptions run;
-            run.policy = policy;
-            run.seed = args.seed;
-            const auto m = fleet.run(trace, run);
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+        for (std::size_t j = 0; j < policies.size(); ++j) {
+            const fleet::FleetMetrics &m = runs[i][j];
             t.addRow({
-                std::to_string(n),
-                fleet::toString(policy),
+                std::to_string(sizes[i]),
+                fleet::toString(policies[j]),
                 std::to_string(m.completed),
                 std::to_string(m.rejected),
                 m.makespan_s > 0

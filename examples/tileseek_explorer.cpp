@@ -20,7 +20,7 @@
 
 #include "common/math_utils.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
+#include "common/parallel_map.hh"
 #include "costmodel/roofline.hh"
 #include "costmodel/traffic.hh"
 #include "schedule/sweep.hh"
@@ -42,7 +42,7 @@ main(int argc, char **argv)
     // 0 or unparseable means "use every core".
     const int threads = threads_arg > 0
         ? threads_arg
-        : ThreadPool::hardwareThreads();
+        : hardwareThreads();
 
     std::cout << "TileSeek exploration: " << cfg.name << " on "
               << arch.toString() << ", P=" << seq << ", "

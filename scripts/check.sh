@@ -78,42 +78,43 @@ run_tsan() {
         ext_multichip_scaling ext_fault_degradation \
         ext_fleet_scaling ext_capacity_planner \
         fig08b_speedup_models_64k
-    # The threaded surfaces: pool unit tests, the single-flight
-    # cost-table cache (concurrent misses on one key waiting on its
-    # slot, distinct keys building at once, failed builds failing
-    # their waiters, and nested builds: DPipe plans memoized inside
-    # the planner's concurrent calibrations), concurrent first use
-    # of one shared DPipe plan skeleton and of the Evaluator's
-    # shared cascades, parallel sweeps, the
+    # The threaded surfaces: parallelMap's unit tests, the
+    # single-flight cost-table cache (concurrent misses on one key
+    # waiting on its slot, distinct keys building at once, failed
+    # builds failing their waiters, and nested builds: DPipe plans
+    # memoized inside the planner's concurrent calibrations),
+    # concurrent first use of one shared DPipe plan skeleton and of
+    # the Evaluator's shared cascades, parallel sweeps, the
     # root-parallel MCTS determinism suite, the serve-replay
     # scenario fan-out, the obs registry/trace concurrency tests,
     # the multichip shard-plan search, the fault-server replans
     # that re-run that search mid-trace, the fleet event loop
-    # that advances replica sessions across the pool, and the
-    # paper-figure driver's one-Sweep fan-out.
+    # that advances replica sessions on parallelMap's workers, and
+    # the paper-figure driver's one-Sweep fan-out.
     ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
         -L threaded
-    # The multichip sweep fans (tp, pp) candidates across the pool
+    # The multichip sweep fans (tp, pp) candidates across workers
     # with per-task registries; drive the real bench (small config)
     # under TSan to catch races the unit tests miss.
     echo "== TSan: multichip sweep bench =="
     ./build-tsan/bench/ext_multichip_scaling --chips 4 \
         --threads "$jobs" > /dev/null
-    # Fault-tolerant serving replans on the pool after every fault;
+    # Fault-tolerant serving replans on workers after every fault;
     # drive the degradation bench so those mid-trace sweeps (and
     # the drain/retry bookkeeping around them) run under TSan too.
     echo "== TSan: fault degradation bench =="
     ./build-tsan/bench/ext_fault_degradation --chips 4 \
         --threads "$jobs" --faults 2 > /dev/null
-    # The fleet replays advance every replica session in parallel
-    # and merge per-replica registries afterwards; drive the full
-    # replica x policy sweep (1/2/4/8 replicas, every policy) under
-    # TSan so the parallel advance + prefix-merge path is raced.
+    # The fleet-scaling sweep fans its replica sizes across workers;
+    # each builds its fleet (concurrent calibrations through the
+    # single-flight cache) and prefix-merges per-replica registries.
+    # Drive the full replica x policy sweep (1/2/4/8 replicas, every
+    # policy) under TSan so those builds and merges are raced.
     echo "== TSan: fleet scaling bench =="
     ./build-tsan/bench/ext_fleet_scaling --replicas 8 \
         --threads "$jobs" > /dev/null
     # The capacity planner fans candidate evaluations (each a full
-    # fleet replay) across the pool and prefix-merges per-candidate
+    # fleet replay) across workers and prefix-merges per-candidate
     # registries; drive the planner sweep under TSan so the
     # outermost parallel layer is raced too.
     echo "== TSan: capacity planner bench =="

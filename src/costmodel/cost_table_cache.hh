@@ -36,8 +36,10 @@
  * acyclically (calibration → plan).  A thread that looks up a key
  * it is itself building panics instead of waiting forever; a cycle
  * that crosses threads is not detected.  insideBuild() tells a
- * caller whether its thread is running a builder; pool workers a
- * builder starts are not, so they look up as top-level callers.
+ * caller whether its thread is running a builder.  A builder that
+ * fans out with parallelMap keeps one-worker tasks inside its build
+ * (they run inline on its thread); multi-worker tasks run on fresh
+ * threads and look up as top-level callers.
  *
  * Stats: hits, misses and entries count top-level lookups (the cost
  * tables themselves); nested_hits and nested_misses count lookups

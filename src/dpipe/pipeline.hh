@@ -96,8 +96,9 @@ struct PipelineResult
  * are priced once per cache lifetime.  An entry stores the plan and
  * the search's tallies, and every call records the dpipe/ counters
  * and gauges from those tallies, so a hit and a miss leave the
- * registry identically.  Outside a build (figure sweeps) every call
- * prices directly.
+ * registry identically.  Outside a build (figure sweeps), and on
+ * the fresh threads of a multi-worker parallelMap a build starts,
+ * every call prices directly.
  */
 PipelineResult schedulePipeline(const einsum::Cascade &cascade,
                                 const einsum::DimEnv &dims,

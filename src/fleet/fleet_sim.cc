@@ -10,7 +10,7 @@
 #include <optional>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
+#include "common/parallel_map.hh"
 #include "multichip/sharded_serve.hh"
 #include "obs/obs.hh"
 
@@ -84,8 +84,7 @@ class FleetRun
              const FleetRunOptions &run, std::vector<Replica> replicas)
         : options_(options), requests_(requests),
           replicas_(std::move(replicas)), router_(run.policy, run.seed),
-          brownout_(options.brownout), ledger_(options.retry),
-          advance_pool_(options.threads)
+          brownout_(options.brownout), ledger_(options.retry)
     {
         const int pool = static_cast<int>(replicas_.size());
         if (options_.autoscaler.enabled) {
@@ -206,19 +205,11 @@ class FleetRun
             if (r.session && r.session->workLeft()
                 && r.session->now < horizon)
                 needy.push_back(&r);
-        if (needy.size() == 1 || options_.threads == 1) {
-            // One session — or a one-worker pool, where the fan-out
-            // would serialize anyway and only add two futex
-            // round-trips per session: advance inline.
-            for (Replica *r : needy)
-                r->sim->advance(*r->session, horizon);
-        } else if (!needy.empty()) {
-            parallelMap(advance_pool_, needy,
-                        [horizon](Replica *const &r) {
-                            r->sim->advance(*r->session, horizon);
-                            return 0;
-                        });
-        }
+        parallelMap(options_.threads, needy,
+                    [horizon](Replica *const &r) {
+                        r->sim->advance(*r->session, horizon);
+                        return 0;
+                    });
         for (Replica &r : replicas_)
             if (r.session)
                 r.session->shed_log.clear();
@@ -668,7 +659,6 @@ class FleetRun
     std::optional<Autoscaler> scaler_;
     BrownoutController brownout_;
     fault::RetryLedger ledger_;
-    ThreadPool advance_pool_;
     FleetMetrics fm_;
     std::size_t next_trace_ = 0;
     std::vector<serve::Request> reoffers_; ///< (arrival, id) sorted

@@ -100,7 +100,8 @@ struct FleetOptions
      *  over-ceiling-output requests at admission. */
     BrownoutOptions brownout;
     /** Worker threads advancing replica sessions; <= 0 = all
-     *  hardware.  Results are bit-identical for any value. */
+     *  hardware, 1 advances inline and starts no thread.  Results
+     *  are bit-identical for any value. */
     int threads = 1;
     /** Worker threads for shard planning; <= 0 = all hardware. */
     int plan_threads = 0;

@@ -5,10 +5,7 @@
 
 #include "shard_plan.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "costmodel/cost_table_cache.hh"
 #include "obs/obs.hh"
 #include "obs/parallel.hh"
@@ -74,15 +71,9 @@ planShardsUncached(const ShardPlanKey &key, int threads)
                  key.stack.block.name, "' over ", cluster.size(),
                  " chips");
 
-    const int workers = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(threads > 0
-                                     ? threads
-                                     : ThreadPool::hardwareThreads()),
-        specs.size()));
-    ThreadPool pool(workers);
     ShardPlan plan;
     plan.entries = obs::parallelMapRecorded(
-        pool, specs, [&](const ShardSpec &spec) {
+        threads, specs, [&](const ShardSpec &spec) {
             ShardPlanEntry entry;
             entry.spec = spec;
             const ShardedStackEvaluator eval(

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shard-plan search: sweep every feasible (tp, pp) carving of a
- * cluster for one stack + strategy, in parallel on the shared
- * ThreadPool, and rank the results.  Results are collected in
+ * cluster for one stack + strategy, fanned out with parallelMap,
+ * and rank the results.  Results are collected in
  * grid (input) order and per-task observability registries merge
  * in the same order, so the sweep is bit-identical for any thread
  * count -- the same contract schedule::Sweep keeps.
@@ -62,6 +62,10 @@ std::vector<ShardSpec> feasibleSpecs(
 /**
  * Evaluate every feasible (tp, pp) of `cluster` and rank.  Fatal
  * when no spec is feasible.  Deterministic for any thread count.
+ * The sweep is a cost-table build: on one worker its evaluations
+ * run inside the build and memoize their DPipe plans, on more they
+ * look up as top-level callers and price directly; a memo hit
+ * records what a miss does, so results and reports agree.
  */
 ShardPlan planShards(const ClusterConfig &cluster,
                      const model::StackConfig &stack,

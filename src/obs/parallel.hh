@@ -1,7 +1,7 @@
 /**
  * @file
- * The determinism-merge rule as one helper: fan tasks out over a
- * ThreadPool, record each task's metrics into its own Registry, and
+ * The determinism-merge rule as one helper: fan tasks out with
+ * parallelMap, record each task's metrics into its own Registry, and
  * merge those registries into the caller's in input order, so the
  * observed metrics are as bit-identical across thread counts as the
  * returned results.
@@ -15,14 +15,14 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.hh"
+#include "common/parallel_map.hh"
 #include "obs/registry.hh"
 
 namespace transfusion::obs
 {
 
 /**
- * parallelMap(pool, items, fn) with each fn(item) recording into a
+ * parallelMap(threads, items, fn) with each fn(item) recording into a
  * task-local Registry that then merges into currentRegistry(), task
  * by task in input order.  With a non-empty `prefix`, task i's
  * metrics merge under "<prefix><i>." so same-named metrics of
@@ -30,12 +30,12 @@ namespace transfusion::obs
  */
 template <typename T, typename Fn>
 auto
-parallelMapRecorded(ThreadPool &pool, const std::vector<T> &items,
-                    Fn fn, const std::string &prefix = {})
+parallelMapRecorded(int threads, const std::vector<T> &items, Fn fn,
+                    const std::string &prefix = {})
     -> std::vector<std::invoke_result_t<Fn &, const T &>>
 {
     using R = std::invoke_result_t<Fn &, const T &>;
-    auto tagged = parallelMap(pool, items, [&fn](const T &item) {
+    auto tagged = parallelMap(threads, items, [&fn](const T &item) {
         Registry local;
         R result = [&] {
             ScopedRegistry scope(local);

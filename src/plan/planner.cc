@@ -13,7 +13,6 @@
 
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 #include "multichip/cluster.hh"
 #include "multichip/sharded_serve.hh"
 #include "obs/obs.hh"
@@ -283,17 +282,11 @@ CapacityPlanner::plan(const SearchSpace &space,
         serve::generateWorkload(workload_, seed);
     const double required = requiredTokensPerSecond(trace, slo_);
 
-    const int workers = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(
-            options_.threads > 0 ? options_.threads
-                                 : ThreadPool::hardwareThreads()),
-        specs.size()));
-    ThreadPool pool(workers);
     // Prefixed, so same-named fleet metrics from different
     // candidates never collide.
     PlanResult result;
     result.candidates = obs::parallelMapRecorded(
-        pool, specs,
+        options_.threads, specs,
         [&](const DeploymentSpec &spec) {
             return evaluate(spec, trace, required, seed);
         },

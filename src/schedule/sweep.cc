@@ -5,10 +5,8 @@
 
 #include "sweep.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
+#include "common/parallel_map.hh"
 #include "obs/parallel.hh"
 
 namespace transfusion::schedule
@@ -36,22 +34,16 @@ Sweep::Sweep(SweepOptions options_) : options(std::move(options_))
         options.strategies = allStrategies();
     thread_count = options.threads > 0
         ? options.threads
-        : ThreadPool::hardwareThreads();
+        : hardwareThreads();
 }
 
 std::vector<StrategyMetrics>
 Sweep::run(const std::vector<SweepPoint> &points) const
 {
-    if (points.empty())
-        return {};
-    // No point parking idle workers on a short grid.
-    const int workers = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(thread_count), points.size()));
-    ThreadPool pool(workers);
     // Observability reports stay bit-identical to the serial sweep
     // for any thread count, like the StrategyMetrics vector itself.
     return obs::parallelMapRecorded(
-        pool, points, [this](const SweepPoint &p) {
+        thread_count, points, [this](const SweepPoint &p) {
             StrategyMetrics m;
             m.point = p;
             const Evaluator eval(p.arch, p.cfg, p.seq,

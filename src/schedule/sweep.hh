@@ -4,7 +4,7 @@
  *
  * Every figure, ablation, and extension in this repository is a
  * grid of independent (architecture, model, sequence) evaluation
- * points; this driver fans that grid across a ThreadPool and
+ * points; this driver fans that grid out with parallelMap and
  * collects per-point StrategyMetrics in deterministic *input*
  * order, so sweeping with N threads is bit-identical to sweeping
  * serially -- the evaluators are pure functions of their point and
@@ -57,7 +57,7 @@ struct SweepOptions
 };
 
 /**
- * Fans a grid of evaluation points across a thread pool.
+ * Fans a grid of evaluation points across worker threads.
  *
  * Reproducibility guarantee: for a fixed point list and options,
  * run() returns bit-identical results for any thread count,

@@ -15,7 +15,6 @@
 #include "common/logging.hh"
 #include "common/math_utils.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 #include "costmodel/cost_table_cache.hh"
 #include "obs/obs.hh"
 #include "obs/parallel.hh"
@@ -513,9 +512,8 @@ runScenarios(const ServeSimulator &sim,
              const std::vector<ServeScenario> &scenarios,
              int threads)
 {
-    ThreadPool pool(threads);
     return obs::parallelMapRecorded(
-        pool, scenarios, [&sim](const ServeScenario &s) {
+        threads, scenarios, [&sim](const ServeScenario &s) {
             return sim.run(generateWorkload(s.workload, s.seed));
         });
 }

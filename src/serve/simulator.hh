@@ -319,7 +319,7 @@ struct ServeScenario
 
 /**
  * Generate and replay every scenario against `sim`, fanning the
- * independent replays across a thread pool.  Results come back in
+ * independent replays across worker threads.  Results come back in
  * input order and are bit-identical for any `threads` (<= 0 means
  * all hardware threads): each replay is serial and pure, and the
  * shared cost tables are immutable after construction.

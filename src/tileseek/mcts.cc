@@ -9,7 +9,7 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
+#include "common/parallel_map.hh"
 #include "obs/obs.hh"
 
 namespace transfusion::tileseek
@@ -181,29 +181,19 @@ TileSeek::search()
 {
     TF_SPAN("tileseek.search");
     const int k = options.threads;
-    std::vector<Tree> trees;
-    trees.reserve(static_cast<std::size_t>(k));
-    for (int i = 0; i < k; ++i) {
-        // Deterministic fork: tree i draws from seed + i, so tree 0
-        // is exactly the single-threaded stream.
-        trees.emplace_back(options.seed
-                           + static_cast<std::uint64_t>(i));
-    }
-
-    if (k == 1) {
-        searchTree(trees[0]);
-    } else {
-        ThreadPool pool(
-            std::min(k, ThreadPool::hardwareThreads()));
-        std::vector<std::future<void>> futures;
-        futures.reserve(static_cast<std::size_t>(k));
-        for (Tree &t : trees) {
-            futures.push_back(pool.submit(
-                [this, &t]() { searchTree(t); }));
-        }
-        for (auto &f : futures)
-            f.get();
-    }
+    // Deterministic fork: tree i draws from seed + i, so tree 0 is
+    // exactly the single-threaded stream.
+    std::vector<std::uint64_t> seeds;
+    seeds.reserve(static_cast<std::size_t>(k));
+    for (int i = 0; i < k; ++i)
+        seeds.push_back(options.seed + static_cast<std::uint64_t>(i));
+    // The trees fan out over at most one worker per core.
+    const std::vector<Tree> trees = parallelMap(
+        0, seeds, [this](const std::uint64_t &seed) {
+            Tree tree(seed);
+            searchTree(tree);
+            return tree;
+        });
 
     // Merge in ascending tree order: strict improvement only, so
     // ties resolve to the lowest tree index and the merge is

@@ -11,7 +11,7 @@
  * digest in tests/golden/data/replay_digests_chaos.txt.
  * bench/ext_chaos_sweep runs the harness at any seed count.
  *
- * Seeds fan out over the ThreadPool; gtest assertions are not
+ * Seeds fan out with parallelMap; gtest assertions are not
  * thread-safe, so workers return failure strings and the main
  * thread asserts the collection is empty.  Own binary under the
  * `chaos` label: heavier than the unit tier, cheap enough for CI.
@@ -26,7 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "chaos_harness.hh"
-#include "common/thread_pool.hh"
+#include "common/parallel_map.hh"
 #include "support/replay_digest.hh"
 
 namespace transfusion::chaos
@@ -43,9 +43,8 @@ TEST(Chaos, InvariantsHoldAcrossSeededFaultSchedules)
     std::vector<std::uint64_t> seeds;
     for (int s = 1; s <= kSeeds; ++s)
         seeds.push_back(static_cast<std::uint64_t>(s));
-    ThreadPool pool(0);
     const std::vector<SeedResult> results =
-        parallelMap(pool, seeds, [](const std::uint64_t &seed) {
+        parallelMap(0, seeds, [](const std::uint64_t &seed) {
             return runSeed(seed);
         });
     std::ostringstream failures;

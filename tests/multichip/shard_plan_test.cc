@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "costmodel/cost_table_cache.hh"
 #include "model/stack.hh"
 #include "multichip/shard_plan.hh"
 #include "obs/obs.hh"
@@ -81,21 +82,34 @@ TEST(ShardPlan, ResultsAreBitIdenticalAcrossThreadCounts)
 {
     const auto stack = model::decoderOnly(model::t5Small());
     const auto kind = schedule::StrategyKind::TransFusion;
+    auto &cache = costmodel::CostTableCache::instance();
 
+    // Both calls build: the cache is cleared before each, or the
+    // second would be a hit of the first.  On one worker the (tp,
+    // pp) evaluations run inside the build and memoize their DPipe
+    // plans; on four they run on fresh threads and price directly.
     obs::Registry reg1;
     ShardPlan plan1;
+    cache.clear();
     {
         obs::ScopedRegistry scope(reg1);
         plan1 = planShards(cloudCluster(8), stack, kSeq, kSeq,
                            kind, fastPlan(1));
     }
+    const auto stats1 = cache.stats();
     obs::Registry reg4;
     ShardPlan plan4;
+    cache.clear();
     {
         obs::ScopedRegistry scope(reg4);
         plan4 = planShards(cloudCluster(8), stack, kSeq, kSeq,
                            kind, fastPlan(4));
     }
+    const auto stats4 = cache.stats();
+    EXPECT_EQ(stats1.misses, 1);
+    EXPECT_EQ(stats4.misses, 1);
+    EXPECT_GT(stats1.nested_misses, 0);
+    EXPECT_EQ(stats4.nested_hits + stats4.nested_misses, 0);
 
     ASSERT_EQ(plan1.entries.size(), plan4.entries.size());
     EXPECT_EQ(plan1.best, plan4.best);

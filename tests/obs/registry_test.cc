@@ -7,12 +7,11 @@
 
 #include "obs/registry.hh"
 
-#include <future>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.hh"
+#include "common/parallel_map.hh"
 #include "obs/obs.hh"
 #include "obs/report.hh"
 
@@ -34,23 +33,17 @@ TEST(Registry, CountersStartAtZeroAndAccumulate)
 
 TEST(Registry, ConcurrentCounterIncrementsSumExactly)
 {
-    // Integer adds commute, so any interleaving of pool workers must
+    // Integer adds commute, so any interleaving of workers must
     // land on the same total -- the property that makes counters
     // safe to record from worker threads directly.
     constexpr int kTasks = 64;
     constexpr int kIncrements = 1000;
     Registry reg;
-    ThreadPool pool(8);
-    std::vector<std::future<void>> futures;
-    futures.reserve(kTasks);
-    for (int t = 0; t < kTasks; ++t) {
-        futures.push_back(pool.submit([&reg]() {
-            for (int i = 0; i < kIncrements; ++i)
-                reg.counterAdd("hits", 1);
-        }));
-    }
-    for (auto &f : futures)
-        f.get();
+    parallelMap(8, std::vector<int>(kTasks, 0), [&reg](const int &) {
+        for (int i = 0; i < kIncrements; ++i)
+            reg.counterAdd("hits", 1);
+        return 0;
+    });
     EXPECT_EQ(reg.snapshot().counters.at("hits"),
               static_cast<std::int64_t>(kTasks) * kIncrements);
 }
@@ -218,24 +211,26 @@ TEST(Registry, ScopedRegistryRedirectsAndRestores)
 
 TEST(Registry, ScopedRegistryIsPerThread)
 {
-    // Installing a registry on this thread must not redirect pool
-    // workers: their writes go to their own current registry (the
+    // Installing a registry on this thread must not redirect
+    // parallelMap's worker threads: their writes go to their own
+    // current registry (the
     // global one here).  This is exactly why TileSeek instruments at
     // merge time instead of inside worker bodies.
     Registry local;
     Registry::global().clear();
     ScopedRegistry scope(local);
-    ThreadPool pool(2);
-    pool.submit([]() {
-          currentRegistry().counterAdd("thread_test/worker", 1);
-      }).get();
+    // Two tasks on two workers: neither runs on this thread.
+    parallelMap(2, std::vector<int>{ 0, 1 }, [](const int &) {
+        currentRegistry().counterAdd("thread_test/worker", 1);
+        return 0;
+    });
     currentRegistry().counterAdd("thread_test/caller", 1);
     EXPECT_EQ(local.snapshot().counters.count("thread_test/worker"),
               0u);
     EXPECT_EQ(local.snapshot().counters.at("thread_test/caller"), 1);
     EXPECT_EQ(Registry::global().snapshot().counters.at(
                   "thread_test/worker"),
-              1);
+              2);
     Registry::global().clear();
 }
 

@@ -7,14 +7,13 @@
 
 #include "obs/trace.hh"
 
-#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.hh"
+#include "common/parallel_map.hh"
 
 namespace transfusion::obs
 {
@@ -131,19 +130,12 @@ TEST(TraceSession, ThreadsGetDistinctDenseIds)
     session.start();
     {
         SpanGuard here("main_thread");
-        ThreadPool pool(2);
-        std::vector<std::future<void>> futures;
-        for (int i = 0; i < 2; ++i) {
-            futures.push_back(pool.submit([]() {
-                SpanGuard span("worker");
-                // Keep both workers alive long enough that the pool
-                // cannot serve both submissions from one thread
-                // without overlap mattering -- ids are per-thread
-                // regardless.
-            }));
-        }
-        for (auto &f : futures)
-            f.get();
+        // Two tasks on two workers, never on this thread; ids are
+        // per-thread whichever worker claims which task.
+        parallelMap(2, std::vector<int>{ 0, 1 }, [](const int &) {
+            SpanGuard span("worker");
+            return 0;
+        });
     }
     session.stop();
     const auto events = session.events();
