@@ -3,10 +3,10 @@
  * google-benchmark microbenchmarks of the DPipe machinery itself:
  * DAG construction, bipartition enumeration, DP scheduling, and
  * the full pipeline search -- the costs a user pays per scheduled
- * layer.  BM_SchedulePipelinePerLayer measures the warm path (the
- * cascade's plan skeleton is built once and shared);
- * BM_BuildPlanSkeleton measures the one-time, uncached skeleton
- * build that the warm path no longer pays.
+ * layer.  BM_SchedulePipelinePerLayer times the kind-taking
+ * schedulePipeline that evaluate() runs, over the sub-layer's
+ * constant plan skeleton; BM_BuildPlanSkeleton times the one-time
+ * skeleton build that the per-layer path never repeats.
  */
 
 #include <benchmark/benchmark.h>
@@ -73,10 +73,9 @@ BM_SchedulePipelinePerLayer(benchmark::State &state)
     const auto kind =
         static_cast<model::LayerKind>(state.range(0));
     const auto cascade = model::buildCascade(kind, cfg);
-    const auto mapping = model::peMapping(kind);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            dpipe::schedulePipeline(cascade, dims, arch, mapping));
+            dpipe::schedulePipeline(kind, cascade, dims, arch));
     }
 }
 BENCHMARK(BM_SchedulePipelinePerLayer)
@@ -91,8 +90,8 @@ BM_BuildPlanSkeleton(benchmark::State &state)
     const auto dag =
         model::buildCascade(kind, model::bertBase()).buildDag();
     for (auto _ : state)
-        benchmark::DoNotOptimize(dpipe::buildPlanSkeleton(
-            dag, dpipe::PipelineOptions{}.max_orders));
+        benchmark::DoNotOptimize(
+            dpipe::buildPlanSkeleton(dag, dpipe::kMaxOrders));
 }
 BENCHMARK(BM_BuildPlanSkeleton)
     ->DenseRange(0, 3)

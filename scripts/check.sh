@@ -83,8 +83,9 @@ run_tsan() {
     # waiting on its slot, distinct keys building at once, failed
     # builds failing their waiters, and nested builds: DPipe plans
     # memoized inside the planner's concurrent calibrations),
-    # concurrent first use of one shared DPipe plan skeleton and of
-    # the Evaluator's shared cascades, parallel sweeps, the
+    # concurrent first use of the DPipe layer-skeleton table (four
+    # constants built by one thread-safe static initialization) and
+    # of the Evaluator's shared cascades, parallel sweeps, the
     # root-parallel MCTS determinism suite, the serve-replay
     # scenario fan-out, the obs registry/trace concurrency tests,
     # the multichip shard-plan search, the fault-server replans

@@ -1,21 +1,24 @@
 #!/usr/bin/env bash
 # Count code lines -- non-blank lines that are not wholly comment --
 # in the C++ sources (.cc .hh .cpp .hpp .c .h) under each DIR, one
-# "<lines> <dir>" row per argument plus a total row.  A line holding
+# "<lines> <path>" row per argument plus a total row.  A FILE
+# argument counts as itself: its code lines if it is a C++ source,
+# 0 otherwise, so `src/*` totals the same as `src`.  A line holding
 # both code and a comment counts as code.  String and character
 # literals are skipped while scanning, so a "//" or "/*" inside one
 # does not open a comment.
 #
-# Usage: scripts/src_lines.sh DIR...
+# Usage: scripts/src_lines.sh PATH...
 #   e.g. scripts/src_lines.sh src/fault src/fleet
+#        scripts/src_lines.sh src/*
 set -euo pipefail
 
 if [ "$#" -eq 0 ]; then
-    echo "usage: $0 DIR..." >&2
+    echo "usage: $0 PATH..." >&2
     exit 2
 fi
 
-count_dir() {
+count_path() {
     find "$1" -type f \( -name '*.cc' -o -name '*.hh' -o -name '*.cpp' \
         -o -name '*.hpp' -o -name '*.c' -o -name '*.h' \) -print0 \
         | sort -z \
@@ -55,13 +58,13 @@ count_dir() {
 }
 
 sum=0
-for dir in "$@"; do
-    if [ ! -d "$dir" ]; then
-        echo "$0: not a directory: $dir" >&2
+for path in "$@"; do
+    if [ ! -d "$path" ] && [ ! -f "$path" ]; then
+        echo "$0: not a directory or regular file: $path" >&2
         exit 2
     fi
-    lines=$(count_dir "$dir")
-    printf '%7d %s\n' "$lines" "$dir"
+    lines=$(count_path "$path")
+    printf '%7d %s\n' "$lines" "$path"
     sum=$((sum + lines))
 done
 printf '%7d total\n' "$sum"

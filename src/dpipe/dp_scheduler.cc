@@ -322,11 +322,11 @@ dpSchedule(const einsum::Dag &dag, const std::vector<int> &order,
 Schedule
 bestDpSchedule(const einsum::Dag &dag,
                const std::vector<OpLatencyPair> &latency,
-               std::size_t max_orders)
+               std::size_t order_cap)
 {
     tf_assert(static_cast<int>(latency.size()) == dag.nodeCount(),
               "latency table must cover the DAG");
-    const SubDagPlan plan = SubDagPlan::whole(dag, max_orders);
+    const SubDagPlan plan = SubDagPlan::whole(dag, order_cap);
     std::vector<double> scratch;
     DpSearchStats stats;
     const BestOrder best = bestOrder(plan, latency, scratch, stats);

@@ -78,13 +78,13 @@ Schedule dpSchedule(const einsum::Dag &dag,
 
 /**
  * Convenience: run the DP over candidate topological orders (the
- * canonical Kahn order, plus up to `max_orders` lexicographically
- * enumerated ones when `max_orders` > 1) and keep the first order
+ * canonical Kahn order, plus up to `order_cap` lexicographically
+ * enumerated ones when `order_cap` > 1) and keep the first order
  * with the best makespan.  Builds a one-off, uncached SubDagPlan.
  */
 Schedule bestDpSchedule(const einsum::Dag &dag,
                         const std::vector<OpLatencyPair> &latency,
-                        std::size_t max_orders);
+                        std::size_t order_cap);
 
 /**
  * Work of a DP order search, recorded as the dpipe/dp counters.

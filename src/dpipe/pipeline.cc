@@ -6,7 +6,6 @@
 #include "pipeline.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/logging.hh"
 #include "costmodel/cost_table_cache.hh"
@@ -67,12 +66,13 @@ struct PricedPlan
 
 /**
  * CostTableCache key of one schedulePipeline pricing: every input
- * the search reads once the op costs are known.  Skeletons live for
- * the process, so the pointer names the cascade structure and order
- * cap; the cheap members come first so the defaulted == rejects
- * early.  The key sits below the Evaluator's DimEnv on purpose:
- * LayerNorm and FFN never read the context tiling that changes with
- * cache length, so their op costs (and plans) repeat across it.
+ * the search reads once the op costs are known.  The skeleton
+ * pointer is one of the four constant layer skeletons, so it names
+ * the sub-layer; the cheap members come first so the defaulted ==
+ * rejects early.  The key sits below the Evaluator's DimEnv on
+ * purpose: LayerNorm and FFN never read the context tiling that
+ * changes with cache length, so their op costs (and plans) repeat
+ * across it.
  */
 struct PlanKey
 {
@@ -312,18 +312,15 @@ pricePlan(const PlanKey &key)
     return priced;
 }
 
-} // namespace
-
+/** schedulePipeline over `skeleton`, the skeleton of `cascade`. */
 PipelineResult
-schedulePipeline(const einsum::Cascade &cascade,
-                 const einsum::DimEnv &dims,
-                 const arch::ArchConfig &arch,
-                 const model::DimMapping &mapping,
-                 const PipelineOptions &opts)
+priceSkeleton(const PlanSkeleton &skeleton,
+              const einsum::Cascade &cascade,
+              const einsum::DimEnv &dims, const arch::ArchConfig &arch,
+              const model::DimMapping &mapping,
+              const PipelineOptions &opts)
 {
     TF_SPAN("dpipe.schedule_pipeline");
-    const PlanSkeleton &skeleton =
-        sharedPlanSkeleton(cascade.buildDag(), opts.max_orders);
     const std::int64_t epochs = std::max<std::int64_t>(
         1, model::epochCount(mapping, dims, arch.pe2d.rows,
                              arch.pe2d.cols));
@@ -342,6 +339,36 @@ schedulePipeline(const einsum::Cascade &cascade,
         key, [&] { return pricePlan(key); });
     priced->record();
     return priced->plan;
+}
+
+} // namespace
+
+PipelineResult
+schedulePipeline(model::LayerKind kind, const einsum::Cascade &cascade,
+                 const einsum::DimEnv &dims,
+                 const arch::ArchConfig &arch,
+                 const PipelineOptions &opts)
+{
+    return priceSkeleton(layerSkeleton(kind), cascade, dims, arch,
+                         model::peMapping(kind), opts);
+}
+
+PipelineResult
+schedulePipeline(const einsum::Cascade &cascade,
+                 const einsum::DimEnv &dims,
+                 const arch::ArchConfig &arch,
+                 const model::DimMapping &mapping,
+                 const PipelineOptions &opts)
+{
+    const einsum::Dag dag = cascade.buildDag();
+    for (const model::LayerKind kind : model::allLayerKinds()) {
+        const PlanSkeleton &skeleton = layerSkeleton(kind);
+        if (skeleton.dag == dag)
+            return priceSkeleton(skeleton, cascade, dims, arch,
+                                 mapping, opts);
+    }
+    tf_fatal("cascade '", cascade.name(),
+             "' is not one of the four sub-layer cascades");
 }
 
 } // namespace transfusion::dpipe

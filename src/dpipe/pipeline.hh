@@ -12,7 +12,7 @@
  * topological orders, and falls back to per-epoch DP scheduling
  * when no valid bipartition exists (e.g. the QKV cascade, whose
  * nodes are simultaneously sources and sinks).  The bipartitions,
- * sub-DAGs and candidate orders come from the cascade's shared
+ * sub-DAGs and candidate orders come from the sub-layer's constant
  * PlanSkeleton (dpipe/plan_skeleton.hh); a call only prices them.
  */
 
@@ -34,17 +34,6 @@ namespace transfusion::dpipe
 /** Tuning knobs for the pipeline search. */
 struct PipelineOptions
 {
-    /**
-     * Cap on enumerated topological orders per DP search.  Each
-     * sub-DAG DPipe schedules (the epoch-only DAG, and per
-     * bipartition the steady-state, fill and drain DAGs) is priced
-     * over the Kahn order plus, when max_orders > 1, up to
-     * max_orders lexicographically enumerated orders.  The Kahn
-     * order is also the first enumerated one, so it is priced and
-     * counted in dpipe/dp/orders_tried twice; the goldens pin that
-     * count.
-     */
-    std::size_t max_orders = 64;
     costmodel::LatencyParams latency;
 
     /**
@@ -82,11 +71,12 @@ struct PipelineResult
 };
 
 /**
- * Compute-side DPipe plan for a cascade.  Inner tiles follow the
- * Table 1 `mapping`; per-epoch op latency is the full-op Eq. 42
- * latency divided by the epoch count.  The first call for a
- * cascade structure and `opts.max_orders` builds the shared plan
- * skeleton; later calls reuse it.
+ * Compute-side DPipe plan for sub-layer `kind`, whose cascade (from
+ * model::buildCascade) is `cascade`.  Inner tiles follow the Table 1
+ * mapping model::peMapping(kind); per-epoch op latency is the
+ * full-op Eq. 42 latency divided by the epoch count.  The search
+ * prices layerSkeleton(kind): the bipartitions and candidate orders
+ * are never rebuilt.
  *
  * Inside a cost-table build (CostTableCache::insideBuild()), the
  * search is memoized through the CostTableCache, keyed on the
@@ -99,6 +89,19 @@ struct PipelineResult
  * registry identically.  Outside a build (figure sweeps), and on
  * the fresh threads of a multi-worker parallelMap a build starts,
  * every call prices directly.
+ */
+PipelineResult schedulePipeline(model::LayerKind kind,
+                                const einsum::Cascade &cascade,
+                                const einsum::DimEnv &dims,
+                                const arch::ArchConfig &arch,
+                                const PipelineOptions &opts = {});
+
+/**
+ * The same search for a cascade given without its kind, under an
+ * explicit `mapping`: the sub-layer is found by comparing
+ * `cascade.buildDag()` with the four layer skeletons' DAGs.  Fatal
+ * for a cascade that is none of the four sub-layers (e.g. the
+ * Unfused MHA cascade).
  */
 PipelineResult schedulePipeline(const einsum::Cascade &cascade,
                                 const einsum::DimEnv &dims,

@@ -1,13 +1,12 @@
 /**
  * @file
- * Implementation of DPipe plan skeletons and their shared registry.
+ * Implementation of DPipe plan skeletons and the per-layer table.
  */
 
 #include "plan_skeleton.hh"
 
+#include <array>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -93,11 +92,11 @@ steadyStateDag(const einsum::Dag &dag,
 
 /** Kahn's order, then the capped enumeration when it is asked for. */
 std::vector<std::vector<int>>
-candidateOrders(const einsum::Dag &dag, std::size_t max_orders)
+candidateOrders(const einsum::Dag &dag, std::size_t order_cap)
 {
     std::vector<std::vector<int>> orders{ dag.topoSort() };
-    if (max_orders > 1) {
-        for (auto &order : dag.enumerateTopoOrders(max_orders))
+    if (order_cap > 1) {
+        for (auto &order : dag.enumerateTopoOrders(order_cap))
             orders.push_back(std::move(order));
     }
     return orders;
@@ -107,12 +106,12 @@ candidateOrders(const einsum::Dag &dag, std::size_t max_orders)
 
 SubDagPlan::SubDagPlan(const einsum::Dag &sub,
                        const std::vector<int> &to_parent,
-                       int id_space, std::size_t max_orders)
+                       int id_space, std::size_t order_cap)
     : id_space_(id_space), size_(sub.nodeCount())
 {
     tf_assert(static_cast<int>(to_parent.size()) == size_,
               "id map must cover the sub-DAG");
-    const auto orders = candidateOrders(sub, max_orders);
+    const auto orders = candidateOrders(sub, order_cap);
     order_count_ = orders.size();
 
     // Predecessor lists in parent ids, indexed by parent id.
@@ -162,10 +161,10 @@ SubDagPlan::SubDagPlan(const einsum::Dag &sub,
 }
 
 SubDagPlan
-SubDagPlan::whole(const einsum::Dag &dag, std::size_t max_orders)
+SubDagPlan::whole(const einsum::Dag &dag, std::size_t order_cap)
 {
     return SubDagPlan(dag, identityIds(dag.nodeCount()),
-                      dag.nodeCount(), max_orders);
+                      dag.nodeCount(), order_cap);
 }
 
 std::span<const PlanOpId>
@@ -192,78 +191,45 @@ SubDagPlan::predecessors(PlanOpId v) const
 }
 
 PlanSkeleton
-buildPlanSkeleton(const einsum::Dag &dag, std::size_t max_orders)
+buildPlanSkeleton(const einsum::Dag &dag, std::size_t order_cap)
 {
     const int n = dag.nodeCount();
     PlanSkeleton s;
-    s.epoch = SubDagPlan::whole(dag, max_orders);
+    s.dag = dag;
+    s.epoch = SubDagPlan::whole(dag, order_cap);
     for (auto &part : enumerateBipartitions(dag)) {
         BipartitionPlan bp;
         bp.steady = SubDagPlan::whole(
-            steadyStateDag(dag, part.in_first), max_orders);
+            steadyStateDag(dag, part.in_first), order_cap);
         std::vector<bool> in_second(part.in_first.size());
         for (std::size_t i = 0; i < part.in_first.size(); ++i)
             in_second[i] = !part.in_first[i];
         std::vector<int> a_ids, b_ids;
         const auto a_dag = inducedSubdag(dag, part.in_first, a_ids);
         const auto b_dag = inducedSubdag(dag, in_second, b_ids);
-        bp.fill = SubDagPlan(a_dag, a_ids, n, max_orders);
-        bp.drain = SubDagPlan(b_dag, b_ids, n, max_orders);
+        bp.fill = SubDagPlan(a_dag, a_ids, n, order_cap);
+        bp.drain = SubDagPlan(b_dag, b_ids, n, order_cap);
         bp.partition = std::move(part);
         s.bipartitions.push_back(std::move(bp));
     }
     return s;
 }
 
-namespace
-{
-
-struct RegistryEntry
-{
-    einsum::Dag dag;
-    std::size_t max_orders;
-    std::unique_ptr<const PlanSkeleton> skeleton;
-};
-
-struct SkeletonRegistry
-{
-    std::mutex mutex;
-    std::vector<RegistryEntry> entries;
-};
-
-SkeletonRegistry &
-skeletonRegistry()
-{
-    static SkeletonRegistry registry;
-    return registry;
-}
-
-} // namespace
-
 const PlanSkeleton &
-sharedPlanSkeleton(const einsum::Dag &dag, std::size_t max_orders)
+layerSkeleton(model::LayerKind kind)
 {
-    auto &reg = skeletonRegistry();
-    // A first use builds under the lock, so concurrent first users
-    // of one structure wait for and share the single build.
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    for (const auto &e : reg.entries) {
-        if (e.max_orders == max_orders && e.dag == dag)
-            return *e.skeleton;
-    }
-    reg.entries.push_back(
-        { dag, max_orders,
-          std::make_unique<const PlanSkeleton>(
-              buildPlanSkeleton(dag, max_orders)) });
-    return *reg.entries.back().skeleton;
-}
-
-std::size_t
-sharedPlanSkeletonCount()
-{
-    auto &reg = skeletonRegistry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    return reg.entries.size();
+    // Built by the first caller; concurrent first callers wait for
+    // that one initialization.  Any valid config gives the same DAGs.
+    static const std::array<PlanSkeleton, 4> skeletons = [] {
+        std::array<PlanSkeleton, 4> built;
+        for (const model::LayerKind k : model::allLayerKinds()) {
+            built.at(static_cast<std::size_t>(k)) = buildPlanSkeleton(
+                model::buildCascade(k, model::bertBase()).buildDag(),
+                kMaxOrders);
+        }
+        return built;
+    }();
+    return skeletons.at(static_cast<std::size_t>(kind));
 }
 
 } // namespace transfusion::dpipe

@@ -5,8 +5,9 @@
  * bipartitions, the Fig. 7(d) steady-state DAG of each, the fill
  * and drain sub-DAGs, and the candidate topological orders of every
  * one of them -- depends only on the cascade DAG and the order cap,
- * never on dims or the architecture.  A skeleton holds all of it,
- * built once per (DAG, max_orders) and shared process-wide, so an
+ * never on dims or the architecture.  A skeleton holds all of it.
+ * The four sub-layer DAGs do not change with the model, so their
+ * skeletons are four process-wide constants (layerSkeleton) and an
  * evaluation only prices per-op latencies over the stored orders.
  */
 
@@ -19,9 +20,16 @@
 
 #include "dpipe/partition.hh"
 #include "einsum/dag.hh"
+#include "model/cascades.hh"
 
 namespace transfusion::dpipe
 {
+
+/**
+ * Order cap of every skeleton DPipe prices: each search space keeps
+ * Kahn's order plus up to kMaxOrders enumerated ones.
+ */
+inline constexpr std::size_t kMaxOrders = 64;
 
 /** An op id as stored in a skeleton (a parent-DAG id or ROOT). */
 using PlanOpId = std::uint8_t;
@@ -29,7 +37,7 @@ using PlanOpId = std::uint8_t;
 /**
  * One sub-DAG's DP search space: its predecessor lists and the
  * candidate orders the DP prices -- Kahn's order first, then (when
- * max_orders > 1) up to max_orders lexicographically enumerated
+ * order_cap > 1) up to order_cap lexicographically enumerated
  * ones, so the Kahn order is priced twice -- and, per order, the
  * length of the prefix it shares with the order before it.  Every
  * id is a parent-DAG id, and all of it is one contiguous array.
@@ -44,11 +52,11 @@ class SubDagPlan
      * parent id space of `id_space` ids.
      */
     SubDagPlan(const einsum::Dag &sub, const std::vector<int> &to_parent,
-               int id_space, std::size_t max_orders);
+               int id_space, std::size_t order_cap);
 
     /** Plan a whole DAG in its own ids. */
     static SubDagPlan whole(const einsum::Dag &dag,
-                            std::size_t max_orders);
+                            std::size_t order_cap);
 
     /** Ops per order. */
     int size() const { return size_; }
@@ -88,27 +96,27 @@ struct BipartitionPlan
 /** The dims-independent DPipe search over one cascade DAG. */
 struct PlanSkeleton
 {
+    einsum::Dag dag;  ///< the cascade DAG it searches
     SubDagPlan epoch; ///< the whole DAG, for the epoch-only plan
     std::vector<BipartitionPlan> bipartitions;
 };
 
 /**
- * Build a skeleton without caching it.  Records nothing in the obs
- * registry: DPipe's counters count pricing, not enumeration.
+ * Build a skeleton of `dag` with up to `order_cap` enumerated
+ * orders per search space.  Records nothing in the obs registry:
+ * DPipe's counters count pricing, not enumeration.
  */
 PlanSkeleton buildPlanSkeleton(const einsum::Dag &dag,
-                               std::size_t max_orders);
+                               std::size_t order_cap);
 
 /**
- * The process-wide skeleton for (dag, max_orders), built on first
- * use under a mutex and kept for the life of the process (one entry
- * per distinct cascade structure and order cap).
+ * The skeleton of sub-layer `kind` at kMaxOrders.  A sub-layer's
+ * DAG is the same for every model (a config changes only scales and
+ * the FFN activation, never which op reads which tensor), so the
+ * four skeletons are built together on first use, thread-safely,
+ * and are immutable for the life of the process.
  */
-const PlanSkeleton &sharedPlanSkeleton(const einsum::Dag &dag,
-                                       std::size_t max_orders);
-
-/** Number of skeletons the shared registry holds. */
-std::size_t sharedPlanSkeletonCount();
+const PlanSkeleton &layerSkeleton(model::LayerKind kind);
 
 } // namespace transfusion::dpipe
 

@@ -15,7 +15,6 @@
 #include "obs/obs.hh"
 #include "costmodel/traffic.hh"
 #include "model/cascades.hh"
-#include "model/pe_mapping.hh"
 #include "schedule/tiling.hh"
 
 namespace transfusion::schedule
@@ -205,8 +204,7 @@ Evaluator::computePlan(LayerKind kind, StrategyKind strategy) const
         // DPipe explores three plan families and keeps the best:
         // bipartition pipelining with DP placement, the static
         // 2D/1D split, and the cooperative tile-split execution.
-        auto best = dpipe::schedulePipeline(layer, dims, arch_,
-                                            model::peMapping(kind),
+        auto best = dpipe::schedulePipeline(kind, layer, dims, arch_,
                                             opts_.pipeline);
         auto fixed = dpipe::scheduleStaticPipeline(layer, dims,
                                                    arch_,

@@ -17,6 +17,7 @@
 #include "dpipe/plan_skeleton.hh"
 #include "model/cascades.hh"
 #include "model/transformer.hh"
+#include "multichip/tensor_parallel.hh"
 #include "obs/obs.hh"
 #include "schedule/evaluator.hh"
 #include "sim/compare.hh"
@@ -265,12 +266,12 @@ namespace direct
 Schedule
 bestDpSchedule(const einsum::Dag &dag,
                const std::vector<OpLatencyPair> &latency,
-               std::size_t max_orders)
+               std::size_t order_cap)
 {
     std::int64_t tried = 1, pruned = 0;
     Schedule best = dpSchedule(dag, dag.topoSort(), latency);
-    if (max_orders > 1) {
-        for (const auto &order : dag.enumerateTopoOrders(max_orders)) {
+    if (order_cap > 1) {
+        for (const auto &order : dag.enumerateTopoOrders(order_cap)) {
             Schedule s = dpSchedule(dag, order, latency);
             ++tried;
             if (s.makespan < best.makespan)
@@ -363,7 +364,7 @@ schedulePipeline(const einsum::Cascade &cascade,
                  const einsum::DimEnv &dims,
                  const arch::ArchConfig &arch,
                  const model::DimMapping &mapping,
-                 const PipelineOptions &opts)
+                 std::size_t order_cap)
 {
     const einsum::Dag dag = cascade.buildDag();
     const std::int64_t epochs = std::max<std::int64_t>(
@@ -374,18 +375,16 @@ schedulePipeline(const einsum::Cascade &cascade,
     for (const auto &op : cascade.ops()) {
         lat.push_back({
             costmodel::opLatencySeconds(op, dims, arch,
-                                        costmodel::PeTarget::Array2d,
-                                        opts.latency)
+                                        costmodel::PeTarget::Array2d)
                 / static_cast<double>(epochs),
             costmodel::opLatencySeconds(op, dims, arch,
-                                        costmodel::PeTarget::Array1d,
-                                        opts.latency)
+                                        costmodel::PeTarget::Array1d)
                 / static_cast<double>(epochs),
         });
         full_load.push_back(op.computeLoad(dims));
     }
 
-    const Schedule epoch = bestDpSchedule(dag, lat, opts.max_orders);
+    const Schedule epoch = bestDpSchedule(dag, lat, order_cap);
     PipelineResult best;
     best.epochs = epochs;
     best.steady_epoch_seconds = epoch.makespan;
@@ -404,8 +403,7 @@ schedulePipeline(const einsum::Cascade &cascade,
         auto lat_root = lat;
         lat_root.push_back({ 0.0, 0.0 });
         const Schedule steady = bestDpSchedule(
-            steadyStateDag(dag, part.in_first), lat_root,
-            opts.max_orders);
+            steadyStateDag(dag, part.in_first), lat_root, order_cap);
         std::vector<bool> in_second(part.in_first.size());
         for (std::size_t i = 0; i < in_second.size(); ++i)
             in_second[i] = !part.in_first[i];
@@ -413,9 +411,9 @@ schedulePipeline(const einsum::Cascade &cascade,
         const auto a_dag = inducedSubdag(dag, part.in_first, a_ids);
         const auto b_dag = inducedSubdag(dag, in_second, b_ids);
         const Schedule fill = bestDpSchedule(a_dag, subset(lat, a_ids),
-                                             opts.max_orders);
+                                             order_cap);
         const Schedule drain = bestDpSchedule(
-            b_dag, subset(lat, b_ids), opts.max_orders);
+            b_dag, subset(lat, b_ids), order_cap);
 
         const double total = fill.makespan
             + static_cast<double>(epochs - 1) * steady.makespan
@@ -494,37 +492,14 @@ firstDifference(const PipelineResult &a, const PipelineResult &b)
     return "";
 }
 
-/**
- * Both searches under fresh registries; plans and metrics equal.
- * Returns whether the plan pipelines.
- */
-bool
-expectSkeletonMatchesDirect(const einsum::Cascade &cascade,
-                            const einsum::DimEnv &dims,
-                            const arch::ArchConfig &arch,
-                            const model::DimMapping &mapping,
-                            std::size_t max_orders,
-                            const std::string &where)
+/** Two registries hold the same counters and bitwise-equal gauges. */
+void
+expectSameRecords(const obs::Registry &got_reg,
+                  const obs::Registry &want_reg, const std::string &where)
 {
-    PipelineOptions opts;
-    opts.max_orders = max_orders;
-    obs::Registry skeleton_reg, direct_reg;
-    PipelineResult via_skeleton, via_direct;
-    {
-        obs::ScopedRegistry scope(skeleton_reg);
-        via_skeleton =
-            schedulePipeline(cascade, dims, arch, mapping, opts);
-    }
-    {
-        obs::ScopedRegistry scope(direct_reg);
-        via_direct =
-            direct::schedulePipeline(cascade, dims, arch, mapping, opts);
-    }
-    EXPECT_EQ(firstDifference(via_skeleton, via_direct), "") << where;
-
 #if TRANSFUSION_OBS_ENABLED
-    const auto got = skeleton_reg.snapshot();
-    const auto want = direct_reg.snapshot();
+    const auto got = got_reg.snapshot();
+    const auto want = want_reg.snapshot();
     EXPECT_EQ(got.counters, want.counters) << where;
     EXPECT_EQ(got.gauges.size(), want.gauges.size()) << where;
     for (const auto &[name, value] : want.gauges) {
@@ -534,7 +509,38 @@ expectSkeletonMatchesDirect(const einsum::Cascade &cascade,
                         == std::bit_cast<std::uint64_t>(value))
             << where << " " << name;
     }
+#else
+    (void)got_reg;
+    (void)want_reg;
+    (void)where;
 #endif
+}
+
+/**
+ * Both searches under fresh registries, the direct one at the
+ * skeletons' order cap; plans and metrics equal.  Returns whether
+ * the plan pipelines.
+ */
+bool
+expectSkeletonMatchesDirect(const einsum::Cascade &cascade,
+                            const einsum::DimEnv &dims,
+                            const arch::ArchConfig &arch,
+                            const model::DimMapping &mapping,
+                            const std::string &where)
+{
+    obs::Registry skeleton_reg, direct_reg;
+    PipelineResult via_skeleton, via_direct;
+    {
+        obs::ScopedRegistry scope(skeleton_reg);
+        via_skeleton = schedulePipeline(cascade, dims, arch, mapping);
+    }
+    {
+        obs::ScopedRegistry scope(direct_reg);
+        via_direct = direct::schedulePipeline(cascade, dims, arch,
+                                              mapping, kMaxOrders);
+    }
+    EXPECT_EQ(firstDifference(via_skeleton, via_direct), "") << where;
+    expectSameRecords(skeleton_reg, direct_reg, where);
     return via_direct.pipelined;
 }
 
@@ -549,17 +555,13 @@ TEST(DPipe, SkeletonMatchesDirectSearch)
                 const schedule::Evaluator eval(
                     arch, cfg, schedule::Workload::selfAttention(p));
                 for (LayerKind kind : model::allLayerKinds()) {
-                    const auto cascade = model::buildCascade(kind, cfg);
-                    for (std::size_t max_orders : { 1, 2, 64 }) {
-                        ++cases;
-                        pipelined += expectSkeletonMatchesDirect(
-                            cascade, eval.dims(), arch,
-                            model::peMapping(kind), max_orders,
-                            arch.name + "/" + cfg.name + "/P="
-                                + std::to_string(p) + "/"
-                                + model::toString(kind) + "/orders="
-                                + std::to_string(max_orders));
-                    }
+                    ++cases;
+                    pipelined += expectSkeletonMatchesDirect(
+                        model::buildCascade(kind, cfg), eval.dims(),
+                        arch, model::peMapping(kind),
+                        arch.name + "/" + cfg.name + "/P="
+                            + std::to_string(p) + "/"
+                            + model::toString(kind));
                 }
             }
         }
@@ -574,19 +576,15 @@ TEST(DPipe, SkeletonMatchesDirectSearch)
     s.dims = model::makeDims(s.cfg, 64, 64, 1);
     expectSkeletonMatchesDirect(
         model::buildCascade(LayerKind::Mha, s.cfg), s.dims, s.arch,
-        model::peMapping(LayerKind::Mha), 64, "single epoch");
+        model::peMapping(LayerKind::Mha), "single epoch");
 }
 
 TEST(DPipe, ConcurrentFirstUseSharesOneSkeleton)
 {
-    // An order cap no other caller uses makes the structure fresh.
-    constexpr std::size_t kFreshOrders = 7;
+    // ctest runs each test in its own process, so these threads race
+    // the layer table's first use.
     const Ctx s = cloudBert();
     const auto cascade = model::buildCascade(LayerKind::Mha, s.cfg);
-    const auto mapping = model::peMapping(LayerKind::Mha);
-    PipelineOptions opts;
-    opts.max_orders = kFreshOrders;
-    const std::size_t before = sharedPlanSkeletonCount();
 
     constexpr int kThreads = 4;
     std::vector<PipelineResult> results(kThreads);
@@ -598,23 +596,111 @@ TEST(DPipe, ConcurrentFirstUseSharesOneSkeleton)
             obs::Registry local;
             obs::ScopedRegistry scope(local);
             start.arrive_and_wait();
-            results[static_cast<std::size_t>(t)] =
-                schedulePipeline(cascade, s.dims, s.arch, mapping,
-                                 opts);
-            skeletons[static_cast<std::size_t>(t)] = &sharedPlanSkeleton(
-                cascade.buildDag(), kFreshOrders);
+            results[static_cast<std::size_t>(t)] = schedulePipeline(
+                LayerKind::Mha, cascade, s.dims, s.arch);
+            skeletons[static_cast<std::size_t>(t)] =
+                &layerSkeleton(LayerKind::Mha);
         });
     }
     for (auto &th : threads)
         th.join();
 
-    EXPECT_EQ(sharedPlanSkeletonCount(), before + 1);
     for (int t = 1; t < kThreads; ++t) {
         EXPECT_EQ(skeletons[static_cast<std::size_t>(t)], skeletons[0]);
         EXPECT_EQ(firstDifference(results[static_cast<std::size_t>(t)],
                                   results[0]),
                   "");
     }
+}
+
+/**
+ * Every config the evaluator may build sub-layer cascades for: each
+ * model and each of its valid tensor-parallel shards (the attention
+ * and the FFN config), under every activation.
+ */
+std::vector<model::TransformerConfig>
+shardedConfigs()
+{
+    std::vector<model::TransformerConfig> out;
+    for (const auto &cfg : model::allModels()) {
+        for (int tp = 1; tp <= cfg.heads; ++tp) {
+            if (cfg.heads % tp != 0 || cfg.ffn_hidden % tp != 0)
+                continue;
+            const auto shard = multichip::shardTransformer(cfg, tp);
+            for (auto sharded : { shard.attn_cfg, shard.ffn_cfg }) {
+                for (int a = 0;
+                     a <= static_cast<int>(einsum::UnaryOp::Sigmoid);
+                     ++a) {
+                    sharded.activation = static_cast<einsum::UnaryOp>(a);
+                    out.push_back(sharded);
+                }
+            }
+        }
+    }
+    return out;
+}
+
+std::string
+describe(const model::TransformerConfig &cfg, LayerKind kind)
+{
+    return cfg.name + "/activation "
+        + std::to_string(static_cast<int>(cfg.activation)) + "/"
+        + model::toString(kind);
+}
+
+TEST(DPipe, LayerDagsAreConfigIndependent)
+{
+    for (const auto &cfg : shardedConfigs()) {
+        for (LayerKind kind : model::allLayerKinds()) {
+            EXPECT_TRUE(model::buildCascade(kind, cfg).buildDag()
+                        == layerSkeleton(kind).dag)
+                << describe(cfg, kind);
+        }
+    }
+}
+
+TEST(DPipe, KindAndCascadeEntriesAgree)
+{
+    const auto arch = arch::cloudArch();
+    for (const auto &cfg : shardedConfigs()) {
+        const auto dims = model::makeDims(cfg, 4096, 256, 16);
+        for (LayerKind kind : model::allLayerKinds()) {
+            const auto cascade = model::buildCascade(kind, cfg);
+            obs::Registry by_kind_reg, by_cascade_reg;
+            PipelineResult by_kind, by_cascade;
+            {
+                obs::ScopedRegistry scope(by_kind_reg);
+                by_kind = schedulePipeline(kind, cascade, dims, arch);
+            }
+            {
+                obs::ScopedRegistry scope(by_cascade_reg);
+                by_cascade = schedulePipeline(cascade, dims, arch,
+                                              model::peMapping(kind));
+            }
+            const std::string where = describe(cfg, kind);
+            EXPECT_EQ(firstDifference(by_kind, by_cascade), "") << where;
+            expectSameRecords(by_kind_reg, by_cascade_reg, where);
+        }
+    }
+}
+
+/** The cascade-taking entry on a cascade no layer skeleton has. */
+void
+scheduleUnfusedMha() noexcept
+{
+    const Ctx s = cloudBert();
+    schedulePipeline(model::buildUnfusedMhaCascade(), s.dims, s.arch,
+                     model::peMapping(LayerKind::Mha));
+}
+
+TEST(DPipeDeathTest, CascadeOutsideTheLayerTableIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // The FatalError escapes a noexcept function, so the program
+    // ends as an uncaught one would end a tool.
+    EXPECT_DEATH(scheduleUnfusedMha(),
+                 "cascade 'MHA-unfused' is not one of the four "
+                 "sub-layer cascades");
 }
 
 } // namespace
