@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation core: the
- * serve round loop alone and inside the fleet loop on the
+ * serve round loop alone, the same replay stepped to every arrival
+ * as a fleet boundary steps it, and inside the fleet loop on the
  * saturating 8-replica power-of-two scenario, fault-free and under
  * gray failures.  Each benchmark reports `rounds_per_s` —
  * scheduler rounds (prefill + decode) retired per wall-clock
@@ -12,6 +13,7 @@
  */
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 
 #include <benchmark/benchmark.h>
@@ -70,6 +72,37 @@ BM_ServeCoreReplay(benchmark::State &state)
         static_cast<double>(rounds), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ServeCoreReplay)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * BM_ServeCoreReplay's replay in one session advanced to every
+ * arrival and then to the end, as a fleet boundary advances a
+ * replica: the gap to BM_ServeCoreReplay is the fixed cost of an
+ * advance() call, apart from any fleet bookkeeping.
+ */
+void
+BM_ServeSessionPerArrival(benchmark::State &state)
+{
+    const auto wl = saturatingWorkload(256);
+    const serve::ServeSimulator sim(arch::edgeArch(),
+                                    model::t5Small(), wl,
+                                    serveOptions());
+    const auto trace = serve::generateWorkload(wl, 1);
+
+    std::int64_t rounds = 0;
+    for (auto _ : state) {
+        serve::ServeSession s = sim.startSession(trace);
+        for (const serve::Request &r : trace)
+            sim.advance(s, r.arrival_s);
+        sim.advance(s, std::numeric_limits<double>::infinity());
+        const auto m = sim.finishSession(s);
+        rounds += m.prefill_rounds + m.decode_rounds;
+        benchmark::DoNotOptimize(m.makespan_s);
+    }
+    state.counters["rounds_per_s"] = benchmark::Counter(
+        static_cast<double>(rounds), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ServeSessionPerArrival)
     ->Unit(benchmark::kMillisecond);
 
 constexpr int kReplicas = 8;

@@ -7,6 +7,7 @@
 #include "cost_table_cache.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace transfusion::costmodel
 {
@@ -41,6 +42,22 @@ CostTableCache::BuildDepth::BuildDepth()
 CostTableCache::BuildDepth::~BuildDepth()
 {
     --t_build_depth;
+}
+
+std::exception_ptr
+CostTableCache::copyOfCurrent()
+{
+    try {
+        throw;
+    } catch (const FatalError &e) {
+        return std::make_exception_ptr(FatalError(e.what()));
+    } catch (const PanicError &e) {
+        return std::make_exception_ptr(PanicError(e.what()));
+    } catch (const std::exception &e) {
+        return std::make_exception_ptr(std::runtime_error(e.what()));
+    } catch (...) {
+        return std::current_exception();
+    }
 }
 
 void

@@ -27,8 +27,10 @@
  * lock, then builds outside it.  A duplicate lookup of a key that
  * is still building waits on the slot's shared future; distinct
  * keys build at the same time.  A builder that throws removes its
- * slot and hands the exception to every waiter, so a failed build
- * leaves no entry and the next lookup builds again.
+ * slot and rethrows its exception; every waiter throws its own copy
+ * of it (see copyOfCurrent), so no exception object is shared
+ * across threads.  A failed build leaves no entry and the next
+ * lookup builds again.
  *
  * Nesting: because builds run outside the lock, a builder may look
  * up a *different* key (a calibration build prices DPipe plans
@@ -72,6 +74,7 @@
 #define TRANSFUSION_COSTMODEL_COST_TABLE_CACHE_HH
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -114,8 +117,9 @@ class CostTableCache
      * into the caller's current registry on the miss *and* replayed
      * on every later hit, so cached and uncached construction leave
      * the registry bit-identically.  A lookup of a key another
-     * thread is building waits for that build (and rethrows its
-     * exception); a lookup of a key this thread is building panics.
+     * thread is building waits for that build (and throws a copy
+     * of its exception); a lookup of a key this thread is building
+     * panics.
      */
     template <class Key>
     std::shared_ptr<const typename Key::Value>
@@ -142,7 +146,7 @@ class CostTableCache
                 (nested ? stats_.nested_hits : stats_.hits) += 1;
                 const auto built = typed.built;
                 lock.unlock();
-                const Built<Value> &done = built.get();
+                const Built<Value> &done = awaitBuild(built);
                 obs::currentRegistry().merge(done.recorded);
                 return done.value;
             }
@@ -169,7 +173,7 @@ class CostTableCache
             fresh.recorded = local.snapshot();
         } catch (...) {
             forget(std::type_index(typeid(Key)), entry, nested);
-            promise.set_exception(std::current_exception());
+            promise.set_exception(copyOfCurrent());
             throw;
         }
         {
@@ -229,6 +233,28 @@ class CostTableCache
         BuildDepth(const BuildDepth &) = delete;
         BuildDepth &operator=(const BuildDepth &) = delete;
     };
+
+    /**
+     * A new exception object equal to the one being handled: a
+     * FatalError or PanicError of that type, any other
+     * std::exception as a std::runtime_error, each with the same
+     * what().  An exception of another type carries no message
+     * and is handed on as is.
+     */
+    static std::exception_ptr copyOfCurrent();
+
+    /** The finished build, or — when it failed — a throw of this
+     *  waiter's own copy of its exception. */
+    template <class Value>
+    static const Built<Value> &
+    awaitBuild(const std::shared_future<Built<Value>> &built)
+    {
+        try {
+            return built.get();
+        } catch (...) {
+            std::rethrow_exception(copyOfCurrent());
+        }
+    }
 
     /** Remove a failed build's slot (if clear() left it). */
     void forget(std::type_index type,

@@ -200,12 +200,12 @@ class FleetRun
      */
     void advance(double horizon)
     {
-        std::vector<Replica *> needy;
+        needy_.clear();
         for (Replica &r : replicas_)
             if (r.session && r.session->workLeft()
                 && r.session->now < horizon)
-                needy.push_back(&r);
-        parallelMap(options_.threads, needy,
+                needy_.push_back(&r);
+        parallelMap(options_.threads, needy_,
                     [horizon](Replica *const &r) {
                         r->sim->advance(*r->session, horizon);
                         return 0;
@@ -321,18 +321,18 @@ class FleetRun
      */
     void routeArrivals(double t)
     {
-        std::vector<serve::Request> batch;
-        batch.swap(held_);
+        due_.clear();
+        due_.swap(held_);
         while (next_trace_ < requests_.size()
                && requests_[next_trace_].arrival_s <= t)
-            batch.push_back(requests_[next_trace_++]);
+            due_.push_back(requests_[next_trace_++]);
         auto due = reoffers_.begin();
         while (due != reoffers_.end() && due->arrival_s <= t)
             ++due;
-        batch.insert(batch.end(), reoffers_.begin(), due);
+        due_.insert(due_.end(), reoffers_.begin(), due);
         reoffers_.erase(reoffers_.begin(), due);
-        std::sort(batch.begin(), batch.end(), serve::arrivesBefore);
-        for (const serve::Request &req : batch) {
+        std::sort(due_.begin(), due_.end(), serve::arrivesBefore);
+        for (const serve::Request &req : due_) {
             if (brownout_.shouldShed(req)) {
                 // Active brownout: shed the classes the options
                 // name instead of queueing into the overload.
@@ -342,14 +342,14 @@ class FleetRun
             }
             // Views rebuild per decision: outstanding counts and KV
             // headroom change with every injection.
-            const std::vector<ReplicaView> views = eligibleViews();
+            const std::vector<ReplicaView> &views = eligibleViews();
             if (views.empty()) {
                 held_.push_back(req);
                 continue;
             }
             Replica &r =
                 replicas_[static_cast<std::size_t>(router_.pick(views))];
-            r.sim->injectRequests(*r.session, { req });
+            r.sim->injectRequest(*r.session, req);
             r.session->metrics.offered += 1;
         }
     }
@@ -576,17 +576,18 @@ class FleetRun
                   serve::arrivesBefore);
     }
 
-    /** Load views of the eligible replicas, index order. */
-    std::vector<ReplicaView> eligibleViews() const
+    /** Load views of the eligible replicas, index order (rebuilt
+     *  in place in views_). */
+    const std::vector<ReplicaView> &eligibleViews()
     {
-        std::vector<ReplicaView> views;
+        views_.clear();
         for (std::size_t i = 0; i < replicas_.size(); ++i)
             if (replicas_[i].eligible())
-                views.push_back(ReplicaView{
+                views_.push_back(ReplicaView{
                     static_cast<int>(i),
                     replicas_[i].session->outstanding(),
                     replicas_[i].session->freeKvWords() });
-        return views;
+        return views_;
     }
 
     /** Whether a tick could change anything (guards the loop
@@ -663,6 +664,10 @@ class FleetRun
     std::size_t next_trace_ = 0;
     std::vector<serve::Request> reoffers_; ///< (arrival, id) sorted
     std::vector<serve::Request> held_;     ///< no eligible replica
+    // Per-boundary scratch, kept so boundaries reuse its storage.
+    std::vector<Replica *> needy_;    ///< sessions advance() steps
+    std::vector<serve::Request> due_; ///< requests routeArrivals routes
+    std::vector<ReplicaView> views_;  ///< eligibleViews()
     double next_tick_ = kInf;
     double last_t_ = 0; ///< latest finite event time processed
 };

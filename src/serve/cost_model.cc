@@ -42,29 +42,52 @@ geometricGrid(std::int64_t lo, std::int64_t hi, int points)
 }
 
 /**
- * Piecewise-linear interpolation; x outside [xs.front, xs.back]
- * clamps to the endpoint value.  Linear extrapolation on the
- * boundary segment used to run through zero for a steep-enough
- * negative boundary slope, pricing out-of-grid batches at
- * 0 s/step — the endpoint is the honest bound the grid supports.
+ * Where x falls on an ascending grid: the two grid points around
+ * it and how far along, or one point (lo == hi) when x lies at or
+ * beyond an end.  x outside [xs.front, xs.back] clamps to the
+ * endpoint.  Linear extrapolation on the boundary segment used to
+ * run through zero for a steep-enough negative boundary slope,
+ * pricing out-of-grid batches at 0 s/step — the endpoint is the
+ * honest bound the grid supports.
  */
-double
-interp(const std::vector<std::int64_t> &xs,
-       const std::vector<double> &ys, double x)
+struct Bracket
 {
-    if (xs.size() == 1)
-        return ys[0];
-    if (x <= static_cast<double>(xs.front()))
-        return ys.front();
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double frac = 0;
+};
+
+Bracket
+bracket(const std::vector<std::int64_t> &xs, double x)
+{
+    if (xs.size() == 1 || x <= static_cast<double>(xs.front()))
+        return {};
     if (x >= static_cast<double>(xs.back()))
-        return ys.back();
+        return { xs.size() - 1, xs.size() - 1, 0 };
     std::size_t hi = 1;
     while (hi + 1 < xs.size() && x > static_cast<double>(xs[hi]))
         ++hi;
     const auto x0 = static_cast<double>(xs[hi - 1]);
     const auto x1 = static_cast<double>(xs[hi]);
-    const double frac = (x - x0) / (x1 - x0);
-    return ys[hi - 1] + frac * (ys[hi] - ys[hi - 1]);
+    return { hi - 1, hi, (x - x0) / (x1 - x0) };
+}
+
+/** The one interpolation: y(i) is the value at grid point i. */
+template <class Y>
+double
+lerp(const Bracket &at, const Y &y)
+{
+    const double y0 = y(at.lo);
+    if (at.lo == at.hi)
+        return y0;
+    return y0 + at.frac * (y(at.hi) - y0);
+}
+
+double
+interp(const std::vector<std::int64_t> &xs,
+       const std::vector<double> &ys, double x)
+{
+    return lerp(bracket(xs, x), [&ys](std::size_t i) { return ys[i]; });
 }
 
 } // namespace
@@ -174,56 +197,41 @@ ServeCostModel::ServeCostModel(schedule::StrategyKind strategy,
     }
 }
 
-double
-ServeCostModel::decodeLookup(
-    const std::vector<std::vector<double>> &table,
-    std::int64_t batch, double mean_cache_len) const
+StepCost
+ServeCostModel::decodeStep(std::int64_t batch,
+                           double mean_cache_len) const
 {
     if (batch <= 0)
         tf_fatal("decode batch must be positive, got ", batch);
-    const double b = std::clamp(
-        static_cast<double>(batch),
-        static_cast<double>(batches_.front()),
-        static_cast<double>(batches_.back()));
-    // Bilinear interpolation that evaluates only the two batch
-    // rows bracketing `b`: interpolating every row along the cache
-    // axis and then along the batch axis would read no other row.
-    // Both axes use interp()'s arithmetic and operand order, so the
-    // result is bitwise that full-grid interpolation
-    // (tests/serve/cost_model_test.cc pins it for both tables).
-    const auto at = [&](std::size_t i) {
-        return interp(cache_lens_, table[i], mean_cache_len);
+    // Bilinear interpolation that searches each axis once for both
+    // tables and reads only the two batch rows bracketing `batch`:
+    // interpolating every row along the cache axis and then along
+    // the batch axis would read no other row.  Both axes use the
+    // one lerp(), so the result is bitwise that full-grid
+    // interpolation (tests/serve/cost_model_test.cc pins it for
+    // both tables).
+    const Bracket b = bracket(batches_, static_cast<double>(batch));
+    const Bracket c = bracket(cache_lens_, mean_cache_len);
+    const auto at = [&](const std::vector<std::vector<double>> &table) {
+        return lerp(b, [&](std::size_t i) {
+            return lerp(c, [&](std::size_t j) { return table[i][j]; });
+        });
     };
-    if (batches_.size() == 1)
-        return at(0);
-    if (b <= static_cast<double>(batches_.front()))
-        return at(0);
-    if (b >= static_cast<double>(batches_.back()))
-        return at(batches_.size() - 1);
-    std::size_t hi = 1;
-    while (hi + 1 < batches_.size()
-           && b > static_cast<double>(batches_[hi]))
-        ++hi;
-    const auto x0 = static_cast<double>(batches_[hi - 1]);
-    const auto x1 = static_cast<double>(batches_[hi]);
-    const double frac = (b - x0) / (x1 - x0);
-    const double y0 = at(hi - 1);
-    const double y1 = at(hi);
-    return y0 + frac * (y1 - y0);
+    return { at(step_s_), at(step_j_) };
 }
 
 double
 ServeCostModel::decodeStepSeconds(std::int64_t batch,
                                   double mean_cache_len) const
 {
-    return decodeLookup(step_s_, batch, mean_cache_len);
+    return decodeStep(batch, mean_cache_len).seconds;
 }
 
 double
 ServeCostModel::decodeStepJoules(std::int64_t batch,
                                  double mean_cache_len) const
 {
-    return decodeLookup(step_j_, batch, mean_cache_len);
+    return decodeStep(batch, mean_cache_len).joules;
 }
 
 double

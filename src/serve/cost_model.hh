@@ -109,14 +109,19 @@ class ServeCostModel
                    const PrefillFn &prefill);
 
     /**
-     * Seconds of one decode iteration: `batch` co-scheduled
-     * requests each emit one token against a mean resident cache of
-     * `mean_cache_len` positions.  Bilinear interpolation on the
-     * calibrated grid; batch and cache length clamp to the grid
-     * endpoints (boundary-segment extrapolation could run a steep
-     * negative slope through zero and price off-grid steps for
-     * free).
+     * Seconds and joules of one decode iteration: `batch`
+     * co-scheduled requests each emit one token against a mean
+     * resident cache of `mean_cache_len` positions.  Bilinear
+     * interpolation on the calibrated grid, one bracket search per
+     * axis for both tables; batch and cache length clamp to the
+     * grid endpoints (boundary-segment extrapolation could run a
+     * steep negative slope through zero and price off-grid steps
+     * for free).
      */
+    StepCost decodeStep(std::int64_t batch,
+                        double mean_cache_len) const;
+
+    /** decodeStep(batch, mean_cache_len).seconds. */
     double decodeStepSeconds(std::int64_t batch,
                              double mean_cache_len) const;
 
@@ -129,11 +134,9 @@ class ServeCostModel
     double prefillSeconds(std::int64_t prompt_len) const;
 
     /**
-     * Joules of one decode iteration, interpolated on the same
-     * (batch, cache length) grid as decodeStepSeconds (bracket
-     * bilinear, endpoint clamp).  Calibrated from the same
-     * evaluator calls that priced the latency, so a simulator can
-     * meter energy without re-running anything.
+     * decodeStep(batch, mean_cache_len).joules: calibrated from the
+     * same evaluator calls that priced the latency, so a simulator
+     * can meter energy without re-running anything.
      */
     double decodeStepJoules(std::int64_t batch,
                             double mean_cache_len) const;
@@ -159,12 +162,6 @@ class ServeCostModel
     }
 
   private:
-    /** Bracket bilinear lookup shared by the seconds and joules
-     *  decode tables (identical arithmetic for both). */
-    double decodeLookup(
-        const std::vector<std::vector<double>> &table,
-        std::int64_t batch, double mean_cache_len) const;
-
     schedule::StrategyKind strategy_;
     std::vector<std::int64_t> batches_;
     std::vector<std::int64_t> cache_lens_;

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
-#include <queue>
 #include <sstream>
 #include <utility>
 
@@ -76,97 +75,6 @@ calibratedCostModel(const arch::ArchConfig &arch,
     return *table;
 }
 
-/**
- * The running batch as a finish heap.  Every decode round hands
- * exactly one token to every running request and prefill rounds
- * never touch them, so a request admitted with `g` tokens generated
- * while `decode_rounds` rounds have run finishes in round
- * decode_rounds + (output_len - g): a decode round costs O(1) plus
- * O(log n) per finisher.  Invariants:
- *
- *  - finishers leave in admission order: slots are numbered in
- *    admission order and the heap is keyed (finish_round, slot);
- *  - the context sum is an exact integer below 2^53, so its double
- *    (and the mean cache length priced from it) does not depend on
- *    the order requests joined or left.
- *
- * Built from `running` on entry to advance() and written back on
- * exit, so the session stays plain data between epochs; the
- * rebuild also re-keys the heap across slowdown changes.
- */
-class HeapBatch
-{
-  public:
-    explicit HeapBatch(ServeSession &s) : s_(s)
-    {
-        slots_.reserve(s.running.size());
-        for (const InFlightRequest &r : s.running)
-            admit(r);
-        s.running.clear();
-    }
-
-    std::int64_t size() const { return std::ssize(finishers_); }
-
-    void admit(const InFlightRequest &r)
-    {
-        const std::int64_t finish_round = s_.metrics.decode_rounds
-            + (r.req.output_len - r.generated);
-        ctx_ += r.req.prompt_len + r.generated;
-        finishers_.emplace(finish_round, slots_.size());
-        slots_.push_back({ r, finish_round });
-    }
-
-    double contextSum() const { return static_cast<double>(ctx_); }
-
-    /** Every running request gained one token; the requests whose
-     *  finish round this is leave with their full context. */
-    template <class Finish>
-    void emitToken(const Finish &finish)
-    {
-        ctx_ += size();
-        const std::int64_t round = s_.metrics.decode_rounds;
-        while (!finishers_.empty()
-               && finishers_.top().first == round) {
-            Slot &slot = slots_[finishers_.top().second];
-            finishers_.pop();
-            finish(slot.r.req, slot.r.first_token_s);
-            ctx_ -= slot.r.req.peakContext();
-        }
-    }
-
-    /** Rebuild `running`: the slots still to finish, in admission
-     *  order, each with `generated` recovered from the rounds it
-     *  has to go. */
-    void writeBack()
-    {
-        const std::int64_t round = s_.metrics.decode_rounds;
-        for (Slot &slot : slots_) {
-            if (slot.finish_round <= round)
-                continue;
-            slot.r.generated = slot.r.req.output_len
-                - (slot.finish_round - round);
-            s_.running.push_back(slot.r);
-        }
-    }
-
-  private:
-    struct Slot
-    {
-        InFlightRequest r;
-        /** Live while decode_rounds is below it; the heap holds
-         *  exactly the live slots. */
-        std::int64_t finish_round = 0;
-    };
-    using HeapEntry = std::pair<std::int64_t, std::size_t>;
-
-    ServeSession &s_;
-    std::vector<Slot> slots_;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>>
-        finishers_;
-    std::int64_t ctx_ = 0;
-};
-
 /** The serve round loop: arrival pull, admission, prefill, decode
  *  and idle jump, until no work is left or the horizon. */
 void
@@ -192,10 +100,9 @@ runRounds(const ServeSimulator &sim, ServeSession &s,
         s.cache.release(reservation(req));
     };
 
-    HeapBatch batch(s);
-    bool wedged = false;
-    while (s.next < s.pending.size() || !s.queue.empty()
-           || batch.size() > 0) {
+    RunningBatch &batch = s.running;
+    std::vector<Request> &admitted = s.admitted;
+    while (s.workLeft()) {
         // Horizon check at the round boundary only: the caller's
         // world change (a fault, a replan) lands between rounds,
         // never mid-round.  With horizon_s = +inf this never fires
@@ -227,10 +134,8 @@ runRounds(const ServeSimulator &sim, ServeSession &s,
         // a head that merely does not fit *now* blocks the queue
         // (no overtaking, so admission order is deterministic and
         // starvation-free).
-        std::vector<InFlightRequest> admitted;
         while (!s.queue.empty()
-               && batch.size()
-                       + static_cast<std::int64_t>(admitted.size())
+               && batch.size() + std::ssize(admitted)
                    < options.max_batch) {
             const Request &head = s.queue.front();
             const double words = reservation(head);
@@ -243,7 +148,7 @@ runRounds(const ServeSimulator &sim, ServeSession &s,
             if (!s.cache.tryReserve(words))
                 break;
             m.queue_wait_s.add(s.now - head.arrival_s);
-            admitted.push_back({ head });
+            admitted.push_back(head);
             s.queue.pop_front();
         }
 
@@ -253,28 +158,26 @@ runRounds(const ServeSimulator &sim, ServeSession &s,
             // pricing is the conservative model); each produces its
             // request's first token.
             double dt = 0;
-            for (const InFlightRequest &r : admitted) {
-                dt += cost.prefillSeconds(r.req.prompt_len);
-                m.prefill_energy_j +=
-                    cost.prefillJoules(r.req.prompt_len);
+            for (const Request &r : admitted) {
+                dt += cost.prefillSeconds(r.prompt_len);
+                m.prefill_energy_j += cost.prefillJoules(r.prompt_len);
             }
             s.now += dt * s.slowdown;
             m.prefill_rounds += 1;
-            for (InFlightRequest &r : admitted) {
-                r.first_token_s = s.now;
-                r.generated = 1;
+            for (const Request &r : admitted) {
                 m.generated_tokens += 1;
-                m.ttft_s.add(s.now - r.req.arrival_s);
-                if (r.generated >= r.req.output_len)
-                    finish(r.req, r.first_token_s);
+                m.ttft_s.add(s.now - r.arrival_s);
+                if (r.output_len <= 1)
+                    finish(r, s.now);
                 else
-                    batch.admit(r);
+                    batch.admit(r, s.now, m.decode_rounds);
             }
+            admitted.clear();
             m.peak_running = std::max(m.peak_running, batch.size());
             continue;
         }
 
-        if (batch.size() > 0) {
+        if (!batch.empty()) {
             // Decode round: every running request emits one token;
             // the step's time and energy are priced at the batch's
             // mean cache length (exact for the affine-in-cache-
@@ -282,11 +185,12 @@ runRounds(const ServeSimulator &sim, ServeSession &s,
             const std::int64_t n = batch.size();
             const double mean =
                 batch.contextSum() / static_cast<double>(n);
-            s.now += cost.decodeStepSeconds(n, mean) * s.slowdown;
-            m.decode_energy_j += cost.decodeStepJoules(n, mean);
+            const StepCost step = cost.decodeStep(n, mean);
+            s.now += step.seconds * s.slowdown;
+            m.decode_energy_j += step.joules;
             m.decode_rounds += 1;
             m.generated_tokens += n;
-            batch.emitToken(finish);
+            batch.emitToken(m.decode_rounds, finish);
             continue;
         }
 
@@ -309,19 +213,51 @@ runRounds(const ServeSimulator &sim, ServeSession &s,
         // admission always makes progress when nothing is running).
         if (s.queue.empty())
             continue;
-        wedged = true;
-        break;
-    }
-    // Every exit leaves `running` current for the caller.
-    batch.writeBack();
-    if (wedged)
         tf_fatal("serve loop wedged with ", s.queue.size(),
                  " queued requests (completed ", m.completed,
-                 ", rejected ", m.rejected, " of ", m.offered,
-                 ")");
+                 ", rejected ", m.rejected, " of ", m.offered, ")");
+    }
 }
 
 } // namespace
+
+void
+RunningBatch::admit(const Request &req, double first_token_s,
+                    std::int64_t round)
+{
+    const std::int64_t finish_round = round + req.output_len - 1;
+    ctx_ += req.prompt_len + 1;
+    heap_.emplace_back(finish_round, slots_.size());
+    std::push_heap(heap_.begin(), heap_.end(), Later());
+    slots_.push_back({ req, first_token_s, finish_round });
+}
+
+void
+RunningBatch::compact(std::int64_t round)
+{
+    std::erase_if(slots_, [round](const Slot &slot) {
+        return slot.finish_round <= round;
+    });
+    // Slot numbers stay in admission order and every key is
+    // distinct, so the rebuilt heap pops in the same order.
+    heap_.clear();
+    for (std::size_t i = 0; i < slots_.size(); ++i)
+        heap_.emplace_back(slots_[i].finish_round, i);
+    std::make_heap(heap_.begin(), heap_.end(), Later());
+}
+
+std::vector<InFlightRequest>
+RunningBatch::inFlight(std::int64_t round) const
+{
+    std::vector<InFlightRequest> live;
+    live.reserve(heap_.size());
+    for (const Slot &slot : slots_)
+        if (slot.finish_round > round)
+            live.push_back({ slot.req, slot.first_token_s,
+                             slot.req.output_len
+                                 - (slot.finish_round - round) });
+    return live;
+}
 
 std::string
 ServeMetrics::summary() const
@@ -411,12 +347,12 @@ ServeSimulator::advance(ServeSession &s, double horizon_s) const
 std::vector<InFlightRequest>
 ServeSimulator::drainRunning(ServeSession &s) const
 {
-    for (const InFlightRequest &r : s.running)
+    std::vector<InFlightRequest> drained = s.inFlight();
+    for (const InFlightRequest &r : drained)
         s.cache.release(words_per_token_
                         * static_cast<double>(
                             r.req.peakContext()));
-    std::vector<InFlightRequest> drained = std::move(s.running);
-    s.running.clear();
+    s.running = RunningBatch();
     return drained;
 }
 
@@ -454,6 +390,20 @@ ServeSimulator::injectRequests(ServeSession &s,
         [](const Request &a, const Request &b) {
             return a.arrival_s < b.arrival_s;
         });
+}
+
+void
+ServeSimulator::injectRequest(ServeSession &s,
+                              const Request &arrival) const
+{
+    validateTrace({ &arrival, 1 }, "injected request");
+    const auto at = std::upper_bound(
+        s.pending.begin() + static_cast<std::ptrdiff_t>(s.next),
+        s.pending.end(), arrival,
+        [](const Request &a, const Request &b) {
+            return a.arrival_s < b.arrival_s;
+        });
+    s.pending.insert(at, arrival);
 }
 
 ServeMetrics

@@ -26,9 +26,13 @@
 #ifndef TRANSFUSION_SERVE_SIMULATOR_HH
 #define TRANSFUSION_SERVE_SIMULATOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.hh"
@@ -121,6 +125,91 @@ struct InFlightRequest
     std::int64_t generated = 0;   ///< tokens emitted so far
 };
 
+/**
+ * The running batch as a finish heap.  Every decode round hands
+ * exactly one token to every running request and prefill rounds
+ * never touch them, so a request admitted with one token while
+ * `round` decode rounds have run finishes in round
+ * round + output_len - 1: a decode round costs O(1) plus O(log n)
+ * per finisher.  Invariants:
+ *
+ *  - finishers leave in admission order: slots are numbered in
+ *    admission order and the heap is keyed (finish_round, slot);
+ *  - the context sum is an exact integer below 2^53, so its double
+ *    (and the mean cache length priced from it) does not depend on
+ *    the order requests joined or left;
+ *  - memory stays O(live): finished slots are compacted away (in
+ *    order) once they outnumber the live ones, so
+ *    slots() <= 2 * size() after every operation.
+ *
+ * The keys count decode rounds, not seconds, so the batch stays
+ * valid across advance() calls, slowdown changes and a move to
+ * another simulator's cost tables.
+ */
+class RunningBatch
+{
+  public:
+    /** Live (admitted, unfinished) requests. */
+    std::int64_t size() const { return std::ssize(heap_); }
+    bool empty() const { return heap_.empty(); }
+    /** Slots held, live or finished (the memory bound above). */
+    std::size_t slots() const { return slots_.size(); }
+
+    /** Sum of the live requests' cache lengths. */
+    double contextSum() const { return static_cast<double>(ctx_); }
+
+    /** Admit `req`, whose prefill round just produced its first
+     *  token at `first_token_s`, while `round` decode rounds have
+     *  run (so output_len > 1). */
+    void admit(const Request &req, double first_token_s,
+               std::int64_t round);
+
+    /** Decode round `round` just ran: every live request gained one
+     *  token, and those whose finish round it is leave — admission
+     *  order — through finish(req, first_token_s) with their full
+     *  context. */
+    template <class Finish>
+    void emitToken(std::int64_t round, const Finish &finish)
+    {
+        ctx_ += size();
+        while (!heap_.empty() && heap_.front().first == round) {
+            std::pop_heap(heap_.begin(), heap_.end(), Later());
+            const Slot &slot = slots_[heap_.back().second];
+            heap_.pop_back();
+            finish(slot.req, slot.first_token_s);
+            ctx_ -= slot.req.peakContext();
+        }
+        if (slots_.size() > 2 * heap_.size())
+            compact(round);
+    }
+
+    /** The live requests in admission order, each with `generated`
+     *  recovered from the rounds it has to go after `round`
+     *  decode rounds. */
+    std::vector<InFlightRequest> inFlight(std::int64_t round) const;
+
+  private:
+    struct Slot
+    {
+        Request req;
+        double first_token_s = 0;
+        /** Live while fewer decode rounds have run; the heap holds
+         *  exactly the live slots. */
+        std::int64_t finish_round = 0;
+    };
+    using HeapEntry = std::pair<std::int64_t, std::size_t>;
+    using Later = std::greater<HeapEntry>;
+
+    /** Drop the finished slots, keeping admission order, and
+     *  re-key the heap on the new slot numbers. */
+    void compact(std::int64_t round);
+
+    std::vector<Slot> slots_;
+    /** Min-heap on (finish_round, slot). */
+    std::vector<HeapEntry> heap_;
+    std::int64_t ctx_ = 0;
+};
+
 /** One load-shed request, with the clock when it was shed. */
 struct ShedRecord
 {
@@ -131,9 +220,10 @@ struct ShedRecord
 /**
  * Resumable state of one serving replay.  Created by
  * ServeSimulator::startSession and advanced by
- * ServeSimulator::advance; every field is plain data so a fault
- * layer can drain/inject between epochs.  Integer bookkeeping
- * only — mutating it never touches the cost tables, so moving a
+ * ServeSimulator::advance; every field is a value (the running
+ * batch included) so a fault layer can drain/inject between
+ * epochs.  Integer bookkeeping only — mutating it never touches
+ * the cost tables, so moving a
  * session between simulators (after a degraded-mode replan) is
  * well-defined.
  */
@@ -149,7 +239,10 @@ struct ServeSession
     /** Arrived, not yet admitted (FIFO, bounded by max_queue). */
     std::deque<Request> queue;
     /** Admitted requests mid-generation. */
-    std::vector<InFlightRequest> running;
+    RunningBatch running;
+    /** The round loop's storage for one prefill round's admissions;
+     *  empty between rounds. */
+    std::vector<Request> admitted;
     /** KV reservation ledger (capacity survives replans). */
     KvCacheTracker cache;
     /** Virtual clock in seconds. */
@@ -190,7 +283,14 @@ struct ServeSession
     {
         return static_cast<std::int64_t>(pending.size() - next)
             + static_cast<std::int64_t>(queue.size())
-            + static_cast<std::int64_t>(running.size());
+            + running.size();
+    }
+
+    /** The running batch as admission-order records with their
+     *  tokens generated so far. */
+    std::vector<InFlightRequest> inFlight() const
+    {
+        return running.inFlight(metrics.decode_rounds);
     }
 
     /** Unreserved KV words — the headroom a KV-pressure-aware
@@ -252,16 +352,19 @@ class ServeSimulator
      * flight when the horizon passes completes first, so a fault
      * at time T takes effect at the first boundary >= T).  With
      * `horizon_s` = +infinity this is exactly the run() loop.
-     * On every return `session.running` holds the in-flight
-     * requests in admission order.
+     * The running batch persists in `session.running` between
+     * calls (nothing is rebuilt per call); `session.inFlight()`
+     * lists it.
      */
     void advance(ServeSession &session, double horizon_s) const;
 
     /**
-     * Remove every in-flight request from `session`, releasing its
-     * KV reservation, and return the drained records (admission
-     * order).  The fault layer calls this on chip loss: the
-     * requests become retryable instead of silently dropped.
+     * Remove every in-flight request from `session`, releasing the
+     * KV reservations in admission order, and return the drained
+     * records (session.inFlight(), so `generated` counts the tokens
+     * each request already emitted).  The fault layer calls this
+     * on chip loss: the requests become retryable instead of
+     * silently dropped.
      * Tokens they already generated stay counted in
      * `generated_tokens`; the caller tracks them as wasted.
      */
@@ -289,6 +392,15 @@ class ServeSimulator
      */
     void injectRequests(ServeSession &session,
                         std::vector<Request> arrivals) const;
+
+    /**
+     * Insert one arrival into the unpulled tail, after every tail
+     * request arriving no later: the position injectRequests'
+     * stable merge gives it, without the merge's buffer.  Same
+     * validation and message as injectRequests.
+     */
+    void injectRequest(ServeSession &session,
+                       const Request &arrival) const;
 
     /**
      * Finalize and return the session's metrics (peak KV words,

@@ -53,8 +53,7 @@ Request::toString() const
 }
 
 void
-validateTrace(const std::vector<Request> &requests,
-              const char *what)
+validateTrace(std::span<const Request> requests, const char *what)
 {
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const Request &r = requests[i];

@@ -15,6 +15,7 @@
 #define TRANSFUSION_SERVE_WORKLOAD_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,7 +67,7 @@ arrivesBefore(const Request &a, const Request &b)
  * the requests in the message ("bad <what>: ...", "<what>s must be
  * sorted by arrival time").
  */
-void validateTrace(const std::vector<Request> &requests,
+void validateTrace(std::span<const Request> requests,
                    const char *what);
 
 /** Inclusive log-uniform range for a token-length draw. */

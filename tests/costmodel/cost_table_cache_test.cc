@@ -18,8 +18,11 @@
 #include <chrono>
 #include <latch>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -404,6 +407,72 @@ TEST(CostTableCache, ThrowingBuildLeavesNoEntryAndFailsItsWaiters)
               }),
               1);
     EXPECT_EQ(*cache.getOrBuild(key, [] { return 9; }), 8);
+}
+
+/**
+ * Fail the build of `key` with `thrown` once a waiter is parked on
+ * its slot; return what the waiter caught: its dynamic type's name
+ * and its what(), read while the builder unwinds its own copy.
+ */
+template <class Thrown>
+std::pair<std::string, std::string>
+waiterCatch(const TestKey &key, const Thrown &thrown)
+{
+    auto &cache = CostTableCache::instance();
+    const auto before = cache.stats();
+    const auto failing = [&]() -> int {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        while (cache.stats().hits == before.hits
+               && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        throw thrown;
+    };
+    std::string builder_what;
+    std::thread builder([&] {
+        try {
+            (void)cache.getOrBuild(key, failing);
+        } catch (const Thrown &e) {
+            builder_what = e.what();
+        }
+    });
+    while (cache.stats().misses == before.misses)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::pair<std::string, std::string> caught{ "none", "" };
+    std::thread waiter([&] {
+        try {
+            (void)cache.getOrBuild(key, [] { return 7; });
+        } catch (const std::exception &e) {
+            caught = { typeid(e).name(), e.what() };
+        }
+    });
+    builder.join();
+    waiter.join();
+    EXPECT_EQ(builder_what, thrown.what()) << "the builder's rethrow";
+    return caught;
+}
+
+TEST(CostTableCache, FailedBuildGivesEachWaiterItsOwnCopy)
+{
+    // A waiter reads what() of its own exception object while the
+    // builder's thread unwinds and frees the original; under TSan a
+    // shared object showed up here as a race on the message.
+    const std::runtime_error runtime("calibration failed: runtime");
+    EXPECT_EQ(waiterCatch(TestKey{ "copy-runtime" }, runtime),
+              std::make_pair(std::string(typeid(runtime).name()),
+                             std::string(runtime.what())));
+    // FatalError and PanicError keep their type; any other
+    // std::exception arrives as a std::runtime_error.
+    const FatalError fatal("calibration failed: fatal");
+    EXPECT_EQ(waiterCatch(TestKey{ "copy-fatal" }, fatal).first,
+              typeid(FatalError).name());
+    const PanicError panic("calibration failed: panic");
+    EXPECT_EQ(waiterCatch(TestKey{ "copy-panic" }, panic).first,
+              typeid(PanicError).name());
+    const std::out_of_range range("calibration failed: range");
+    EXPECT_EQ(waiterCatch(TestKey{ "copy-range" }, range),
+              std::make_pair(std::string(typeid(runtime).name()),
+                             std::string(range.what())));
 }
 
 TEST(CostTableCache, NestedStatsCountOnlyInBuildLookups)

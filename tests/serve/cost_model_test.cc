@@ -180,18 +180,31 @@ struct CapturedGrid
     }
 };
 
-TEST(ServeCostModel, DecodeLookupMatchesTheFullGridInterpolation)
+/**
+ * Calibrate on a surface that is neither affine nor separable (so
+ * a lookup that read the wrong rows or reassociated the arithmetic
+ * would show in the last bits), capturing the grid, and check every
+ * decode lookup against the full-grid interpolation bitwise: cache
+ * lengths on the grid, between grid points and clamped below and
+ * above it; batches 1..max_batch (every grid row and bracket; batch
+ * 1 is the lower clamp) and two above the grid.
+ */
+void
+expectDecodeMatchesFullGrid(std::int64_t max_batch,
+                            std::int64_t max_context,
+                            int cache_samples,
+                            std::size_t batch_points,
+                            std::size_t cache_points)
 {
-    // A surface that is neither affine nor separable, so a lookup
-    // that read the wrong rows or reassociated the arithmetic
-    // would show in the last bits.
+    SCOPED_TRACE("max_batch " + std::to_string(max_batch)
+                 + " max_context " + std::to_string(max_context));
     CapturedGrid grid;
     ServeCostOptions o;
-    o.cache_samples = 5;
+    o.cache_samples = cache_samples;
     o.prefill_samples = 3;
     const ServeCostModel cm(
-        schedule::StrategyKind::FuseMax, /*max_batch=*/12,
-        /*max_context=*/4096, /*max_prompt=*/512, o,
+        schedule::StrategyKind::FuseMax, max_batch, max_context,
+        /*max_prompt=*/512, o,
         [&grid](std::int64_t batch, std::int64_t len) {
             const auto b = static_cast<double>(batch);
             const auto l = static_cast<double>(len);
@@ -214,14 +227,16 @@ TEST(ServeCostModel, DecodeLookupMatchesTheFullGridInterpolation)
             return StepCost{ 1e-6 * p, 2e-6 * p };
         });
     ASSERT_EQ(grid.batches, cm.calibratedBatches());
-    ASSERT_GE(grid.cache_lens.size(), 3U);
+    ASSERT_EQ(grid.batches.size(), batch_points);
+    ASSERT_EQ(grid.cache_lens.size(), cache_points);
 
-    // Cache lengths on the grid, between grid points, and clamped
-    // below and above it.
-    std::vector<double> lens = { 0.5, 1.0, 63.0, 1e6, 5000.25 };
+    std::vector<double> lens = { 0.5, 1.0, 1e6,
+                                 static_cast<double>(max_context)
+                                     + 904.25 };
     for (std::size_t i = 0; i < grid.cache_lens.size(); ++i) {
         const auto len = static_cast<double>(grid.cache_lens[i]);
         lens.push_back(len);
+        lens.push_back(len - 0.75);
         if (i + 1 < grid.cache_lens.size()) {
             const auto next =
                 static_cast<double>(grid.cache_lens[i + 1]);
@@ -229,24 +244,46 @@ TEST(ServeCostModel, DecodeLookupMatchesTheFullGridInterpolation)
             lens.push_back(len + 0.3 * (next - len) + 0.125);
         }
     }
-    // Batches 1..max_batch hit every grid row and every bracket;
-    // 13 and 40 clamp above the grid.
     std::vector<std::int64_t> batches;
-    for (std::int64_t b = 1; b <= 12; ++b)
+    for (std::int64_t b = 1; b <= max_batch; ++b)
         batches.push_back(b);
-    batches.push_back(13);
-    batches.push_back(40);
+    batches.push_back(max_batch + 1);
+    batches.push_back(40 * max_batch);
 
     for (const std::int64_t b : batches) {
         for (const double len : lens) {
             SCOPED_TRACE("batch " + std::to_string(b) + " len "
                          + std::to_string(len));
-            EXPECT_EQ(cm.decodeStepSeconds(b, len),
-                      grid.fullGrid(grid.seconds, b, len));
-            EXPECT_EQ(cm.decodeStepJoules(b, len),
-                      grid.fullGrid(grid.joules, b, len));
+            const double s = grid.fullGrid(grid.seconds, b, len);
+            const double j = grid.fullGrid(grid.joules, b, len);
+            const StepCost step = cm.decodeStep(b, len);
+            EXPECT_EQ(step.seconds, s);
+            EXPECT_EQ(step.joules, j);
+            EXPECT_EQ(cm.decodeStepSeconds(b, len), s);
+            EXPECT_EQ(cm.decodeStepJoules(b, len), j);
         }
     }
+}
+
+TEST(ServeCostModel, DecodeLookupMatchesTheFullGridInterpolation)
+{
+    expectDecodeMatchesFullGrid(/*max_batch=*/12,
+                                /*max_context=*/4096,
+                                /*cache_samples=*/5,
+                                /*batch_points=*/5,
+                                /*cache_points=*/5);
+}
+
+TEST(ServeCostModel, DecodeStepMatchesTheFullGridInterpolation)
+{
+    // Multi-point grids on both axes, then one-point grids: a
+    // single batch row (max_batch 1), a single cache column (a
+    // context no longer than the grid's 64-position floor), and
+    // both at once.
+    expectDecodeMatchesFullGrid(6, 3000, 4, 4, 4);
+    expectDecodeMatchesFullGrid(1, 3000, 4, 1, 4);
+    expectDecodeMatchesFullGrid(6, 48, 4, 4, 1);
+    expectDecodeMatchesFullGrid(1, 48, 4, 1, 1);
 }
 
 TEST(ServeCostModel, StrategiesPriceDifferently)

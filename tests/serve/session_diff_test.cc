@@ -11,8 +11,8 @@
  * digests were generated while a second, linear-scan serve core
  * still existed, and both cores matched them.  The fleet and fault
  * layers reach this API only through their own loops; this test
- * pins the round loop's early exits directly, where a batch that
- * is not written back to `running` would first show.
+ * pins the round loop's early exits directly, where a running
+ * batch that lost state between advance() calls would first show.
  */
 
 #include <algorithm>
@@ -81,7 +81,7 @@ snapshot(const std::string &name, const ServeSession &s,
     Step st;
     st.name = name;
     st.report = obs::RunReport::capture(registry).toString();
-    st.running = s.running;
+    st.running = s.inFlight();
     st.queue.assign(s.queue.begin(), s.queue.end());
     st.next = s.next;
     st.pending = s.pending.size();
@@ -115,8 +115,8 @@ script(const ServeSimulator &sim)
     sim.advance(s, 0.06);
     steps.push_back(snapshot("first-horizon", s, registry));
 
-    // A gray failure between epochs: the heap batch is rebuilt
-    // from `running` and every following round runs slower.
+    // A gray failure between epochs: the running batch carries
+    // over as it is and every following round runs slower.
     s.slowdown = 2.5;
     sim.advance(s, 0.1);
     steps.push_back(snapshot("slowed-horizon", s, registry));
