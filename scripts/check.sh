@@ -45,8 +45,13 @@ run_tier1() {
 
 run_coverage() {
     echo "== coverage: line coverage of src/serve + src/fleet =="
-    if ! command -v gcovr > /dev/null 2>&1; then
-        echo "coverage: gcovr not installed, skipping the gate"
+    # scripts/coverage_gate.py reads `gcov -j` JSON; skip loudly
+    # only when gcov or python3 is missing.
+    if ! command -v gcov > /dev/null 2>&1 \
+        || ! command -v python3 > /dev/null 2>&1; then
+        echo "!! coverage: SKIPPED -- gcov or python3 is not" \
+            "installed; the 80% line gate on src/serve +" \
+            "src/fleet did NOT run !!" >&2
         return 0
     fi
     cmake -B build-cov -S . \
@@ -58,10 +63,9 @@ run_coverage() {
     # The simulation hot layers: the serve round loop and the one
     # fleet loop.  The replay-digest, session and unit tests must
     # keep them exercised.
-    gcovr --root . \
+    python3 scripts/coverage_gate.py build-cov \
         --filter 'src/serve/' --filter 'src/fleet/' \
-        build-cov \
-        --print-summary --fail-under-line 80
+        --fail-under-line 80
 }
 
 run_tsan() {

@@ -16,11 +16,11 @@
  * from a fresh one, or RunReports stop being reproducible within a
  * process (the golden `FleetReportIsReproducibleWithinProcess`
  * pins exactly that).  getOrBuild therefore runs the builder under
- * a task-local obs::Registry, stores the resulting snapshot next to
- * the value, and *replays* that snapshot into the caller's current
- * registry on every hit — counters, gauges, peaks and timer
- * histograms land exactly as the original build recorded them.
- * (Wall-clock timer *values* are replayed from the first build;
+ * a task-local obs::Registry, keeps that registry (id-indexed
+ * deltas, no names) next to the value, and *replays* it into the
+ * caller's current registry on every hit — counters, gauges, peaks
+ * and timers land exactly as the original build recorded them.
+ * (Wall-clock timer *totals* are replayed from the first build;
  * deterministic consumers only read timer counts, which match.)
  *
  * Single flight: a lookup finds or inserts its key's slot under the
@@ -113,8 +113,8 @@ class CostTableCache
     /**
      * Return the value cached under `key`, building it with
      * `build` on the first request.  The builder runs outside the
-     * lock under a task-local registry whose snapshot is merged
-     * into the caller's current registry on the miss *and* replayed
+     * lock under a task-local registry that is merged into the
+     * caller's current registry on the miss *and* replayed
      * on every later hit, so cached and uncached construction leave
      * the registry bit-identically.  A lookup of a key another
      * thread is building waits for that build (and throws a copy
@@ -164,13 +164,9 @@ class CostTableCache
 
         Built<Value> fresh;
         try {
-            obs::Registry local;
-            {
-                obs::ScopedRegistry scope(local);
-                const BuildDepth depth;
-                fresh.value = std::make_shared<const Value>(build());
-            }
-            fresh.recorded = local.snapshot();
+            obs::ScopedRegistry scope(fresh.recorded);
+            const BuildDepth depth;
+            fresh.value = std::make_shared<const Value>(build());
         } catch (...) {
             forget(std::type_index(typeid(Key)), entry, nested);
             promise.set_exception(copyOfCurrent());
@@ -205,7 +201,7 @@ class CostTableCache
     struct Built
     {
         std::shared_ptr<const Value> value;
-        obs::RegistrySnapshot recorded;
+        obs::Registry recorded;
     };
 
     struct Entry

@@ -435,15 +435,15 @@ FaultTolerantServer::run(const std::vector<serve::Request> &requests,
                      ++i) {
         const FaultWindow &w = fm.windows[i];
         const auto idx = static_cast<std::int64_t>(i);
-        TF_COUNT(obs::metricKey("fault/window", idx, "tokens"),
-                 w.tokens);
-        TF_COUNT(obs::metricKey("fault/window", idx, "chips"),
-                 w.chips);
-        TF_GAUGE_ADD(
+        TF_COUNT_ID(obs::metricKey("fault/window", idx, "tokens"),
+                    w.tokens);
+        TF_COUNT_ID(obs::metricKey("fault/window", idx, "chips"),
+                    w.chips);
+        TF_GAUGE_ADD_ID(
             obs::metricKey("fault/window", idx, "duration_s"),
             w.durationSeconds());
         if (w.slowdown > 1.0)
-            TF_GAUGE_MAX(
+            TF_GAUGE_MAX_ID(
                 obs::metricKey("fault/window", idx, "slowdown"),
                 w.slowdown);
     })

@@ -391,23 +391,25 @@ class FleetRun
         fm.held_rejected = static_cast<std::int64_t>(held_.size());
         held_.clear();
 
-        // Finish every replica session inside its own registry,
-        // then fold each one into the caller's under its replica
-        // prefix — always in replica-index order, so the merged
-        // registry (and any RunReport over it) is bit-identical per
-        // run.
+        // Finish every replica session inside a scratch registry
+        // (cleared after each fold), then fold it into the caller's
+        // under the replica's prefix — always in replica-index
+        // order, so the merged registry (and any RunReport over it)
+        // is bit-identical per run.
+        obs::Registry local;
         for (std::size_t i = 0; i < replicas_.size(); ++i) {
             Replica &r = replicas_[i];
             serve::ServeMetrics m;
             if (r.session) {
-                obs::Registry local;
                 {
                     obs::ScopedRegistry scope(local);
                     m = r.sim->finishSession(*r.session);
                 }
                 obs::currentRegistry().mergePrefixed(
-                    local.snapshot(),
-                    "fleet/replica." + std::to_string(i) + ".");
+                    local, obs::internPrefix("fleet/replica."
+                                             + std::to_string(i)
+                                             + "."));
+                local.clear();
             }
             tf_assert(m.completed + m.rejected == m.offered,
                       "replica ", i, " ledger leak: completed ",
@@ -482,15 +484,16 @@ class FleetRun
                 if (mon.opens() + mon.reopens() == 0)
                     continue;
                 const int idx = static_cast<int>(i);
-                TF_COUNT(obs::metricKey("fleet/breaker.replica", idx,
-                                        "opens"),
-                         mon.opens() + mon.reopens());
+                TF_COUNT_ID(obs::metricKey("fleet/breaker.replica",
+                                           idx, "opens"),
+                            mon.opens() + mon.reopens());
                 double open_s = 0;
                 for (const BreakerWindow &w : mon.windows())
                     open_s += w.durationSeconds();
-                TF_GAUGE_ADD(obs::metricKey("fleet/breaker.replica",
-                                            idx, "open_s"),
-                             open_s);
+                TF_GAUGE_ADD_ID(
+                    obs::metricKey("fleet/breaker.replica", idx,
+                                   "open_s"),
+                    open_s);
             }
         }
         if (options_.brownout.enabled) {
@@ -501,12 +504,13 @@ class FleetRun
             const auto &ws = brownout_.windows();
             for (std::size_t w = 0; w < ws.size(); ++w) {
                 const int idx = static_cast<int>(w);
-                TF_COUNT(obs::metricKey("fleet/brownout.window", idx,
-                                        "sheds"),
-                         ws[w].sheds);
-                TF_GAUGE_ADD(obs::metricKey("fleet/brownout.window",
-                                            idx, "duration_s"),
-                             ws[w].durationSeconds());
+                TF_COUNT_ID(obs::metricKey("fleet/brownout.window",
+                                           idx, "sheds"),
+                            ws[w].sheds);
+                TF_GAUGE_ADD_ID(
+                    obs::metricKey("fleet/brownout.window", idx,
+                                   "duration_s"),
+                    ws[w].durationSeconds());
             }
         }
         TF_GAUGE_MAX("fleet/peak_serving",

@@ -16,6 +16,21 @@
 namespace transfusion::multichip
 {
 
+namespace
+{
+
+/** "multichip.sharded_evaluate/<strategy>", built once per
+ *  strategy. */
+const char *
+shardedSpanName(schedule::StrategyKind strategy)
+{
+    static const std::vector<std::string> names =
+        schedule::strategyNames("multichip.sharded_evaluate/");
+    return names[static_cast<std::size_t>(strategy)].c_str();
+}
+
+} // namespace
+
 std::string
 ShardSpec::toString() const
 {
@@ -133,7 +148,7 @@ ShardedStackResult
 ShardedStackEvaluator::evaluate(
     schedule::StrategyKind strategy) const
 {
-    TF_SPAN("multichip.sharded_evaluate/" + toString(strategy));
+    TF_SPAN(shardedSpanName(strategy));
     ShardedStackResult res;
     res.spec = spec_;
 
@@ -302,7 +317,7 @@ ShardedStackEvaluator::evaluate(
                          + res.pipeline.transfers.total_link_bytes);
         reg.gaugeAdd(prefix + "cluster_energy_j",
                      res.cluster_energy_j);
-        reg.counterAdd("multichip/sharded_evaluations", 1);
+        TF_COUNT("multichip/sharded_evaluations", 1);
     })
     return res;
 }

@@ -32,27 +32,55 @@
 
 #if TRANSFUSION_OBS_ENABLED
 
-/** Add `delta` to counter `name` in the thread's current registry. */
-#define TF_COUNT(name, delta)                                          \
-    ::transfusion::obs::currentRegistry().counterAdd((name), (delta))
+/**
+ * The interned id of literal metric name `name`, resolved the first
+ * time this call site runs and kept in a function-local static.
+ * `"" name` only compiles for a string literal, so a dynamic name
+ * can never be cached as whichever value reached the site first;
+ * dynamic names go through obs::metricKey / obs::internMetric and
+ * the *_ID macros.
+ */
+#define TF_METRIC_ID(name)                                             \
+    ([]() -> ::transfusion::obs::MetricId {                            \
+        static const ::transfusion::obs::MetricId tf_obs_id =          \
+            ::transfusion::obs::internMetric("" name);                 \
+        return tf_obs_id;                                              \
+    }())
 
-/** Accumulate `delta` into gauge `name`. */
+/** Add `delta` to literal-named counter `name` in the thread's
+ *  current registry. */
+#define TF_COUNT(name, delta) TF_COUNT_ID(TF_METRIC_ID(name), (delta))
+
+/** Accumulate `delta` into literal-named gauge `name`. */
 #define TF_GAUGE_ADD(name, delta)                                      \
-    ::transfusion::obs::currentRegistry().gaugeAdd((name), (delta))
+    TF_GAUGE_ADD_ID(TF_METRIC_ID(name), (delta))
 
-/** Raise peak gauge `name` to at least `value`. */
+/** Raise literal-named peak gauge `name` to at least `value`. */
 #define TF_GAUGE_MAX(name, value)                                      \
-    ::transfusion::obs::currentRegistry().gaugeMax((name), (value))
+    TF_GAUGE_MAX_ID(TF_METRIC_ID(name), (value))
 
-/** Trace span covering the rest of the enclosing scope. */
+/** TF_COUNT / TF_GAUGE_ADD / TF_GAUGE_MAX on an already interned
+ *  obs::MetricId (a metricKey or a hoisted internMetric). */
+#define TF_COUNT_ID(id, delta)                                         \
+    ::transfusion::obs::currentRegistry().counterAdd((id), (delta))
+#define TF_GAUGE_ADD_ID(id, delta)                                     \
+    ::transfusion::obs::currentRegistry().gaugeAdd((id), (delta))
+#define TF_GAUGE_MAX_ID(id, value)                                     \
+    ::transfusion::obs::currentRegistry().gaugeMax((id), (value))
+
+/** Trace span covering the rest of the enclosing scope.  `name` is
+ *  a `const char *` that outlives the span (a literal or a static
+ *  table entry); nothing is built while tracing is off. */
 #define TF_SPAN(name)                                                  \
     ::transfusion::obs::SpanGuard TF_OBS_CONCAT(tf_obs_span_,          \
                                                 __COUNTER__)((name))
 
-/** Wall-clock timer over the rest of the enclosing scope. */
+/** Wall-clock timer over the rest of the enclosing scope, under
+ *  literal name `name`. */
 #define TF_TIMER(name)                                                 \
     ::transfusion::obs::TimerGuard TF_OBS_CONCAT(tf_obs_timer_,        \
-                                                 __COUNTER__)((name))
+                                                 __COUNTER__)(         \
+        TF_METRIC_ID(name))
 
 /** Compile `...` only when observability is on. */
 #define TF_OBS_ONLY(...) __VA_ARGS__
@@ -74,11 +102,15 @@
         }                                                              \
     } while (0)
 
-#define TF_COUNT(name, delta) TF_OBS_NOOP2(name, delta)
-#define TF_GAUGE_ADD(name, delta) TF_OBS_NOOP2(name, delta)
-#define TF_GAUGE_MAX(name, value) TF_OBS_NOOP2(name, value)
+// Literal-named macros keep the literal check when compiled out.
+#define TF_COUNT(name, delta) TF_OBS_NOOP2("" name, delta)
+#define TF_GAUGE_ADD(name, delta) TF_OBS_NOOP2("" name, delta)
+#define TF_GAUGE_MAX(name, value) TF_OBS_NOOP2("" name, value)
+#define TF_COUNT_ID(id, delta) TF_OBS_NOOP2(id, delta)
+#define TF_GAUGE_ADD_ID(id, delta) TF_OBS_NOOP2(id, delta)
+#define TF_GAUGE_MAX_ID(id, value) TF_OBS_NOOP2(id, value)
 #define TF_SPAN(name) TF_OBS_NOOP1(name)
-#define TF_TIMER(name) TF_OBS_NOOP1(name)
+#define TF_TIMER(name) TF_OBS_NOOP1("" name)
 #define TF_OBS_ONLY(...)
 
 #endif // TRANSFUSION_OBS_ENABLED

@@ -50,8 +50,9 @@ parallelMapRecorded(int threads, const std::vector<T> &items, Fn fn,
         if (prefix.empty())
             sink.merge(tagged[i].second);
         else
-            sink.mergePrefixed(tagged[i].second.snapshot(),
-                               prefix + std::to_string(i) + ".");
+            sink.mergePrefixed(
+                tagged[i].second,
+                internPrefix(prefix + std::to_string(i) + "."));
         out.push_back(std::move(tagged[i].first));
     }
     return out;

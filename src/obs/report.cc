@@ -44,9 +44,9 @@ RunReport::fromSnapshot(const RegistrySnapshot &snap)
     // Wall-clock durations are nondeterministic; only the sample
     // count (a pure function of the instrumented control flow) is
     // fit for golden comparison.
-    for (const auto &[name, h] : snap.timers)
+    for (const auto &[name, t] : snap.timers)
         report.entries_.emplace_back("timer/" + name + "/count",
-                                     std::to_string(h.count()));
+                                     std::to_string(t.count()));
     return report;
 }
 

@@ -129,7 +129,7 @@ TraceSession::writeChromeTrace(std::ostream &os) const
     os << "\n]}\n";
 }
 
-SpanGuard::SpanGuard(std::string name)
+SpanGuard::SpanGuard(const char *name) : name_(name)
 {
     TraceSession &session = TraceSession::global();
     if (!session.enabled())
@@ -137,7 +137,6 @@ SpanGuard::SpanGuard(std::string name)
     TraceSession::ThreadBuffer &buf = session.threadBuffer();
     active_ = true;
     depth_ = buf.depth++;
-    name_ = std::move(name);
     start_ = std::chrono::steady_clock::now();
 }
 
@@ -157,7 +156,7 @@ SpanGuard::~SpanGuard()
     TraceSession::ThreadBuffer &buf = *t_cache.buffer;
     buf.depth--;
     TraceEvent e;
-    e.name = std::move(name_);
+    e.name = name_;
     e.tid = buf.tid;
     e.depth = depth_;
     using us = std::chrono::duration<double, std::micro>;

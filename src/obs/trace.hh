@@ -99,12 +99,15 @@ class TraceSession
 /**
  * RAII span: records one complete event into the global session's
  * buffer for this thread.  A disabled session makes construction
- * and destruction nearly free (one relaxed atomic load each).
+ * and destruction nearly free (one relaxed atomic load each) and
+ * builds nothing: the event's name string is made only when the
+ * span is recorded.  `name` must outlive the guard (a literal or a
+ * static name table entry).
  */
 class SpanGuard
 {
   public:
-    explicit SpanGuard(std::string name);
+    explicit SpanGuard(const char *name);
     ~SpanGuard();
     SpanGuard(const SpanGuard &) = delete;
     SpanGuard &operator=(const SpanGuard &) = delete;
@@ -112,7 +115,7 @@ class SpanGuard
   private:
     bool active_ = false;
     int depth_ = 0;
-    std::string name_;
+    const char *name_;
     std::chrono::steady_clock::time_point start_{};
 };
 

@@ -297,10 +297,10 @@ CapacityPlanner::plan(const SearchSpace &space,
     for (std::size_t i = 0; i < result.candidates.size(); ++i) {
         const CandidateOutcome &c = result.candidates[i];
         const auto idx = static_cast<std::int64_t>(i);
-        TF_COUNT(obs::metricKey("plan/candidate", idx,
-                                std::string("status.")
-                                    + toString(c.status)),
-                 1);
+        TF_COUNT_ID(obs::metricKey("plan/candidate", idx,
+                                   std::string("status.")
+                                       + toString(c.status)),
+                    1);
         switch (c.status) {
         case CandidateStatus::MemoryUnfit: ++result.memory_unfit; break;
         case CandidateStatus::Pruned: ++result.pruned; break;
@@ -310,16 +310,16 @@ CapacityPlanner::plan(const SearchSpace &space,
         if (!c.simulated)
             continue;
         ++result.simulated;
-        TF_GAUGE_ADD(
+        TF_GAUGE_ADD_ID(
             obs::metricKey("plan/candidate", idx, "cost"),
             c.objectives.cost);
-        TF_GAUGE_ADD(
+        TF_GAUGE_ADD_ID(
             obs::metricKey("plan/candidate", idx,
                            "throughput_rps"),
             c.objectives.throughput_rps);
         if (c.objectives.p99_latency_s
             < std::numeric_limits<double>::infinity())
-            TF_GAUGE_ADD(
+            TF_GAUGE_ADD_ID(
                 obs::metricKey("plan/candidate", idx, "p99_s"),
                 c.objectives.p99_latency_s);
     }

@@ -6,6 +6,7 @@
 #include "evaluator.hh"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <mutex>
 
@@ -25,6 +26,57 @@ using model::LayerKind;
 namespace
 {
 
+/** "evaluator.evaluate/<strategy>", built once per strategy. */
+const char *
+evaluateSpanName(StrategyKind strategy)
+{
+    static const std::vector<std::string> names =
+        strategyNames("evaluator.evaluate/");
+    return names[static_cast<std::size_t>(strategy)].c_str();
+}
+
+#if TRANSFUSION_OBS_ENABLED
+/** One strategy's attribution gauges, interned once. */
+struct AttributionIds
+{
+    /// Per sub-layer (allLayerKinds() order): latency_s,
+    /// dram_bytes, energy_j.
+    std::vector<std::array<obs::MetricId, 3>> layers;
+    /// latency_s, compute_s, dram_s, dram_bytes, energy_j,
+    /// dram_energy_j of the whole layer.
+    std::array<obs::MetricId, 6> total;
+};
+
+const AttributionIds &
+attributionIds(StrategyKind strategy)
+{
+    static const std::vector<AttributionIds> table = [] {
+        std::vector<AttributionIds> t;
+        for (const std::string &name : strategyNames("eval/")) {
+            const auto id = [&name](const std::string &suffix) {
+                return obs::internMetric(name + "/" + suffix);
+            };
+            AttributionIds ids;
+            for (const LayerKind kind : model::allLayerKinds()) {
+                const std::string layer = model::toString(kind) + "/";
+                ids.layers.push_back({ id(layer + "latency_s"),
+                                       id(layer + "dram_bytes"),
+                                       id(layer + "energy_j") });
+            }
+            ids.total = { id("total/latency_s"),
+                          id("total/compute_s"),
+                          id("total/dram_s"),
+                          id("total/dram_bytes"),
+                          id("total/energy_j"),
+                          id("total/dram_energy_j") };
+            t.push_back(std::move(ids));
+        }
+        return t;
+    }();
+    return table[static_cast<std::size_t>(strategy)];
+}
+#endif
+
 /**
  * Per-sub-layer latency/traffic/energy attribution (the FuseMax
  * style per-Einsum breakdown): one gauge per (strategy, sub-layer,
@@ -37,25 +89,22 @@ void
 recordEvalAttribution(StrategyKind strategy, const EvalResult &result)
 {
 #if TRANSFUSION_OBS_ENABLED
+    const AttributionIds &ids = attributionIds(strategy);
     obs::Registry &reg = obs::currentRegistry();
-    const std::string prefix = "eval/" + toString(strategy) + "/";
-    for (const LayerKind kind : model::allLayerKinds()) {
-        const LayerMetrics &m = result.layer(kind);
-        const std::string layer = prefix + model::toString(kind) + "/";
-        reg.gaugeAdd(layer + "latency_s", m.latency_s);
-        reg.gaugeAdd(layer + "dram_bytes", m.dram_bytes);
-        reg.gaugeAdd(layer + "energy_j", m.energy.total());
+    static const auto kinds = model::allLayerKinds();
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+        const LayerMetrics &m = result.layer(kinds[k]);
+        reg.gaugeAdd(ids.layers[k][0], m.latency_s);
+        reg.gaugeAdd(ids.layers[k][1], m.dram_bytes);
+        reg.gaugeAdd(ids.layers[k][2], m.energy.total());
     }
-    reg.gaugeAdd(prefix + "total/latency_s", result.total.latency_s);
-    reg.gaugeAdd(prefix + "total/compute_s", result.total.compute_s);
-    reg.gaugeAdd(prefix + "total/dram_s", result.total.dram_s);
-    reg.gaugeAdd(prefix + "total/dram_bytes",
-                 result.total.dram_bytes);
-    reg.gaugeAdd(prefix + "total/energy_j",
-                 result.total.energy.total());
-    reg.gaugeAdd(prefix + "total/dram_energy_j",
-                 result.total.energy.dram_j);
-    reg.counterAdd("eval/evaluations", 1);
+    reg.gaugeAdd(ids.total[0], result.total.latency_s);
+    reg.gaugeAdd(ids.total[1], result.total.compute_s);
+    reg.gaugeAdd(ids.total[2], result.total.dram_s);
+    reg.gaugeAdd(ids.total[3], result.total.dram_bytes);
+    reg.gaugeAdd(ids.total[4], result.total.energy.total());
+    reg.gaugeAdd(ids.total[5], result.total.energy.dram_j);
+    TF_COUNT("eval/evaluations", 1);
 #else
     (void)strategy;
     (void)result;
@@ -376,7 +425,7 @@ Evaluator::onChipEnergy(LayerKind kind, StrategyKind strategy) const
 EvalResult
 Evaluator::evaluate(StrategyKind strategy) const
 {
-    TF_SPAN("evaluator.evaluate/" + toString(strategy));
+    TF_SPAN(evaluateSpanName(strategy));
     TF_TIMER("eval/evaluate");
     EvalResult result;
     const double batch = static_cast<double>(cfg_.batch);

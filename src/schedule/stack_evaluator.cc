@@ -5,11 +5,27 @@
 
 #include "stack_evaluator.hh"
 
+#include <array>
+
 #include "common/logging.hh"
 #include "obs/obs.hh"
 
 namespace transfusion::schedule
 {
+
+namespace
+{
+
+/** "stack_evaluator.evaluate/<strategy>", built once per strategy. */
+const char *
+stackSpanName(StrategyKind strategy)
+{
+    static const std::vector<std::string> names =
+        strategyNames("stack_evaluator.evaluate/");
+    return names[static_cast<std::size_t>(strategy)].c_str();
+}
+
+} // namespace
 
 StackEvaluator::StackEvaluator(arch::ArchConfig arch,
                                model::StackConfig stack,
@@ -51,7 +67,7 @@ StackEvaluator::blockMetrics(const Workload &workload,
 StackResult
 StackEvaluator::evaluate(StrategyKind strategy) const
 {
-    TF_SPAN("stack_evaluator.evaluate/" + toString(strategy));
+    TF_SPAN(stackSpanName(strategy));
     StackResult r;
     if (stack_.encoder_layers > 0) {
         r.encoder = blockMetrics(
@@ -73,19 +89,28 @@ StackEvaluator::evaluate(StrategyKind strategy) const
         }
     }
     TF_OBS_ONLY({
+        // Interned once per strategy: "stack/<strategy>/<field>".
+        static const auto table = [] {
+            std::vector<std::array<obs::MetricId, 5>> t;
+            for (const std::string &name : strategyNames("stack/"))
+                t.push_back(
+                    { obs::internMetric(name + "/encoder/latency_s"),
+                      obs::internMetric(name
+                                        + "/decoder_self/latency_s"),
+                      obs::internMetric(name
+                                        + "/decoder_cross/latency_s"),
+                      obs::internMetric(name + "/total/latency_s"),
+                      obs::internMetric(name + "/total/dram_bytes") });
+            return t;
+        }();
+        const auto &ids = table[static_cast<std::size_t>(strategy)];
         obs::Registry &reg = obs::currentRegistry();
-        const std::string prefix =
-            "stack/" + toString(strategy) + "/";
-        reg.gaugeAdd(prefix + "encoder/latency_s",
-                     r.encoder.latency_s);
-        reg.gaugeAdd(prefix + "decoder_self/latency_s",
-                     r.decoder_self.latency_s);
-        reg.gaugeAdd(prefix + "decoder_cross/latency_s",
-                     r.decoder_cross.latency_s);
-        reg.gaugeAdd(prefix + "total/latency_s", r.total.latency_s);
-        reg.gaugeAdd(prefix + "total/dram_bytes",
-                     r.total.dram_bytes);
-        reg.counterAdd("eval/stack_evaluations", 1);
+        reg.gaugeAdd(ids[0], r.encoder.latency_s);
+        reg.gaugeAdd(ids[1], r.decoder_self.latency_s);
+        reg.gaugeAdd(ids[2], r.decoder_cross.latency_s);
+        reg.gaugeAdd(ids[3], r.total.latency_s);
+        reg.gaugeAdd(ids[4], r.total.dram_bytes);
+        TF_COUNT("eval/stack_evaluations", 1);
     })
     return r;
 }

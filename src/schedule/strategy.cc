@@ -31,6 +31,18 @@ allStrategies()
              StrategyKind::TransFusion };
 }
 
+std::vector<std::string>
+strategyNames(const std::string &prefix)
+{
+    std::vector<std::string> names;
+    for (const StrategyKind kind : allStrategies()) {
+        tf_assert(static_cast<std::size_t>(kind) == names.size(),
+                  "allStrategies() must list the enum in order");
+        names.push_back(prefix + toString(kind));
+    }
+    return names;
+}
+
 bool
 usesLayerFusion(StrategyKind kind)
 {

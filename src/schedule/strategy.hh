@@ -27,6 +27,13 @@ enum class StrategyKind
 /** Display name matching the paper's legends. */
 std::string toString(StrategyKind kind);
 
+/**
+ * `prefix + toString(kind)` for every strategy, indexed by the enum
+ * value.  Kept in a function-local static, it names per-strategy
+ * spans without building a string per call.
+ */
+std::vector<std::string> strategyNames(const std::string &prefix);
+
 /** All strategies, baseline first. */
 std::vector<StrategyKind> allStrategies();
 

@@ -6,8 +6,10 @@
  * even when nested, concurrent lookups build each key once, the
  * single-flight contract (nested builds, self-wait panics, distinct
  * keys build concurrently, failed builds leave no entry, nested
- * lookups count apart), and the real call sites' keys (sharded
- * calibration, shard plan) change with every nested config field.
+ * lookups count apart), the real call sites' keys (sharded
+ * calibration, shard plan) change with every nested config field,
+ * and a cached calibration reports exactly what an uncached one
+ * does.
  *
  * The tests run against the process-wide instance() (the one the
  * serve/multichip call sites share) under test-private keys, so
@@ -32,6 +34,7 @@
 #include "multichip/shard_plan.hh"
 #include "multichip/sharded_serve.hh"
 #include "obs/obs.hh"
+#include "obs/report.hh"
 #include "support/replay_equality.hh"
 
 namespace transfusion::costmodel
@@ -550,6 +553,47 @@ TEST(CostTableCache, ServeKeySplitsOnEveryNestedField)
         perturb(in);
         EXPECT_EQ(misses(in), 1) << field << " is not in the key";
     }
+}
+
+TEST(CostTableCache, CachedAndUncachedBuildsGiveEqualReports)
+{
+    // A calibration build records eval/, dpipe/ and tileseek/
+    // metrics and prices DPipe plans through the cache itself.
+    // Built uncached, as a miss and as a hit, it must leave
+    // byte-identical RunReports: a hit replays the build's own
+    // id-indexed deltas.
+    if (!TRANSFUSION_OBS_ENABLED)
+        GTEST_SKIP() << "observability disabled: no report to compare";
+    const auto cfg = model::t5Small();
+    serve::WorkloadOptions workload;
+    workload.prompt = { 64, 128 };
+    workload.output = { 8, 16 };
+    ServeInputs in;
+    // Inputs no other test uses, so the cached build is a miss.
+    in.options.cost.evaluator.pipeline.latency.native_efficiency =
+        0.625;
+    const auto report = [&] {
+        obs::Registry reg;
+        {
+            obs::ScopedRegistry scope(reg);
+            (void)multichip::shardedSimulator(
+                in.cluster, cfg, { 2, 1 }, workload, in.options);
+        }
+        return obs::RunReport::capture(reg).toString();
+    };
+    std::string uncached;
+    {
+        const CostTableCacheDisabled off;
+        uncached = report();
+    }
+    std::string miss;
+    std::string hit;
+    ASSERT_EQ(missesDuring([&] { miss = report(); }), 1);
+    ASSERT_EQ(missesDuring([&] { hit = report(); }), 0);
+    EXPECT_NE(uncached.find("counter/eval/evaluations"),
+              std::string::npos);
+    EXPECT_EQ(obs::RunReport::diff(uncached, miss), "");
+    EXPECT_EQ(obs::RunReport::diff(uncached, hit), "");
 }
 
 /** The shard plan's inputs (small: a 2-chip, 2-layer seq2seq). */

@@ -92,6 +92,30 @@ TEST(FleetSim, PassThroughFleetIsBitIdenticalToFaultServer)
               obs::RunReport::capture(fault_reg).toString());
 }
 
+TEST(FleetSim, RepeatedReplaysInternNoNewMetricNames)
+{
+    // The process-wide metric name table grows with the set of
+    // distinct names, not with the work: once a replay has named its
+    // per-replica metrics, replaying again (under a fresh registry,
+    // as a benchmark job does) adds no name.
+    const auto cluster = multichip::edgeCluster(1);
+    const auto cfg = model::t5Small();
+    const auto wl = smallWorkload();
+    const auto trace = serve::generateWorkload(wl, 3);
+    const auto fleet =
+        FleetSimulator::uniform(4, cluster, cfg, wl, fastFleet());
+    const auto replay = [&] {
+        obs::Registry reg;
+        obs::ScopedRegistry scope(reg);
+        (void)fleet.run(trace, FleetRunOptions{});
+    };
+    replay();
+    const std::size_t names = obs::metricNameCount();
+    for (int i = 0; i < 3; ++i)
+        replay();
+    EXPECT_EQ(obs::metricNameCount(), names);
+}
+
 TEST(FleetSim, FailoverReroutesAFaultedReplicasWork)
 {
     const auto cluster = multichip::edgeCluster(1);

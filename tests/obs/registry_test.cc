@@ -1,12 +1,15 @@
 /**
  * @file
  * Property tests for the metrics registry: exact concurrent counter
- * sums, idempotent snapshots, merge semantics, and thread-local
- * redirection via ScopedRegistry.
+ * sums, idempotent snapshots, merge semantics, thread-local
+ * redirection via ScopedRegistry, and the name table's interning
+ * (one id per name across threads, distinct per-instance keys).
  */
 
 #include "obs/registry.hh"
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -114,12 +117,11 @@ TEST(Registry, MergePrefixedNamespacesEveryKind)
     replica.gaugeAdd("serve/makespan_s", 2.5);
     replica.gaugeMax("serve/queue_depth", 7.0);
     replica.timerRecord("serve/run", 0.125);
-    const RegistrySnapshot snap = replica.snapshot();
 
     Registry fleet;
     fleet.counterAdd("fleet/routed", 32);
-    fleet.mergePrefixed(snap, "fleet/replica.0.");
-    fleet.mergePrefixed(snap, "fleet/replica.1.");
+    fleet.mergePrefixed(replica, internPrefix("fleet/replica.0."));
+    fleet.mergePrefixed(replica, internPrefix("fleet/replica.1."));
     const RegistrySnapshot merged = fleet.snapshot();
 
     EXPECT_EQ(merged.counters.at("fleet/routed"), 32);
@@ -137,7 +139,7 @@ TEST(Registry, MergePrefixedNamespacesEveryKind)
     EXPECT_EQ(merged.counters.count("serve/offered"), 0u);
 
     // Prefixing twice with the same prefix accumulates like merge.
-    fleet.mergePrefixed(snap, "fleet/replica.0.");
+    fleet.mergePrefixed(replica, internPrefix("fleet/replica.0."));
     EXPECT_EQ(fleet.snapshot().counters.at(
                   "fleet/replica.0.serve/offered"),
               32);
@@ -149,7 +151,7 @@ TEST(Registry, MergePrefixedCollidingPrefixesAccumulate)
     // the same full name — whether written raw or folded in under
     // the same prefix earlier.  Collisions must behave exactly
     // like merge: counters and gauges add, peaks take the max,
-    // timers pool their samples.  Nothing is dropped or shadowed.
+    // timer counts and totals add.  Nothing is dropped or shadowed.
     Registry src_a;
     src_a.counterAdd("offered", 3);
     src_a.gaugeAdd("makespan_s", 1.5);
@@ -164,8 +166,8 @@ TEST(Registry, MergePrefixedCollidingPrefixesAccumulate)
     Registry sink;
     // The raw name the prefix will collide with.
     sink.counterAdd("replica.offered", 10);
-    sink.mergePrefixed(src_a.snapshot(), "replica.");
-    sink.mergePrefixed(src_b.snapshot(), "replica.");
+    sink.mergePrefixed(src_a, internPrefix("replica."));
+    sink.mergePrefixed(src_b, internPrefix("replica."));
     const RegistrySnapshot merged = sink.snapshot();
 
     EXPECT_EQ(merged.counters.at("replica.offered"), 10 + 3 + 4);
@@ -255,6 +257,114 @@ TEST(Registry, InputOrderMergeIsBitIdentical)
     EXPECT_EQ(merged(), merged());
 }
 
+TEST(Registry, ZeroDeltaWriteStillReports)
+{
+    // A metric exists once written: its slot's present bit, not its
+    // value, decides whether a snapshot lists it.
+    Registry reg;
+    reg.counterAdd("zero/counter", 0);
+    reg.gaugeAdd("zero/gauge", 0.0);
+    const RegistrySnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counters.at("zero/counter"), 0);
+    EXPECT_EQ(snap.gauges.at("zero/gauge"), 0.0);
+    EXPECT_EQ(snap.counters.size(), 1u);
+}
+
+TEST(Registry, NestedPrefixedFoldsComposeNames)
+{
+    // The planner folds each candidate's registry, which already
+    // holds the fleet's per-replica folds, under its own prefix: the
+    // remaps compose into the full dotted name.
+    Registry replica;
+    replica.counterAdd("serve/offered", 5);
+    Registry candidate;
+    candidate.mergePrefixed(replica, internPrefix("fleet/replica.2."));
+    Registry plan;
+    plan.mergePrefixed(candidate, internPrefix("plan/candidate.7."));
+    plan.mergePrefixed(candidate, internPrefix("plan/candidate.7."));
+    EXPECT_EQ(plan.snapshot().counters.at(
+                  "plan/candidate.7.fleet/replica.2.serve/offered"),
+              10);
+
+    // A cleared registry is reusable for the next fold.
+    replica.clear();
+    replica.counterAdd("serve/offered", 1);
+    candidate.clear();
+    candidate.mergePrefixed(replica, internPrefix("fleet/replica.3."));
+    const RegistrySnapshot snap = candidate.snapshot();
+    EXPECT_EQ(snap.counters.size(), 1u);
+    EXPECT_EQ(snap.counters.at("fleet/replica.3.serve/offered"), 1);
+}
+
+TEST(MetricNames, MetricKeyLoopLandsOnDistinctKeys)
+{
+    // A per-instance series written in a loop must land on one key
+    // per index, never on the first index's cached id.
+    constexpr int kInstances = 64;
+    Registry reg;
+    for (int i = 0; i < kInstances; ++i) {
+        const MetricId id = metricKey("test/loop", i, "tokens");
+        EXPECT_EQ(metricName(id),
+                  "test/loop." + std::to_string(i) + ".tokens");
+        reg.counterAdd(id, i);
+    }
+    const RegistrySnapshot snap = reg.snapshot();
+    ASSERT_EQ(snap.counters.size(),
+              static_cast<std::size_t>(kInstances));
+    for (int i = 0; i < kInstances; ++i)
+        EXPECT_EQ(snap.counters.at("test/loop." + std::to_string(i)
+                                   + ".tokens"),
+                  i);
+}
+
+TEST(MetricNames, ConcurrentInternGivesOneIdPerName)
+{
+    // Four workers intern a shared set of names and a private set
+    // each, in different orders, at the same time: every name gets
+    // exactly one id, and distinct names distinct ids.
+    constexpr int kWorkers = 4;
+    constexpr int kNames = 200;
+    const auto shared = [](int k) {
+        return "intern_test/shared." + std::to_string(k);
+    };
+    const auto own = [](int w, int k) {
+        return "intern_test/own." + std::to_string(w) + "."
+            + std::to_string(k);
+    };
+    std::vector<int> workers(kWorkers);
+    for (int w = 0; w < kWorkers; ++w)
+        workers[static_cast<std::size_t>(w)] = w;
+    const auto ids = parallelMap(
+        kWorkers, workers, [&](const int &w) {
+            std::vector<MetricId> got(2 * kNames);
+            for (int j = 0; j < kNames; ++j) {
+                // Odd workers walk the shared names backwards.
+                const int k = w % 2 == 0 ? j : kNames - 1 - j;
+                got[static_cast<std::size_t>(k)] =
+                    internMetric(shared(k));
+                got[static_cast<std::size_t>(kNames + j)] =
+                    internMetric(own(w, j));
+            }
+            return got;
+        });
+    std::map<MetricId, std::string> seen;
+    for (int w = 0; w < kWorkers; ++w) {
+        const auto &got = ids[static_cast<std::size_t>(w)];
+        for (int k = 0; k < kNames; ++k) {
+            const MetricId a = got[static_cast<std::size_t>(k)];
+            EXPECT_EQ(a, ids[0][static_cast<std::size_t>(k)]);
+            EXPECT_EQ(metricName(a), shared(k));
+            seen.emplace(a, shared(k));
+            const MetricId b = got[static_cast<std::size_t>(kNames + k)];
+            EXPECT_EQ(metricName(b), own(w, k));
+            seen.emplace(b, own(w, k));
+        }
+    }
+    // One id per distinct name: (1 + workers) * names of them.
+    EXPECT_EQ(seen.size(),
+              static_cast<std::size_t>((1 + kWorkers) * kNames));
+}
+
 #if TRANSFUSION_OBS_ENABLED
 TEST(ObsMacros, WriteToCurrentRegistry)
 {
@@ -271,6 +381,8 @@ TEST(ObsMacros, WriteToCurrentRegistry)
     EXPECT_DOUBLE_EQ(snap.gauges.at("macro/gauge"), 1.5);
     EXPECT_DOUBLE_EQ(snap.peaks.at("macro/peak"), 4.0);
     EXPECT_EQ(snap.timers.at("macro/timer").count(), 1);
+    // A literal call site records under the name's interned id.
+    EXPECT_EQ(TF_METRIC_ID("macro/count"), internMetric("macro/count"));
 }
 #else
 TEST(ObsMacros, CompileToNothingWhenDisabled)

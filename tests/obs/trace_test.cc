@@ -7,6 +7,7 @@
 
 #include "obs/trace.hh"
 
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +15,11 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel_map.hh"
+#include "model/stack.hh"
+#include "multichip/cluster.hh"
+#include "multichip/sharded_evaluator.hh"
+#include "schedule/evaluator.hh"
+#include "schedule/stack_evaluator.hh"
 
 namespace transfusion::obs
 {
@@ -185,6 +191,49 @@ TEST(TraceSession, ChromeTraceJsonShape)
               std::string::npos);
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json[json.size() - 2], '}');
+}
+
+TEST(TraceSession, InstrumentedSpanNamesAreUnchanged)
+{
+    // The per-strategy span names come from static name tables; they
+    // must spell exactly what "<span>/" + toString(strategy) did,
+    // since trace consumers attribute time by name.
+    if (!TRANSFUSION_OBS_ENABLED)
+        GTEST_SKIP() << "observability disabled: no spans recorded";
+    using schedule::StrategyKind;
+    schedule::EvaluatorOptions options;
+    options.mcts.iterations = 32;
+    const auto stack = model::encoderDecoder(model::t5Small(), 1, 1);
+    const schedule::Evaluator eval(arch::cloudArch(), model::t5Small(),
+                                   256, options);
+    const schedule::StackEvaluator stacked(arch::cloudArch(), stack,
+                                           256, 256, options);
+    const multichip::ShardedStackEvaluator sharded(
+        multichip::cloudCluster(2), stack, 256, 256, { 2, 1 },
+        options);
+
+    TraceSession &session = TraceSession::global();
+    session.start();
+    for (const StrategyKind s : schedule::allStrategies()) {
+        (void)eval.evaluate(s);
+        (void)stacked.evaluate(s);
+        (void)sharded.evaluate(s);
+    }
+    session.stop();
+    std::set<std::string> names;
+    for (const TraceEvent &e : session.events())
+        names.insert(e.name);
+
+    std::set<std::string> want = { "dpipe.schedule_pipeline",
+                                   "tileseek.search" };
+    for (const StrategyKind s : schedule::allStrategies()) {
+        want.insert("evaluator.evaluate/" + schedule::toString(s));
+        want.insert("stack_evaluator.evaluate/"
+                    + schedule::toString(s));
+        want.insert("multichip.sharded_evaluate/"
+                    + schedule::toString(s));
+    }
+    EXPECT_EQ(names, want);
 }
 
 } // namespace
