@@ -124,6 +124,21 @@ BM_DecodeEvaluation(benchmark::State &state)
 }
 BENCHMARK(BM_DecodeEvaluation)->Unit(benchmark::kMillisecond);
 
+void
+BM_DecodeStepSample(benchmark::State &state)
+{
+    // One serve-calibration sample: a decode step of t5-small on
+    // the edge chip, as the capacity planner prices thousands of
+    // them per cold plan (an Evaluator built per sample).
+    const schedule::DecodeEvaluator eval(
+        arch::edgeArch(), model::t5Small(), { 1, 0 });
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(eval.stepMetrics(
+            1024, schedule::StrategyKind::TransFusion));
+    }
+}
+BENCHMARK(BM_DecodeStepSample)->Unit(benchmark::kMicrosecond);
+
 } // namespace
 
 BENCHMARK_MAIN();

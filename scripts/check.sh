@@ -75,14 +75,15 @@ run_tsan() {
     export TSAN_OPTIONS="suppressions=$PWD/scripts/tsan.supp${TSAN_OPTIONS:+ $TSAN_OPTIONS}"
     cmake -B build-tsan -S . -DTRANSFUSION_SANITIZE=thread
     cmake --build build-tsan -j "$jobs" \
-        --target tf_common_test tf_costmodel_test tf_dpipe_test \
-        tf_tileseek_test tf_schedule_test tf_serve_test tf_obs_test \
-        tf_multichip_test tf_fault_test tf_fleet_test tf_chaos_test \
-        tf_plan_test \
+        --target tf_common_test tf_einsum_test tf_costmodel_test \
+        tf_dpipe_test tf_tileseek_test tf_schedule_test tf_serve_test \
+        tf_obs_test tf_multichip_test tf_fault_test tf_fleet_test \
+        tf_chaos_test tf_plan_test \
         ext_multichip_scaling ext_fault_degradation \
         ext_fleet_scaling ext_capacity_planner \
         fig08b_speedup_models_64k
-    # The threaded surfaces: parallelMap's unit tests, the
+    # The threaded surfaces: parallelMap's unit tests, concurrent
+    # interning into the process-wide index-name table, the
     # single-flight cost-table cache (concurrent misses on one key
     # waiting on its slot, distinct keys building at once, failed
     # builds failing their waiters, and nested builds: DPipe plans

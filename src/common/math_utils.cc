@@ -43,6 +43,22 @@ divisorsUpTo(std::int64_t n, std::int64_t cap)
     return out;
 }
 
+std::int64_t
+largestDivisorUpTo(std::int64_t n, std::int64_t cap)
+{
+    tf_assert(n > 0, "largestDivisorUpTo requires positive n, got ", n);
+    std::int64_t best = 1;
+    for (std::int64_t d = 1; d * d <= n; ++d) {
+        if (n % d != 0)
+            continue;
+        if (d <= cap)
+            best = std::max(best, d);
+        if (n / d <= cap)
+            best = std::max(best, n / d);
+    }
+    return best;
+}
+
 double
 geometricMean(const std::vector<double> &values)
 {

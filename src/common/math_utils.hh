@@ -39,6 +39,12 @@ std::vector<std::int64_t> divisorsOf(std::int64_t n);
 std::vector<std::int64_t> divisorsUpTo(std::int64_t n,
                                        std::int64_t cap);
 
+/**
+ * The largest divisor of n no larger than cap (1 when none is):
+ * divisorsUpTo(n, cap).back() without building the list.
+ */
+std::int64_t largestDivisorUpTo(std::int64_t n, std::int64_t cap);
+
 /** Geometric mean of positive values; fatal on empty/non-positive. */
 double geometricMean(const std::vector<double> &values);
 

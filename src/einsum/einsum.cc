@@ -13,11 +13,11 @@
 namespace transfusion::einsum
 {
 
-double
-TensorRef::elementCount(const DimEnv &env) const
-{
-    return env.product(indices);
-}
+TensorRef::TensorRef(std::string name, std::vector<std::string> indices,
+                     bool previous)
+    : name(std::move(name)), indices(std::move(indices)),
+      previous(previous), ids_(internDims(this->indices))
+{}
 
 std::string
 TensorRef::toString() const
@@ -31,7 +31,7 @@ TensorRef::toString() const
 }
 
 Einsum::Einsum(std::string name, std::vector<std::string> out_indices)
-    : output_{std::move(name), std::move(out_indices)}
+    : output_(std::move(name), std::move(out_indices))
 {
     tf_assert(!output_.name.empty(), "Einsum needs an output name");
 }
@@ -58,12 +58,15 @@ Einsum::addInput(TensorRef in)
               "extended Einsums take at most two inputs; op ",
               output_.name);
     // Eq. 40's reduction indices, in first-appearance order.
-    for (const auto &idx : in.indices) {
+    for (std::size_t i = 0; i < in.indices.size(); ++i) {
+        const std::string &idx = in.indices[i];
         if (std::ranges::find(output_.indices, idx)
                     == output_.indices.end()
                 && std::ranges::find(reduction_, idx)
-                    == reduction_.end())
+                    == reduction_.end()) {
             reduction_.push_back(idx);
+            reduction_ids_.push_back(in.ids()[i]);
+        }
     }
     inputs_.push_back(std::move(in));
     return *this;
@@ -110,15 +113,6 @@ Einsum::forcePeClass(PeClass pc)
     pe_class_forced = true;
     forced_pe_class = pc;
     return *this;
-}
-
-double
-Einsum::computeLoad(const DimEnv &env) const
-{
-    // Eq. 40: product over output dims times product over reduction
-    // dims.  Every scalar map-reduce step counts as one operation.
-    return env.product(output_.indices)
-        * env.product(reduction_);
 }
 
 PeClass

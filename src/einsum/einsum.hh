@@ -32,9 +32,16 @@
 namespace transfusion::einsum
 {
 
-/** A named tensor with its index signature. */
+/**
+ * A named tensor with its index signature.  Construction resolves
+ * the indices' ids once, so a ref built anywhere counts its elements
+ * by id.
+ */
 struct TensorRef
 {
+    TensorRef(std::string name, std::vector<std::string> indices,
+              bool previous = false);
+
     std::string name;                 ///< tensor name (e.g. "BQK")
     std::vector<std::string> indices; ///< index labels, outer->inner
     /**
@@ -44,13 +51,22 @@ struct TensorRef
      */
     bool previous = false;
 
+    /** The ids of `indices`, in the same order. */
+    const std::vector<DimId> &ids() const { return ids_; }
+
     /** Number of elements under an environment. */
-    double elementCount(const DimEnv &env) const;
+    double elementCount(const DimEnv &env) const
+    {
+        return env.productOf(ids_);
+    }
 
     /** "Name[i,j,k]" rendering ("Name'[...]" for previous reads). */
     std::string toString() const;
 
     bool operator==(const TensorRef &) const = default;
+
+  private:
+    std::vector<DimId> ids_;
 };
 
 /** One extended-Einsum operation. */
@@ -106,9 +122,15 @@ class Einsum
 
     /**
      * Compute load per Eq. 40: product of output extents times
-     * product of reduction extents (scalar map-reduce operations).
+     * product of reduction extents (scalar map-reduce operations),
+     * read by id.
      */
-    double computeLoad(const DimEnv &env) const;
+    double
+    computeLoad(const DimEnv &env) const
+    {
+        return env.productOf(output_.ids())
+            * env.productOf(reduction_ids_);
+    }
 
     /**
      * Native PE-array class: Matrix iff the op is a two-input
@@ -128,6 +150,7 @@ class Einsum
     TensorRef output_;
     std::vector<TensorRef> inputs_;
     std::vector<std::string> reduction_;
+    std::vector<DimId> reduction_ids_; ///< ids of reduction_
     CombineOp combine_ = CombineOp::None;
     UnaryOp unary_ = UnaryOp::None;
     ReduceOp reduce_ = ReduceOp::None;

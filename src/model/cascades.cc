@@ -43,18 +43,24 @@ makeDims(const TransformerConfig &cfg, std::int64_t seq_p,
     cfg.validate();
     tf_assert(seq_p > 0 && m0 > 0 && m1 > 0,
               "sequence/tile extents must be positive");
-    DimEnv env;
+    // The paper's index names, interned once.
+    using einsum::internDim;
+    static const struct
+    {
+        einsum::DimId d, h, e, f, s, p, m0, m1;
+    } id{ internDim("d"), internDim("h"), internDim("e"),
+          internDim("f"), internDim("s"), internDim("p"),
+          internDim("m0"), internDim("m1") };
     // `d` is the QKV contraction width; it equals d_model except
     // for tensor-parallel shards, whose input stays full-width.
-    env.set("d", cfg.dInput());
-    env.set("h", cfg.heads);
-    env.set("e", cfg.head_dim);
-    env.set("f", cfg.head_dim); // paper assumes E == F
-    env.set("s", cfg.ffn_hidden);
-    env.set("p", seq_p);
-    env.set("m0", m0);
-    env.set("m1", m1);
-    return env;
+    return DimEnv{ { id.d, cfg.dInput() },
+                   { id.h, cfg.heads },
+                   { id.e, cfg.head_dim },
+                   { id.f, cfg.head_dim }, // paper assumes E == F
+                   { id.s, cfg.ffn_hidden },
+                   { id.p, seq_p },
+                   { id.m0, m0 },
+                   { id.m1, m1 } };
 }
 
 Cascade

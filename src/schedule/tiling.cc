@@ -89,6 +89,26 @@ naiveTile(const arch::ArchConfig &arch,
     // K/V re-streaming), then shrink the context chunk and the
     // hidden-dimension slices until the tile fits.  No joint
     // optimization across levels -- that is TileSeek's job.
+    //
+    // fitsBuffer tests the max of the four Table 2 rows, so a tile
+    // fits iff every row does (scaling words to bytes keeps their
+    // order), and of the hidden slices only the QKV row reads d and
+    // only the FFN row reads s.  So at each (p, m0) that MHA and
+    // LayerNorm fit, the first fitting (d, s) in descending order is
+    // the first fitting d paired with the first fitting s: the
+    // nested first-fit over (d, s) separates into two scans.
+    const auto fits = [&](double words) {
+        return tileseek::wordsFitBuffer(words, arch);
+    };
+    const auto first_fit = [&](const std::vector<std::int64_t> &options,
+                               std::int64_t &slot, auto row_words) {
+        for (auto it = options.rbegin(); it != options.rend(); ++it) {
+            slot = *it;
+            if (fits(row_words(t)))
+                return true;
+        }
+        return false;
+    };
     const auto p_options = divisorsUpTo(seq, 4096);
     const auto m0_options = divisorsUpTo(ctx, arch.pe2d.cols);
     const auto d_options = divisorsUpTo(cfg.d_model, 256);
@@ -99,16 +119,14 @@ naiveTile(const arch::ArchConfig &arch,
         for (auto m0 = m0_options.rbegin(); m0 != m0_options.rend();
              ++m0) {
             t.m0 = *m0;
-            for (auto d = d_options.rbegin();
-                 d != d_options.rend(); ++d) {
-                t.d = *d;
-                for (auto s = s_options.rbegin();
-                     s != s_options.rend(); ++s) {
-                    t.s = *s;
-                    if (tileFeasible(t, arch, ctx))
-                        return t;
-                }
-            }
+            if (t.m1 * t.m0 > ctx
+                    || !fits(tileseek::mhaBufferWords(t))
+                    || !fits(tileseek::layerNormBufferWords(t)))
+                continue;
+            if (first_fit(d_options, t.d, tileseek::qkvBufferWords)
+                    && first_fit(s_options, t.s,
+                                 tileseek::ffnBufferWords))
+                return t;
         }
     }
     tf_warn("naiveTile: no feasible sequence tile for ",

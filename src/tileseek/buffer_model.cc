@@ -115,11 +115,17 @@ peakBufferWords(const TileShape &t)
 }
 
 bool
-fitsBuffer(const TileShape &t, const arch::ArchConfig &arch)
+wordsFitBuffer(double words, const arch::ArchConfig &arch)
 {
-    const double bytes = peakBufferWords(t)
+    const double bytes = words
         * static_cast<double>(arch.element_bytes);
     return bytes <= static_cast<double>(arch.buffer_bytes);
+}
+
+bool
+fitsBuffer(const TileShape &t, const arch::ArchConfig &arch)
+{
+    return wordsFitBuffer(peakBufferWords(t), arch);
 }
 
 } // namespace transfusion::tileseek

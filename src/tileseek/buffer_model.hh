@@ -69,7 +69,12 @@ double ffnBufferWords(const TileShape &t);
  */
 double peakBufferWords(const TileShape &t);
 
-/** Whether the tile fits the architecture's on-chip buffer. */
+/** Whether `words` buffer words fit the architecture's on-chip
+ *  buffer. */
+bool wordsFitBuffer(double words, const arch::ArchConfig &arch);
+
+/** Whether the tile fits the architecture's on-chip buffer: its
+ *  peak row passes wordsFitBuffer. */
 bool fitsBuffer(const TileShape &t, const arch::ArchConfig &arch);
 
 } // namespace transfusion::tileseek

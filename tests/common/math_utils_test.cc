@@ -39,6 +39,18 @@ TEST(Divisors, OfOne)
     EXPECT_EQ(divisorsOf(1), (std::vector<std::int64_t>{1}));
 }
 
+TEST(LargestDivisorUpTo, IsTheLastDivisorUpTo)
+{
+    for (const std::int64_t cap : { 0, 1, 2, 7, 16, 64, 100, 256,
+                                     4096, 10000 }) {
+        for (std::int64_t n = 1; n <= 5000; ++n) {
+            ASSERT_EQ(largestDivisorUpTo(n, cap),
+                      divisorsUpTo(n, cap).back())
+                << "n=" << n << " cap=" << cap;
+        }
+    }
+}
+
 TEST(Divisors, PerfectSquare)
 {
     EXPECT_EQ(divisorsOf(36),

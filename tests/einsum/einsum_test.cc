@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parallel_map.hh"
 #include "einsum/cascade.hh"
 #include "einsum/einsum.hh"
 #include "model/cascades.hh"
@@ -66,12 +67,134 @@ TEST(DimEnv, WithOverrides)
     EXPECT_EQ(base.extent("p"), 1024); // original untouched
 }
 
+TEST(DimEnv, IdAndStringLookupsAgree)
+{
+    const DimEnv env{ { "a", 2 }, { "b", 3 }, { "c", 5 } };
+    const std::vector<std::string> names{ "c", "a", "b" };
+    const std::vector<DimId> ids = internDims(names);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(dimName(ids[i]), names[i]);
+        EXPECT_EQ(internDim(names[i]), ids[i]);
+        EXPECT_EQ(env.extent(ids[i]), env.extent(names[i]));
+    }
+    EXPECT_EQ(env.productOf(ids), env.product(names));
+    EXPECT_EQ(env.productOf({}), 1.0);
+    // The id-built constructor binds the same extents.
+    const DimEnv by_id{ { ids[1], 2 }, { ids[2], 3 }, { ids[0], 5 } };
+    EXPECT_EQ(by_id.names(), env.names());
+    for (const auto &n : names)
+        EXPECT_EQ(by_id.extent(n), env.extent(n));
+}
+
+/** The text of the FatalError `fn` throws, without its location. */
+template <typename Fn>
+std::string
+fatalMessage(Fn fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        return what.substr(0, what.rfind(" ("));
+    }
+    return "<no throw>";
+}
+
+TEST(DimEnv, UnboundMessageNamesTheIndex)
+{
+    const DimEnv env{ { "p", 4 } };
+    // Never interned, interned but unbound here, and by id.
+    EXPECT_EQ(fatalMessage([&] { env.extent("never_interned_x"); }),
+              "fatal: unbound index 'never_interned_x'");
+    EXPECT_EQ(fatalMessage([&] { env.extent("x"); }),
+              "fatal: unbound index 'x'");
+    const DimId x = internDim("x");
+    EXPECT_EQ(fatalMessage([&] { env.extent(x); }),
+              "fatal: unbound index 'x'");
+    EXPECT_EQ(fatalMessage([&] { DimEnv().productOf({ &x, 1 }); }),
+              "fatal: unbound index 'x'");
+    EXPECT_FALSE(env.has("x"));
+    EXPECT_FALSE(env.has("never_interned_y"));
+}
+
+TEST(DimEnv, NamesSortedByNameNotById)
+{
+    // Interned in reverse name order, so ids run against names.
+    const DimId z = internDim("names_order_z");
+    const DimId a = internDim("names_order_a");
+    ASSERT_LT(static_cast<std::uint32_t>(z),
+              static_cast<std::uint32_t>(a));
+    DimEnv env;
+    env.set(z, 1);
+    env.set("names_order_m", 2);
+    env.set(a, 3);
+    EXPECT_EQ(env.names(),
+              (std::vector<std::string>{ "names_order_a",
+                                         "names_order_m",
+                                         "names_order_z" }));
+}
+
+TEST(DimEnv, ConcurrentInterningGivesOneIdPerName)
+{
+    // Four workers intern the same fresh names, each in its own
+    // order; every worker must see the same id for every name.
+    std::vector<std::string> names;
+    for (int i = 0; i < 256; ++i)
+        names.push_back("concurrent_dim_" + std::to_string(i));
+    const std::vector<int> workers{ 0, 1, 2, 3 };
+    const auto seen = parallelMap(4, workers, [&](int w) {
+        std::vector<DimId> ids(names.size());
+        for (std::size_t k = 0; k < names.size(); ++k) {
+            const std::size_t i = (k * 97 + static_cast<std::size_t>(w)
+                                   * 61) % names.size();
+            ids[i] = internDim(names[i]);
+            EXPECT_EQ(dimName(ids[i]), names[i]);
+        }
+        return ids;
+    });
+    std::set<std::uint32_t> distinct;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        for (const auto &ids : seen)
+            EXPECT_EQ(ids[i], seen[0][i]) << names[i];
+        distinct.insert(static_cast<std::uint32_t>(seen[0][i]));
+    }
+    EXPECT_EQ(distinct.size(), names.size());
+}
+
 TEST(TensorRef, ElementCountAndPrinting)
 {
     DimEnv env{ { "h", 12 }, { "e", 64 }, { "p", 128 } };
     TensorRef q{ "Q", { "h", "e", "p" } };
     EXPECT_DOUBLE_EQ(q.elementCount(env), 12.0 * 64 * 128);
     EXPECT_EQ(q.toString(), "Q[h,e,p]");
+}
+
+TEST(TensorRef, DirectlyBuiltRefCarriesIds)
+{
+    // A ref built outside any Einsum resolves its ids too.
+    const TensorRef ref{ "T", { "h", "p" }, true };
+    EXPECT_EQ(ref.ids(), internDims({ "h", "p" }));
+    EXPECT_TRUE(ref.previous);
+    EXPECT_EQ(ref, (TensorRef{ "T", { "h", "p" }, true }));
+    EXPECT_DOUBLE_EQ(ref.elementCount(DimEnv{ { "h", 3 }, { "p", 7 } }),
+                     21.0);
+}
+
+TEST(Einsum, BuiltFromStringsCarriesIds)
+{
+    Einsum z("Z", { "m", "n" });
+    z.input("A", { "m", "k" }).input("B", { "k", "j", "n" })
+        .combine(CombineOp::Mul).reduce(ReduceOp::Sum);
+    EXPECT_EQ(z.output().ids(), internDims({ "m", "n" }));
+    EXPECT_EQ(z.inputs()[0].ids(), internDims({ "m", "k" }));
+    EXPECT_EQ(z.inputs()[1].ids(), internDims({ "k", "j", "n" }));
+    // Eq. 40 by id equals Eq. 40 by name, factor for factor.
+    const DimEnv env{ { "m", 3 }, { "n", 5 }, { "k", 7 }, { "j", 11 } };
+    EXPECT_EQ(z.computeLoad(env),
+              env.product(z.output().indices)
+                  * env.product(z.reductionIndices()));
+    EXPECT_EQ(z.reductionIndices(),
+              (std::vector<std::string>{ "k", "j" }));
 }
 
 TEST(Einsum, ReductionIndicesAreInputsMinusOutputs)

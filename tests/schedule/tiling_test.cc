@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/math_utils.hh"
 #include "costmodel/traffic.hh"
 #include "schedule/tiling.hh"
+#include "sim/compare.hh"
 
 namespace transfusion::schedule
 {
@@ -81,6 +83,74 @@ TEST(NaiveTile, FeasibleOnEveryArchModelPoint)
             }
         }
     }
+}
+
+/** naiveTile as first written: a nested first-fit over (p, m0, d,
+ *  s), each descending, testing the whole tile at every step. */
+tileseek::TileShape
+nestedFirstFitTile(const arch::ArchConfig &arch,
+                   const model::TransformerConfig &cfg,
+                   std::int64_t seq, std::int64_t ctx)
+{
+    tileseek::TileShape t;
+    t.b = 1;
+    t.h = cfg.heads;
+    t.e = cfg.head_dim;
+    t.f = cfg.head_dim;
+    t.m1 = 1;
+    const auto p_options = divisorsUpTo(seq, 4096);
+    const auto m0_options = divisorsUpTo(ctx, arch.pe2d.cols);
+    const auto d_options = divisorsUpTo(cfg.d_model, 256);
+    const auto s_options = divisorsUpTo(cfg.ffn_hidden, 256);
+    for (auto p = p_options.rbegin(); p != p_options.rend(); ++p) {
+        t.p = *p;
+        t.p_prime = tileseek::pPrime(t.p, arch.pe2d.rows);
+        for (auto m0 = m0_options.rbegin(); m0 != m0_options.rend();
+             ++m0) {
+            t.m0 = *m0;
+            for (auto d = d_options.rbegin(); d != d_options.rend();
+                 ++d) {
+                t.d = *d;
+                for (auto s = s_options.rbegin();
+                     s != s_options.rend(); ++s) {
+                    t.s = *s;
+                    if (tileFeasible(t, arch, ctx))
+                        return t;
+                }
+            }
+        }
+    }
+    t.p = t.p_prime = t.m0 = t.d = t.s = 1;
+    return t;
+}
+
+TEST(NaiveTile, SeparableFirstFitMatchesNestedFirstFit)
+{
+    std::size_t compared = 0;
+    for (const auto &arch : { arch::cloudArch(), arch::edgeArch() }) {
+        for (const auto &cfg : model::allModels()) {
+            // Prefill over the paper's sequence sweep.
+            for (const std::int64_t seq : sim::paperSequenceSweep()) {
+                EXPECT_EQ(naiveTile(arch, cfg, seq).toString(),
+                          nestedFirstFitTile(arch, cfg, seq, seq)
+                              .toString())
+                    << arch.name << " " << cfg.name << " P=" << seq;
+                ++compared;
+            }
+            // Decode steps: one query against a cache of `len`.
+            for (const std::int64_t len :
+                 { 1, 2, 3, 7, 100, 255, 256, 257, 1000, 4096, 4099,
+                   65536 }) {
+                EXPECT_EQ(naiveTile(arch, cfg, 1, len).toString(),
+                          nestedFirstFitTile(arch, cfg, 1, len)
+                              .toString())
+                    << arch.name << " " << cfg.name
+                    << " cache=" << len;
+                ++compared;
+            }
+        }
+    }
+    EXPECT_GT(compared, 0u);
 }
 
 TEST(NaiveTile, PrefersLargeSequenceTiles)
