@@ -72,7 +72,11 @@ einsum::Cascade buildUnfusedMhaCascade();
  */
 einsum::Cascade buildFfnCascade(einsum::UnaryOp activation);
 
-/** Cascade for a sub-layer of a given model. */
+/**
+ * Cascade for a sub-layer of a given model.  It reads only
+ * `cfg.d_model` and `cfg.activation`; schedule::Evaluator shares
+ * cascades across configs by those two fields.
+ */
 einsum::Cascade buildCascade(LayerKind kind,
                              const TransformerConfig &cfg);
 

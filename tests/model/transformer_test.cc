@@ -65,25 +65,35 @@ TEST(ModelZoo, ValidateRejectsInconsistency)
     EXPECT_THROW(c.validate(), FatalError);
 }
 
+/** The names a mapping's row or column ids were interned under. */
+std::vector<std::string>
+names(std::span<const einsum::DimId> ids)
+{
+    std::vector<std::string> out;
+    for (const einsum::DimId id : ids)
+        out.push_back(einsum::dimName(id));
+    return out;
+}
+
 TEST(PeMapping, Table1Rows)
 {
     // QKV: rows p (Q) or m0 (BK/BV); cols (h,e)/(h,f).
-    EXPECT_EQ(peMapping(LayerKind::Qkv).rows,
+    EXPECT_EQ(names(peMapping(LayerKind::Qkv).rows()),
               (std::vector<std::string>{ "p" }));
-    EXPECT_EQ(peMapping(LayerKind::Qkv, "BK").rows,
+    EXPECT_EQ(names(peMapping(LayerKind::Qkv, "BK").rows()),
               (std::vector<std::string>{ "m0" }));
-    EXPECT_EQ(peMapping(LayerKind::Qkv, "BV").cols,
+    EXPECT_EQ(names(peMapping(LayerKind::Qkv, "BV").cols()),
               (std::vector<std::string>{ "h", "f" }));
     // MHA: rows p, cols m0.
-    EXPECT_EQ(peMapping(LayerKind::Mha).rows,
+    EXPECT_EQ(names(peMapping(LayerKind::Mha).rows()),
               (std::vector<std::string>{ "p" }));
-    EXPECT_EQ(peMapping(LayerKind::Mha).cols,
+    EXPECT_EQ(names(peMapping(LayerKind::Mha).cols()),
               (std::vector<std::string>{ "m0" }));
     // LayerNorm: rows p, cols (h,f).
-    EXPECT_EQ(peMapping(LayerKind::LayerNorm).cols,
+    EXPECT_EQ(names(peMapping(LayerKind::LayerNorm).cols()),
               (std::vector<std::string>{ "h", "f" }));
     // FFN: rows p, cols s.
-    EXPECT_EQ(peMapping(LayerKind::Ffn).cols,
+    EXPECT_EQ(names(peMapping(LayerKind::Ffn).cols()),
               (std::vector<std::string>{ "s" }));
 }
 
